@@ -83,6 +83,8 @@ def cmd_simulate(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_perceive(cfg: PipelineConfig, args) -> int:
+    if not (args.out or args.relay):
+        raise ValueError("need --out FILE and/or --relay HOST:PORT")
     frames = read_frames(args.frames)
     gt = read_ground_truth(args.gt) if args.gt else None
     if cfg["detector.backend"] == "oracle" and gt is None:
@@ -93,8 +95,6 @@ def cmd_perceive(cfg: PipelineConfig, args) -> int:
     tap = _open_tap(args.tap)
     out_f = open(args.out, "wb") if args.out else None
     pub = connect_publisher(args.relay) if args.relay else None
-    if out_f is None and pub is None:
-        raise ValueError("need --out FILE and/or --relay HOST:PORT")
     try:
         for k, frame in enumerate(frames):
             result = pipeline.process(frame, gt[k].agents if gt else None)
@@ -202,7 +202,9 @@ def _messages_to_world_detections(msgs, inv_transform) -> list[Detection]:
 
 
 def cmd_eval(cfg: PipelineConfig, args) -> int:
-    threshold = args.dist_threshold or float(cfg["eval.dist_threshold"])
+    threshold = args.dist_threshold
+    if threshold is None:
+        threshold = float(cfg["eval.dist_threshold"])
     if args.counts:
         with open(args.counts) as f:
             raw = json.load(f)

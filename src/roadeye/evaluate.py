@@ -19,8 +19,6 @@ from .wire import PhaseStamps
 
 DEFAULT_MATCH_THRESHOLD = 2.0  # m, plan-view center distance
 
-PHASE2_STAGES = ("detection", "tracking", "geolocalization", "encoding")
-
 
 @dataclass
 class ConfusionCounts:

@@ -9,7 +9,7 @@ and seed always encode to identical bytes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import PipelineConfig
 from .detect import detect_cluster, detect_oracle
@@ -17,7 +17,7 @@ from .geoloc import enu_to_ecef_transform, estimate_ecef_transform, georeference
 from .geometry import RigidTransform, transform_box
 from .preproc import apply_transform, estimate_ground_calibration, geofence
 from .scene import AgentState, PointCloudFrame
-from .track import Track3D, Tracker2D, track_frame
+from .track import Tracker2D, track_frame
 from .wire import PhaseStamps, encode_frame, stamp_phase
 
 
@@ -31,8 +31,6 @@ class PipelineStageError(RuntimeError):
 class FrameResult:
     encoded: bytes
     stamps: PhaseStamps
-    tracks: list[Track3D]
-    stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 class EdgePipeline:
@@ -53,7 +51,6 @@ class EdgePipeline:
         self.sensor_pose = config.scenario().sensor_pose
         self.frame_index = 0
         self.stage_timers: dict[str, list[float]] = {}
-        self.stamps_log: list[PhaseStamps] = []
         self._frame_stage_seconds: dict[str, float] = {}
 
     def _build_p_ecef(self) -> RigidTransform:
@@ -109,16 +106,10 @@ class EdgePipeline:
         )
         stamps = stamp_phase(stamps, "edge_out", self._now(frame.t))
         encoded = self._timed("encoding", encode_frame, msgs, stamps, frame.t)
-        self.stamps_log.append(stamps)
         self.frame_index += 1
         for name, total in self._frame_stage_seconds.items():
             self.stage_timers.setdefault(name, []).append(total)
-        return FrameResult(
-            encoded=encoded,
-            stamps=stamps,
-            tracks=tracks,
-            stage_seconds=dict(self._frame_stage_seconds),
-        )
+        return FrameResult(encoded=encoded, stamps=stamps)
 
     def _oracle_detect(self, gt_agents, seed, world_to_h):
         dets = detect_oracle(gt_agents, self.noise, seed, self.bounds)

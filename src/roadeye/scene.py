@@ -171,12 +171,6 @@ def step_scenario(config: ScenarioConfig, t: float) -> list[AgentState]:
     return states
 
 
-def box_local_axes(box: OrientedBox3D) -> np.ndarray:
-    """Columns: length axis (along heading), lateral axis, up."""
-    r = rotation_about_z(box.theta)
-    return r
-
-
 def sample_box_surface(box: OrientedBox3D, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly sample n points on the box surface (exact, float64)."""
     w, l, h = box.w, box.l, box.h
@@ -204,12 +198,12 @@ def sample_box_surface(box: OrientedBox3D, n: int, rng: np.random.Generator) -> 
             local[m, 0] = u[m] * l
             local[m, 1] = v[m] * w
             local[m, 2] = s * h / 2.0
-    return local @ box_local_axes(box).T + box.center
+    return local @ rotation_about_z(box.theta).T + box.center
 
 
 def surface_distance(box: OrientedBox3D, pts: np.ndarray) -> np.ndarray:
     """Distance of points to the box surface (0 when exactly on it)."""
-    local = (np.asarray(pts, dtype=float) - box.center) @ box_local_axes(box)
+    local = (np.asarray(pts, dtype=float) - box.center) @ rotation_about_z(box.theta)
     half = np.array([box.l / 2.0, box.w / 2.0, box.h / 2.0])
     q = np.abs(local) - half
     outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)

@@ -3,14 +3,14 @@
 Detections are flattened to plan-view boxes, associated frame to frame by a
 constant-velocity Kalman filter plus Hungarian matching on center distance,
 and the resulting IDs are attached back onto the full 3D boxes through a
-Euclidean gate.
+Euclidean gate. Live tracks are held as stacked arrays, one row per track
+in creation order, so each frame is a handful of batched array operations.
 """
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -22,32 +22,28 @@ GATE_COST = 1.0e9  # cost assigned to pairs outside the association gate
 MIN_BOX2D_EXTENT = 0.05
 
 
-class TrackState(enum.Enum):
-    TENTATIVE = "tentative"
-    CONFIRMED = "confirmed"
-
-
-@dataclass
-class Box2D:
+class Box2D(NamedTuple):
     x: float
     y: float
     w: float
     l: float
 
-    def __post_init__(self):
-        if not (self.w > 0 and self.l > 0):
-            raise ValueError("2D box dims must be positive")
 
-
-@dataclass
+@dataclass(frozen=True)
 class Track2D:
-    box: Box2D
+    """Read-only snapshot of one live track."""
+
     id: int
-    state: TrackState
     mean: np.ndarray  # (6,) x, y, w, l, vx, vy
     cov: np.ndarray  # (6, 6)
     hits: int
     misses: int
+    confirmed: bool
+
+    @property
+    def box(self) -> Box2D:
+        x, y, w, l = self.mean[:4].tolist()
+        return Box2D(x, y, max(w, MIN_BOX2D_EXTENT), max(l, MIN_BOX2D_EXTENT))
 
 
 @dataclass
@@ -96,130 +92,113 @@ def _process_noise(cfg: TrackerConfig) -> np.ndarray:
 
 
 class Tracker2D:
-    """Single-owner association state; one instance per frame stream."""
+    """Single-owner association state; one instance per frame stream.
+
+    Row i of `mean`, `cov`, `ids`, `hits`, `misses` and `confirmed` is the
+    i-th live track in creation order.
+    """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self.tracks: list[Track2D] = []
+        self.mean = np.empty((0, 6))
+        self.cov = np.empty((0, 6, 6))
+        self.ids = np.empty(0, dtype=np.int64)
+        self.hits = np.empty(0, dtype=np.int64)
+        self.misses = np.empty(0, dtype=np.int64)
+        self.confirmed = np.empty(0, dtype=bool)
         self.next_id = 0
         self.last_t: float | None = None
         self.last_assignment_cost = 0.0  # summed matched center distance
 
-    def _predict_all(self):
-        q = _process_noise(self.config)
-        for tr in self.tracks:
-            tr.mean = _F @ tr.mean
-            tr.cov = _F @ tr.cov @ _F.T + q
-            tr.box = _mean_to_box(tr.mean)
-
-    def _update(self, tr: Track2D, det: Box2D):
-        r = self.config.measurement_noise
-        z = np.array([det.x, det.y, det.w, det.l])
-        s = _H @ tr.cov @ _H.T + np.eye(4) * (r * r)
-        k = tr.cov @ _H.T @ np.linalg.inv(s)
-        tr.mean = tr.mean + k @ (z - _H @ tr.mean)
-        tr.cov = (np.eye(6) - k @ _H) @ tr.cov
-        tr.cov = 0.5 * (tr.cov + tr.cov.T)
-        tr.box = _mean_to_box(tr.mean)
-
-    def _spawn(self, det: Box2D):
-        mean = np.array([det.x, det.y, det.w, det.l, 0.0, 0.0])
-        state = TrackState.CONFIRMED if self.config.n_init <= 1 else TrackState.TENTATIVE
-        self.tracks.append(
-            Track2D(
-                box=det,
-                id=self.next_id,
-                state=state,
-                mean=mean,
-                cov=_initial_covariance(self.config),
-                hits=1,
-                misses=0,
-            )
-        )
-        self.next_id += 1
-
-    def associate(self, dets: list[Box2D]) -> list[Track2D]:
-        """Predict, match, update, and manage the track lifecycle.
-
-        Returns immutable snapshots of all live tracks, in creation order.
-        """
-        self._predict_all()
-        n_t, n_d = len(self.tracks), len(dets)
-        matched_t, matched_d = set(), set()
-        self.last_assignment_cost = 0.0
-        if n_t and n_d:
-            dist = np.empty((n_t, n_d))
-            for i, tr in enumerate(self.tracks):
-                for j, det in enumerate(dets):
-                    dist[i, j] = math.hypot(tr.mean[0] - det.x, tr.mean[1] - det.y)
-            cost = np.where(dist <= self.config.gate_assoc, dist, GATE_COST)
-            rows, cols = linear_sum_assignment(cost)
-            for i, j in zip(rows, cols):
-                if dist[i, j] <= self.config.gate_assoc:
-                    matched_t.add(i)
-                    matched_d.add(j)
-                    self.last_assignment_cost += dist[i, j]
-                    self._update(self.tracks[i], dets[j])
-        for i, tr in enumerate(self.tracks):
-            if i in matched_t:
-                tr.hits += 1
-                tr.misses = 0
-                if tr.state is TrackState.TENTATIVE and tr.hits >= self.config.n_init:
-                    tr.state = TrackState.CONFIRMED
-            else:
-                tr.misses += 1
-                tr.hits = 0
-        self.tracks = [tr for tr in self.tracks if tr.misses < self.config.max_age]
-        for j, det in enumerate(dets):
-            if j not in matched_d:
-                self._spawn(det)
+    @property
+    def tracks(self) -> list[Track2D]:
+        """Snapshots of the live tracks, in creation order."""
         return [
-            replace(tr, mean=tr.mean.copy(), cov=tr.cov.copy()) for tr in self.tracks
+            Track2D(int(i), m.copy(), c.copy(), int(h), int(s), bool(k))
+            for i, m, c, h, s, k in zip(
+                self.ids, self.mean, self.cov, self.hits, self.misses, self.confirmed
+            )
         ]
 
+    def associate(self, boxes: np.ndarray) -> None:
+        """Predict, match `boxes` (n, 4: x, y, w, l), update, and manage the
+        track lifecycle."""
+        cfg = self.config
+        boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+        self.mean = self.mean @ _F.T
+        self.cov = _F @ self.cov @ _F.T + _process_noise(cfg)
 
-def _mean_to_box(mean: np.ndarray) -> Box2D:
-    return Box2D(
-        float(mean[0]),
-        float(mean[1]),
-        max(float(mean[2]), MIN_BOX2D_EXTENT),
-        max(float(mean[3]), MIN_BOX2D_EXTENT),
-    )
+        dist = np.hypot(
+            self.mean[:, None, 0] - boxes[None, :, 0], self.mean[:, None, 1] - boxes[None, :, 1]
+        )
+        rows, cols = linear_sum_assignment(np.where(dist <= cfg.gate_assoc, dist, GATE_COST))
+        in_gate = dist[rows, cols] <= cfg.gate_assoc
+        rows, cols = rows[in_gate], cols[in_gate]
+        self.last_assignment_cost = float(dist[rows, cols].sum())
+
+        # Batched Kalman update; H selects the first four state components.
+        r = cfg.measurement_noise
+        cov = self.cov[rows]
+        k = cov[:, :, :4] @ np.linalg.inv(cov[:, :4, :4] + np.eye(4) * (r * r))
+        innovation = boxes[cols] - self.mean[rows, :4]
+        self.mean[rows] += (k @ innovation[:, :, None])[:, :, 0]
+        cov = (np.eye(6) - k @ _H) @ cov
+        self.cov[rows] = 0.5 * (cov + cov.transpose(0, 2, 1))
+
+        matched = np.zeros(len(self.ids), dtype=bool)
+        matched[rows] = True
+        self.hits = np.where(matched, self.hits + 1, 0)
+        self.misses = np.where(matched, 0, self.misses + 1)
+        self.confirmed |= self.hits >= cfg.n_init
+        live = self.misses < cfg.max_age
+
+        born = np.ones(len(boxes), dtype=bool)
+        born[cols] = False
+        n_new = int(born.sum())
+        new_ids = np.arange(self.next_id, self.next_id + n_new)
+        self.next_id += n_new
+        self.mean = np.concatenate([self.mean[live], np.pad(boxes[born], ((0, 0), (0, 2)))])
+        self.cov = np.concatenate(
+            [self.cov[live], np.broadcast_to(_initial_covariance(cfg), (n_new, 6, 6))]
+        )
+        self.ids = np.concatenate([self.ids[live], new_ids])
+        self.hits = np.concatenate([self.hits[live], np.ones(n_new, dtype=np.int64)])
+        self.misses = np.concatenate([self.misses[live], np.zeros(n_new, dtype=np.int64)])
+        self.confirmed = np.concatenate([self.confirmed[live], np.full(n_new, cfg.n_init <= 1)])
 
 
-def project_to_2d(dets: list[Detection]) -> list[Box2D]:
-    """Drop z, h, theta, and class; order and length preserved."""
-    return [Box2D(d.box.x, d.box.y, d.box.w, d.box.l) for d in dets]
+def project_to_2d(dets: list[Detection]) -> np.ndarray:
+    """(n, 4) plan-view boxes x, y, w, l; drops z, h, theta and class."""
+    return np.array([(d.box.x, d.box.y, d.box.w, d.box.l) for d in dets], dtype=float).reshape(-1, 4)
 
 
 def lift_to_3d(
     dets: list[Detection],
-    tracks2d: list[Track2D],
+    track_ids: np.ndarray,
+    track_xy: np.ndarray,
     d_o: float,
     mode: str = "first",
 ) -> list[Track3D]:
     """Attach 2D track IDs to 3D detections through a plan-distance gate.
 
-    "first" takes the first track in list order strictly inside d_o;
+    "first" takes the first track, in row order, strictly inside d_o;
     "nearest" the closest one inside the gate. Unmatched detections carry -1.
     """
     if d_o <= 0:
         raise ValueError("d_o must be positive")
-    out = []
-    for det in dets:
-        chosen = -1
-        best = math.inf
-        for tr in tracks2d:
-            dist = math.hypot(det.box.x - tr.box.x, det.box.y - tr.box.y)
-            if dist < d_o:
-                if mode == "first":
-                    chosen = tr.id
-                    break
-                if dist < best:
-                    best = dist
-                    chosen = tr.id
-        out.append(Track3D(box=det.box, cls=det.cls, id=chosen))
-    return out
+    track_ids = np.asarray(track_ids)
+    track_xy = np.asarray(track_xy, dtype=float).reshape(-1, 2)
+    det_xy = project_to_2d(dets)[:, :2]
+    dist = np.hypot(
+        det_xy[:, None, 0] - track_xy[None, :, 0], det_xy[:, None, 1] - track_xy[None, :, 1]
+    )
+    inside = dist < d_o
+    hit = inside.any(axis=1)
+    chosen = np.full(len(dets), -1, dtype=np.int64)
+    if hit.any():
+        pick = np.argmax(inside[hit], axis=1) if mode == "first" else np.argmin(dist[hit], axis=1)
+        chosen[hit] = track_ids[pick]
+    return [Track3D(box=d.box, cls=d.cls, id=int(i)) for d, i in zip(dets, chosen)]
 
 
 def track_frame(tracker: Tracker2D, dets: list[Detection], t: float | None = None) -> list[Track3D]:
@@ -228,5 +207,5 @@ def track_frame(tracker: Tracker2D, dets: list[Detection], t: float | None = Non
         if tracker.last_t is not None and t <= tracker.last_t:
             raise ValueError(f"out-of-order timestamp {t} after {tracker.last_t}")
         tracker.last_t = t
-    tracks2d = tracker.associate(project_to_2d(dets))
-    return lift_to_3d(dets, tracks2d, tracker.config.d_o, tracker.config.lift)
+    tracker.associate(project_to_2d(dets))
+    return lift_to_3d(dets, tracker.ids, tracker.mean[:, :2], tracker.config.d_o, tracker.config.lift)

@@ -268,6 +268,17 @@ def test_perceive_tap_writes_json_lines(tmp_path):
     assert set(rec) == {"t", "id", "lat", "lon", "alt", "w", "l", "h", "theta"}
 
 
+def test_perceive_without_output_keeps_tap_file(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    frames = tmp_path / "f.bin"
+    tap = tmp_path / "tap.jsonl"
+    tap.write_text("earlier run\n")
+    main(["--config", str(cfg), "simulate", "--out", str(frames)])
+    assert main(["--config", str(cfg), "--tap", str(tap), "perceive", "--frames", str(frames),
+                 "--gt", str(frames) + ".gt"]) == 2
+    assert tap.read_text() == "earlier run\n"
+
+
 def test_perceive_wall_stamps(tmp_path):
     # Wall-clock stamps break byte determinism but stay ordered per frame.
     from roadeye.wire import iter_frames_from_file, decode_frame
@@ -295,6 +306,17 @@ def test_nearest_lift_mode_plumbed(tmp_path):
     main(["--config", str(cfg), "eval", "--gt", str(frames) + ".gt",
           "--results", str(out), "--json", str(report)])
     assert json.loads(report.read_text())["recall"] == 1.0
+
+
+def test_eval_zero_dist_threshold_rejected(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    frames = tmp_path / "f.bin"
+    results = tmp_path / "r.bin"
+    main(["--config", str(cfg), "simulate", "--out", str(frames)])
+    main(["--config", str(cfg), "perceive", "--frames", str(frames),
+          "--gt", str(frames) + ".gt", "--out", str(results)])
+    assert main(["--config", str(cfg), "eval", "--gt", str(frames) + ".gt",
+                 "--results", str(results), "--dist-threshold", "0"]) == 2
 
 
 def test_eval_counts_mode(tmp_path):

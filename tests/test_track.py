@@ -9,8 +9,6 @@ from roadeye.geometry import ObjectClass, OrientedBox3D
 from roadeye.scene import AgentSpec, ScenarioConfig, step_scenario
 from roadeye.track import (
     Box2D,
-    Track2D,
-    TrackState,
     Tracker2D,
     TrackerConfig,
     lift_to_3d,
@@ -29,45 +27,50 @@ def _det(x, y, w=2.0, l=4.5, cls=ObjectClass.VEHICLE):
 
 # --- projection -------------------------------------------------------------
 
+def _boxes(*rows):
+    return np.array(rows, dtype=float).reshape(-1, 4)
+
+
 def test_project_empty():
-    assert project_to_2d([]) == []
+    assert project_to_2d([]).shape == (0, 4)
 
 
 def test_project_drops_3d_fields():
     det = Detection(box=OrientedBox3D(1, 2, 3, 2, 4, 1.5, 0.3), cls=ObjectClass.VEHICLE, score=1.0)
     out = project_to_2d([det])
-    assert out == [Box2D(1, 2, 2, 4)]
+    assert out.tolist() == [[1.0, 2.0, 2.0, 4.0]]
 
 
 def test_project_fieldwise(rng):
     dets = [_det(rng.uniform(-50, 50), rng.uniform(-50, 50),
                  w=rng.uniform(1.5, 2.6), l=rng.uniform(3.5, 12.0)) for _ in range(64)]
     out = project_to_2d(dets)
-    assert len(out) == len(dets)
+    assert out.shape == (len(dets), 4)
     for d, b in zip(dets, out):
-        assert (b.x, b.y, b.w, b.l) == (d.box.x, d.box.y, d.box.w, d.box.l)
+        assert tuple(b) == (d.box.x, d.box.y, d.box.w, d.box.l)
 
 
 # --- association ------------------------------------------------------------
 
 def test_single_track_keeps_id_across_motion():
     tracker = Tracker2D(TrackerConfig(gate_assoc=2.0))
-    t1 = tracker.associate([Box2D(0.0, 0.0, 2.0, 4.5)])
-    t2 = tracker.associate([Box2D(0.5, 0.0, 2.0, 4.5)])
-    assert len(t1) == len(t2) == 1
-    assert t1[0].id == t2[0].id
+    tracker.associate(_boxes(0.0, 0.0, 2.0, 4.5))
+    ids1 = tracker.ids.copy()
+    tracker.associate(_boxes(0.5, 0.0, 2.0, 4.5))
+    assert len(ids1) == len(tracker.ids) == 1
+    assert ids1[0] == tracker.ids[0]
 
 
 def test_two_distant_tracks_never_swap():
     tracker = Tracker2D(TrackerConfig())
     ids = set()
     for k in range(10):
-        tracks = tracker.associate([
-            Box2D(-20.0 + 0.3 * k, 0.0, 2.0, 4.5),
-            Box2D(20.0 - 0.3 * k, 0.0, 2.0, 4.5),
-        ])
-        assert len(tracks) == 2
-        ids.add(tuple(sorted(tr.id for tr in tracks)))
+        tracker.associate(_boxes(
+            (-20.0 + 0.3 * k, 0.0, 2.0, 4.5),
+            (20.0 - 0.3 * k, 0.0, 2.0, 4.5),
+        ))
+        assert len(tracker.ids) == 2
+        ids.add(tuple(sorted(tracker.ids.tolist())))
     assert len(ids) == 1  # the same two ids every frame
 
 
@@ -83,15 +86,15 @@ def test_assignment_matches_bruteforce_permutations(rng):
     for trial in range(20):
         n = 5
         tracker = Tracker2D(TrackerConfig(gate_assoc=1e6, n_init=1))
-        first = [Box2D(*rng.uniform(-40, 40, 2), 2.0, 4.5) for _ in range(n)]
-        tracker.associate(first)
-        second = [Box2D(*rng.uniform(-40, 40, 2), 2.0, 4.5) for _ in range(n)]
+        first = [(*rng.uniform(-40, 40, 2), 2.0, 4.5) for _ in range(n)]
+        tracker.associate(_boxes(*first))
+        second = [(*rng.uniform(-40, 40, 2), 2.0, 4.5) for _ in range(n)]
         # Predicted track positions after one no-velocity step equal the means.
-        predicted = [(tr.mean[0], tr.mean[1]) for tr in tracker.tracks]
+        predicted = tracker.mean[:, :2].tolist()
         cost = np.array([
-            [math.hypot(px - d.x, py - d.y) for d in second] for px, py in predicted
+            [math.hypot(px - x, py - y) for x, y, _, _ in second] for px, py in predicted
         ])
-        tracker.associate(second)
+        tracker.associate(_boxes(*second))
         assert tracker.last_assignment_cost == pytest.approx(
             _bruteforce_min_assignment(cost), abs=1e-9
         )
@@ -100,24 +103,27 @@ def test_assignment_matches_bruteforce_permutations(rng):
 def test_track_lifecycle_confirmation_and_deletion():
     cfg = TrackerConfig(n_init=3, max_age=2)
     tracker = Tracker2D(cfg)
-    det = [Box2D(0.0, 0.0, 2.0, 4.5)]
-    tracks = tracker.associate(det)
-    assert tracks[0].state is TrackState.TENTATIVE
+    det = _boxes(0.0, 0.0, 2.0, 4.5)
     tracker.associate(det)
-    tracks = tracker.associate(det)
-    assert tracks[0].state is TrackState.CONFIRMED
-    tracker.associate([])
-    assert tracker.tracks[0].misses == 1
-    tracker.associate([])
-    assert tracker.tracks == []  # deleted after max_age consecutive misses
+    assert not tracker.confirmed[0]
+    tracker.associate(det)
+    assert not tracker.confirmed[0]
+    tracker.associate(det)
+    assert tracker.confirmed[0]
+    tracker.associate(_boxes())
+    assert tracker.misses[0] == 1
+    assert tracker.confirmed[0]  # a confirmed track stays confirmed through misses
+    tracker.associate(_boxes())
+    assert len(tracker.ids) == 0  # deleted after max_age consecutive misses
+    assert tracker.tracks == []
 
 
 def test_ids_monotonic_never_reused():
     tracker = Tracker2D(TrackerConfig(n_init=1, max_age=1))
     seen = []
     for k in range(5):
-        tracks = tracker.associate([Box2D(float(100 * k), 0.0, 1.0, 1.0)])
-        seen.extend(tr.id for tr in tracks if tr.id not in seen)
+        tracker.associate(_boxes(float(100 * k), 0.0, 1.0, 1.0))
+        seen.extend(i for i in tracker.ids.tolist() if i not in seen)
     assert seen == sorted(seen)
     assert len(set(seen)) == len(seen)
 
@@ -125,37 +131,29 @@ def test_ids_monotonic_never_reused():
 def test_covariance_stays_psd(rng):
     tracker = Tracker2D(TrackerConfig())
     for k in range(30):
-        dets = [Box2D(float(k) * 0.4 + rng.normal(0, 0.1), rng.normal(0, 0.1), 2.0, 4.5)]
-        tracks = tracker.associate(dets)
-        for tr in tracks:
-            eig = np.linalg.eigvalsh(tr.cov)
+        tracker.associate(_boxes(float(k) * 0.4 + rng.normal(0, 0.1), rng.normal(0, 0.1), 2.0, 4.5))
+        for cov in tracker.cov:
+            eig = np.linalg.eigvalsh(cov)
             assert np.all(eig >= -1e-9)
-            assert np.allclose(tr.cov, tr.cov.T, atol=1e-12)
+            assert np.allclose(cov, cov.T, atol=1e-12)
 
 
 # --- lift -------------------------------------------------------------------
 
-def _track2d(x, y, tid):
-    return Track2D(
-        box=Box2D(x, y, 2.0, 4.5), id=tid, state=TrackState.CONFIRMED,
-        mean=np.array([x, y, 2.0, 4.5, 0.0, 0.0]), cov=np.eye(6), hits=3, misses=0,
-    )
-
-
 def test_lift_inside_gate():
-    out = lift_to_3d([_det(0.0, 0.0)], [_track2d(0.5, 0.0, 7)], d_o=2.0)
+    out = lift_to_3d([_det(0.0, 0.0)], [7], [[0.5, 0.0]], d_o=2.0)
     assert out[0].id == 7
 
 
 def test_lift_outside_gate_gives_sentinel():
-    out = lift_to_3d([_det(0.0, 0.0)], [_track2d(3.0, 0.0, 7)], d_o=2.0)
+    out = lift_to_3d([_det(0.0, 0.0)], [7], [[3.0, 0.0]], d_o=2.0)
     assert out[0].id == -1
 
 
 def test_lift_first_vs_nearest():
-    tracks = [_track2d(1.5, 0.0, 1), _track2d(0.2, 0.0, 2)]
-    first = lift_to_3d([_det(0.0, 0.0)], tracks, d_o=2.0, mode="first")
-    nearest = lift_to_3d([_det(0.0, 0.0)], tracks, d_o=2.0, mode="nearest")
+    ids, xy = [1, 2], [[1.5, 0.0], [0.2, 0.0]]
+    first = lift_to_3d([_det(0.0, 0.0)], ids, xy, d_o=2.0, mode="first")
+    nearest = lift_to_3d([_det(0.0, 0.0)], ids, xy, d_o=2.0, mode="nearest")
     assert first[0].id == 1
     assert nearest[0].id == 2
 
@@ -163,23 +161,84 @@ def test_lift_first_vs_nearest():
 def test_lift_matches_bruteforce_scan(rng):
     for _ in range(25):
         dets = [_det(*rng.uniform(-20, 20, 2)) for _ in range(20)]
-        tracks = [_track2d(*rng.uniform(-20, 20, 2), tid) for tid in range(20)]
-        out = lift_to_3d(dets, tracks, d_o=3.0)
-        for det, lifted in zip(dets, out):
-            expected = -1
-            for tr in tracks:
-                if math.hypot(det.box.x - tr.box.x, det.box.y - tr.box.y) < 3.0:
-                    expected = tr.id
-                    break
-            assert lifted.id == expected
-            assert lifted.box == det.box
+        ids = rng.permutation(100)[:20]
+        xy = rng.uniform(-20, 20, (20, 2))
+        first = lift_to_3d(dets, ids, xy, d_o=3.0)
+        nearest = lift_to_3d(dets, ids, xy, d_o=3.0, mode="nearest")
+        for det, lifted, closest in zip(dets, first, nearest):
+            expected_first, expected_nearest, best = -1, -1, math.inf
+            for tid, (x, y) in zip(ids, xy):
+                dist = math.hypot(det.box.x - x, det.box.y - y)
+                if dist < 3.0 and expected_first == -1:
+                    expected_first = tid
+                if dist < 3.0 and dist < best:
+                    expected_nearest, best = tid, dist
+            assert lifted.id == expected_first
+            assert closest.id == expected_nearest
+            assert lifted.box == det.box and lifted.cls is det.cls
 
 
 def test_lift_preserves_cardinality_and_payload(rng):
     dets = [_det(*rng.uniform(-20, 20, 2)) for _ in range(9)]
-    out = lift_to_3d(dets, [], d_o=2.0)
-    assert len(out) == len(dets)
-    assert all(tr.id == -1 for tr in out)
+    for mode in ("first", "nearest"):
+        out = lift_to_3d(dets, np.empty(0, dtype=int), np.empty((0, 2)), d_o=2.0, mode=mode)
+        assert len(out) == len(dets)
+        assert all(tr.id == -1 for tr in out)
+    assert lift_to_3d([], [3], [[0.0, 0.0]], d_o=2.0) == []
+
+
+# --- batched filter ---------------------------------------------------------
+
+def _single_track_kalman(mean, cov, z, cfg):
+    """Textbook Kalman predict, then update unless z is None: the reference
+    for the batched filter."""
+    f = np.eye(6)
+    f[0, 4] = f[1, 5] = 1.0
+    h = np.eye(4, 6)
+    q, r = cfg.process_noise, cfg.measurement_noise
+    mean = f @ mean
+    cov = f @ cov @ f.T + np.diag([0.25 * q * q] * 2 + [0.01 * q * q] * 2 + [q * q] * 2)
+    if z is None:
+        return mean, cov
+    k = cov @ h.T @ np.linalg.inv(h @ cov @ h.T + np.eye(4) * r * r)
+    return mean + k @ (z - h @ mean), (np.eye(6) - k @ h) @ cov
+
+
+def test_batched_update_matches_single_track_kalman(rng):
+    cfg = TrackerConfig(gate_assoc=5.0)
+    tracker = Tracker2D(cfg)
+    start = np.column_stack([np.arange(8) * 20.0, np.zeros(8), np.full(8, 2.0), np.full(8, 4.5)])
+    tracker.associate(start)
+    expected = [(m, c) for m, c in zip(tracker.mean, tracker.cov)]
+    for k in range(1, 6):
+        # Track 3 misses every other frame; the rest move with noise.
+        z = start + [0.8 * k, 0.3 * k, 0.0, 0.0] + rng.normal(0, 0.1, start.shape)
+        seen = np.arange(8) != 3 if k % 2 else np.ones(8, dtype=bool)
+        tracker.associate(z[seen])
+        expected = [
+            _single_track_kalman(mean, cov, z[i] if seen[i] else None, cfg)
+            for i, (mean, cov) in enumerate(expected)
+        ]
+        assert tracker.ids.tolist() == list(range(8))
+        for i, (mean, cov) in enumerate(expected):
+            assert np.allclose(tracker.mean[i], mean, atol=1e-12)
+            assert np.allclose(tracker.cov[i], cov, atol=1e-12)
+    assert tracker.hits.tolist() == [6, 6, 6, 0, 6, 6, 6, 6]
+    assert tracker.misses.tolist() == [0, 0, 0, 1, 0, 0, 0, 0]
+
+
+def test_tracks_snapshots_follow_the_arrays():
+    tracker = Tracker2D(TrackerConfig(n_init=2))
+    tracker.associate(_boxes((0.0, 0.0, 2.0, 4.5), (30.0, 0.0, 0.6, 0.6)))
+    tracker.associate(_boxes((0.4, 0.0, 2.0, 4.5)))
+    snaps = tracker.tracks
+    assert [tr.id for tr in snaps] == tracker.ids.tolist() == [0, 1]
+    assert [tr.confirmed for tr in snaps] == [True, False]
+    assert [(tr.hits, tr.misses) for tr in snaps] == [(2, 0), (0, 1)]
+    for tr, mean in zip(snaps, tracker.mean):
+        assert tr.box == Box2D(*mean[:4])  # the box is the mean, not a second copy
+    snaps[0].mean[0] = 99.0  # snapshots are copies
+    assert tracker.mean[0, 0] != 99.0
 
 
 # --- full per-frame step ----------------------------------------------------
@@ -216,10 +275,10 @@ def test_scripted_run_zero_id_switches():
 def test_no_detection_frame_increments_ages():
     tracker = Tracker2D(TrackerConfig())
     track_frame(tracker, [_det(0.0, 0.0)], 0.0)
-    before = tracker.tracks[0].misses
+    before = tracker.misses[0]
     out = track_frame(tracker, [], 0.1)
     assert out == []
-    assert tracker.tracks[0].misses == before + 1
+    assert tracker.misses[0] == before + 1
 
 
 def test_crossing_pedestrians_preserve_id_set():
