@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -52,12 +53,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _open_tap(path: str | None):
+def _open_tap(stack: contextlib.ExitStack, path: str | None):
+    """Open the message tap; a file is closed with `stack`, stdout never is."""
     if path is None:
         return None
     if path == "-":
         return sys.stdout
-    return open(path, "w")
+    return stack.enter_context(open(path, "w"))
 
 
 def _tap_messages(tap, msgs):
@@ -92,10 +94,11 @@ def cmd_perceive(cfg: PipelineConfig, args) -> int:
     if gt is not None and len(gt) != len(frames):
         raise ValueError(f"{len(frames)} frames but {len(gt)} ground-truth frames")
     pipeline = EdgePipeline(cfg, wall_stamps=args.wall_stamps)
-    tap = _open_tap(args.tap)
-    out_f = open(args.out, "wb") if args.out else None
-    pub = connect_publisher(args.relay) if args.relay else None
-    try:
+    with contextlib.ExitStack() as stack:
+        # Connect first: an unreachable relay must not truncate the output files.
+        pub = stack.enter_context(connect_publisher(args.relay)) if args.relay else None
+        out_f = stack.enter_context(open(args.out, "wb")) if args.out else None
+        tap = _open_tap(stack, args.tap)
         for k, frame in enumerate(frames):
             result = pipeline.process(frame, gt[k].agents if gt else None)
             if out_f is not None:
@@ -104,13 +107,6 @@ def cmd_perceive(cfg: PipelineConfig, args) -> int:
                 pub.sendall(result.encoded)
             if tap is not None:
                 _tap_messages(tap, decode_frame(result.encoded).messages)
-    finally:
-        if out_f is not None:
-            out_f.close()
-        if pub is not None:
-            pub.close()
-        if tap is not None and tap is not sys.stdout:
-            tap.close()
     print(f"perceived {len(frames)} frames", file=sys.stderr)
     return EXIT_OK
 
@@ -156,12 +152,13 @@ def cmd_onboard(cfg: PipelineConfig, args) -> int:
             if time.monotonic() >= deadline:
                 raise ConnectionError(f"cannot connect to relay at {endpoint}: {e}") from None
             time.sleep(0.1)
-    print(f"connected to {endpoint}", flush=True)
-    tap = _open_tap(args.tap)
-    record_f = open(args.record, "wb") if args.record else None
-    stamps_f = open(args.stamps, "w") if args.stamps else None
     count = 0
-    try:
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(sock)
+        print(f"connected to {endpoint}", flush=True)
+        tap = _open_tap(stack, args.tap)
+        record_f = stack.enter_context(open(args.record, "wb")) if args.record else None
+        stamps_f = stack.enter_context(open(args.stamps, "w")) if args.stamps else None
         while args.max_frames is None or count < args.max_frames:
             raw = read_frame_bytes(sock)
             if raw is None:
@@ -177,14 +174,6 @@ def cmd_onboard(cfg: PipelineConfig, args) -> int:
                 stamps_f.write(json.dumps(stamps.as_tuple()) + "\n")
             _tap_messages(tap, decoded.messages)
             count += 1
-    finally:
-        sock.close()
-        if record_f is not None:
-            record_f.close()
-        if stamps_f is not None:
-            stamps_f.close()
-        if tap is not None and tap is not sys.stdout:
-            tap.close()
     print(f"rendered {count} frames to {out_dir}", flush=True)
     return EXIT_OK
 
@@ -284,7 +273,6 @@ def cmd_bench(cfg: PipelineConfig, args) -> int:
     stamps_out = []
     for frame in frames:
         result = pipeline.process(frame)
-        decoded = decode_frame(result.encoded)  # stands in for the onboard side
         stamps_out.append(stamp_phase(result.stamps, "onboard", time.time()))
     report = latency_report(stamps_out, pipeline.stage_timers, same_clock=True)
     print(f"frames: {len(frames)}   mean points/frame: {mean_points:.0f}")

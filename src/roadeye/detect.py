@@ -195,11 +195,15 @@ def detect_cluster(frame_h, params: ClusterParams) -> list[Detection]:
         return []
     vox = np.floor(pts / params.voxel).astype(np.int64)
     labels = _voxel_components(vox)
+    # One stable sort groups each component's points contiguously, in input
+    # order, so the per-cluster statistics below see the same arrays as a
+    # `labels == lbl` mask would; small components never reach Python.
+    order = np.argsort(labels, kind="stable")
+    counts = np.bincount(labels)
+    ends = np.cumsum(counts)
     dets = []
-    for lbl in np.unique(labels):
-        member = pts[labels == lbl]
-        if len(member) < params.min_points:
-            continue
+    for lbl in np.flatnonzero(counts >= params.min_points):
+        member = pts[order[ends[lbl] - counts[lbl]:ends[lbl]]]
         centroid = member.mean(axis=0)
         xy = member[:, :2] - centroid[:2]
         cov = xy.T @ xy / len(xy)

@@ -85,6 +85,7 @@ class RelayServer:
                 sock, addr = self._listener.accept()
             except OSError:
                 return
+            _no_delay(sock)
             peer = f"{addr[0]}:{addr[1]}"
             threading.Thread(
                 target=self._handshake, args=(sock, peer), daemon=True
@@ -221,4 +222,12 @@ def _connect(endpoint: str, timeout: float) -> socket.socket:
     host, _, port = endpoint.rpartition(":")
     sock = socket.create_connection((host or "127.0.0.1", int(port)), timeout=timeout)
     sock.settimeout(None)
+    _no_delay(sock)
     return sock
+
+
+def _no_delay(sock: socket.socket) -> None:
+    """Send each write at once. Every frame goes out in one sendall, so
+    Nagle's algorithm can only hold a frame back until the peer's delayed
+    ACK for the previous one arrives, up to 40 ms on Linux."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

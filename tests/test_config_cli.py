@@ -1,5 +1,6 @@
 import hashlib
 import json
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -276,6 +277,23 @@ def test_perceive_without_output_keeps_tap_file(tmp_path):
     main(["--config", str(cfg), "simulate", "--out", str(frames)])
     assert main(["--config", str(cfg), "--tap", str(tap), "perceive", "--frames", str(frames),
                  "--gt", str(frames) + ".gt"]) == 2
+    assert tap.read_text() == "earlier run\n"
+
+
+def test_perceive_unreachable_relay_keeps_output_files(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    frames = tmp_path / "f.bin"
+    main(["--config", str(cfg), "simulate", "--out", str(frames)])
+    out, tap = tmp_path / "out.bin", tmp_path / "tap.jsonl"
+    out.write_bytes(b"earlier frames")
+    tap.write_text("earlier run\n")
+    with socket.socket() as s:  # a port that was bound and then closed
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    r = _run("--config", str(cfg), "--tap", str(tap), "perceive", "--frames", str(frames),
+             "--gt", str(frames) + ".gt", "--out", str(out), "--relay", f"127.0.0.1:{port}")
+    assert r.returncode == 2
+    assert out.read_bytes() == b"earlier frames"
     assert tap.read_text() == "earlier run\n"
 
 

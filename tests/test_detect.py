@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from roadeye.detect import (
+    CLUSTER_VEHICLE_FOOTPRINT,
+    MIN_CLUSTER_EXTENT,
     BoxResiduals,
     ClusterParams,
     Detection,
@@ -20,8 +22,9 @@ from roadeye.detect import (
     localization_loss,
     smooth_l1,
     total_loss,
+    _voxel_components,
 )
-from roadeye.geometry import ObjectClass, OrientedBox3D
+from roadeye.geometry import ObjectClass, OrientedBox3D, normalize_angle
 from roadeye.scene import AgentState, PointCloudFrame, ScenarioConfig, sample_point_cloud
 
 VEHICLE_DIMS = (2.0, 4.5, 1.6)
@@ -135,6 +138,80 @@ def test_cluster_classifies_pedestrian_by_footprint():
     dets = detect_cluster(frame, ClusterParams(voxel=0.2, min_points=10, ground_z=-4.74))
     assert len(dets) == 1
     assert dets[0].cls is ObjectClass.PEDESTRIAN
+
+
+def _detect_cluster_reference(frame_h, params):
+    """Per-label mask scan: the O(labels x points) form `detect_cluster` replaced."""
+    pts = frame_h.xyz[frame_h.xyz[:, 2] > params.ground_z + 0.2]
+    if len(pts) == 0:
+        return []
+    labels = _voxel_components(np.floor(pts / params.voxel).astype(np.int64))
+    dets = []
+    for lbl in np.unique(labels):
+        member = pts[labels == lbl]
+        if len(member) < params.min_points:
+            continue
+        centroid = member.mean(axis=0)
+        xy = member[:, :2] - centroid[:2]
+        cov = xy.T @ xy / len(xy)
+        evals, evecs = np.linalg.eigh(cov)
+        major = evecs[:, int(np.argmax(evals))]
+        theta = normalize_angle(math.atan2(major[1], major[0]))
+        along = xy @ major
+        across = xy @ np.array([-major[1], major[0]])
+        l = max(float(along.max() - along.min()), MIN_CLUSTER_EXTENT)
+        w = max(float(across.max() - across.min()), MIN_CLUSTER_EXTENT)
+        h = max(float(member[:, 2].max() - member[:, 2].min()), MIN_CLUSTER_EXTENT)
+        cls = (
+            ObjectClass.VEHICLE
+            if max(w, l) >= CLUSTER_VEHICLE_FOOTPRINT
+            else ObjectClass.PEDESTRIAN
+        )
+        box = OrientedBox3D(*centroid, w, l, h, theta)
+        dets.append(Detection(box=box, cls=cls, score=min(1.0, len(member) / 100.0)))
+    return dets
+
+
+def _scattered_frame(seed=801):
+    """Sparse clutter plus dense blobs of 3 to 120 points, all above ground."""
+    rng = np.random.default_rng(seed)
+    clutter = rng.uniform([-40.0, -40.0, -4.4], [40.0, 40.0, -1.0], (800, 3))
+    blobs = [
+        rng.normal(rng.uniform(-35, 35, 3) * [1, 1, 0] + [0, 0, -3.0], [0.6, 0.3, 0.4], (n, 3))
+        for n in rng.integers(3, 120, 40)
+    ]
+    xyz = np.concatenate([clutter, *blobs])
+    xyz[:, 2] = np.maximum(xyz[:, 2], -4.5)
+    xyz = xyz[rng.permutation(len(xyz))]
+    return PointCloudFrame(t=0.0, points=np.column_stack([xyz, np.full(len(xyz), 0.5)]))
+
+
+@pytest.mark.parametrize("min_points", [1, 10, "above_largest"])
+def test_cluster_matches_per_label_reference(min_points):
+    frame = _scattered_frame()
+    params = ClusterParams(voxel=0.3, min_points=1, ground_z=-4.74)
+    pts = frame.xyz[frame.xyz[:, 2] > params.ground_z + 0.2]
+    sizes = np.bincount(_voxel_components(np.floor(pts / params.voxel).astype(np.int64)))
+    assert len(sizes) >= 300
+    if min_points == "above_largest":
+        min_points = int(sizes.max()) + 1
+    params.min_points = min_points
+    got = detect_cluster(frame, params)
+    # Exact equality: dataclass `==` compares every box field as a float,
+    # plus the class and the score.
+    assert got == _detect_cluster_reference(frame, params)
+    assert len(got) == np.count_nonzero(sizes >= min_points)
+    if min_points > sizes.max():
+        assert got == []
+
+
+def test_cluster_all_ground_points_gives_nothing():
+    rng = np.random.default_rng(5)
+    xyz = rng.uniform([-30.0, -30.0, -4.9], [30.0, 30.0, -4.54], (2000, 3))
+    frame = PointCloudFrame(t=0.0, points=np.column_stack([xyz, np.full(len(xyz), 0.5)]))
+    params = ClusterParams(voxel=0.3, min_points=1, ground_z=-4.74)
+    assert detect_cluster(frame, params) == []
+    assert _detect_cluster_reference(frame, params) == []
 
 
 # --- residual encoding ------------------------------------------------------

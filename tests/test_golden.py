@@ -1,7 +1,8 @@
 """Regression guard: `EdgePipeline` output bytes under a fixed seed.
 
-The digests were recorded before the tracker moved to stacked arrays; any
-refactor of the edge chain must keep them.
+The digests were recorded before the tracker moved to stacked arrays (the
+`cluster_crowd` one before the cluster detector grouped points with one sort);
+any refactor of the edge chain must keep them.
 """
 
 import hashlib
@@ -58,6 +59,15 @@ def _stream_sha256(overrides: dict) -> str:
             {"detector": {"backend": "cluster"}},
             "9297a4fa1f54ee9953e6dc474e2a50232388386e93a9681e99e08ab875edb4c6",
             id="default_cluster",
+        ),
+        pytest.param(
+            {
+                "seed": 801,
+                "scene": {"duration": 4.0, "agents": _crowd_agents(40)},
+                "detector": {"backend": "cluster"},
+            },
+            "a746454b9c165763c5dfdffedc1bdc6fbc0006fc65fc158294da05dc2d2b10a7",
+            id="cluster_crowd",
         ),
     ],
 )

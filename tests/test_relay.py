@@ -160,6 +160,24 @@ def test_subscriber_limit():
         server.stop()
 
 
+def test_every_relay_socket_sends_without_nagle_delay():
+    # A frame held back by Nagle waits for the peer's delayed ACK (40 ms on Linux).
+    server = RelayServer().start()
+    try:
+        sub = connect_subscriber(_endpoint(server))
+        pub = connect_publisher(_endpoint(server))
+        deadline = time.time() + 5.0
+        while server.subscriber_count < 1 and time.time() < deadline:
+            time.sleep(0.01)
+        relay_side = server._subscribers[0].sock
+        for sock in (pub, sub, relay_side):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        pub.close()
+        sub.close()
+    finally:
+        server.stop()
+
+
 def test_bind_failure_raises():
     blocker = socket.socket()
     blocker.bind(("127.0.0.1", 0))
