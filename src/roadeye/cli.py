@@ -210,16 +210,17 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
         p_ecef = enu_to_ecef_transform(cfg.sensor_geodetic())
         inv = (p_ecef @ sensor_pose).inverse()
         counts = ConfusionCounts(tp=0, fp=0, fn=0)
-        results = list(iter_frames_from_file(args.results))
-        if len(results) != len(gt_frames):
+        n_results = 0
+        for raw in iter_frames_from_file(args.results):
+            if n_results < len(gt_frames):
+                dets = _messages_to_world_detections(decode_frame(raw).messages, inv)
+                boxes = [a.as_box() for a in gt_frames[n_results].agents]
+                counts = counts + match_detections(boxes, dets, threshold)
+            n_results += 1
+        if n_results != len(gt_frames):
             raise ValueError(
-                f"{len(results)} result frames but {len(gt_frames)} ground-truth frames"
+                f"{n_results} result frames but {len(gt_frames)} ground-truth frames"
             )
-        for raw, gt in zip(results, gt_frames):
-            decoded = decode_frame(raw)
-            dets = _messages_to_world_detections(decoded.messages, inv)
-            boxes = [a.as_box() for a in gt.agents]
-            counts = counts + match_detections(boxes, dets, threshold)
     report = compute_metrics(counts)
     text = format_metric_report(counts, report)
     print(text, end="")

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .geometry import ObjectClass, OrientedBox3D, normalize_angle
 from .preproc import GeofenceBounds
@@ -181,6 +179,9 @@ def _voxel_components(vox: np.ndarray) -> np.ndarray:
         c = np.concatenate(cols)
     else:
         r = c = np.empty(0, dtype=int)
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
     graph = sparse.coo_matrix((np.ones(len(r)), (r, c)), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
     return labels[inverse]

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .detect import Detection
 from .geometry import OrientedBox3D
 from .wire import PhaseStamps
+
+if TYPE_CHECKING:
+    from .detect import Detection
 
 DEFAULT_MATCH_THRESHOLD = 2.0  # m, plan-view center distance
 

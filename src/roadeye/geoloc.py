@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import RigidTransform
-from .track import Track3D
 from .wire import PerceptionMessage
+
+if TYPE_CHECKING:
+    from .track import Track3D
 
 BOWRING_TOL = 1e-12  # rad
 BOWRING_MAX_ITER = 10

@@ -13,7 +13,7 @@ import queue
 import socket
 import threading
 
-from .wire import read_frame_bytes
+from .wire import WireFormatError, _read_exact, read_frame_bytes
 
 log = logging.getLogger(__name__)
 
@@ -94,13 +94,8 @@ class RelayServer:
     def _handshake(self, sock: socket.socket, peer: str):
         sock.settimeout(HANDSHAKE_TIMEOUT)
         try:
-            role = b""
-            while len(role) < 4:
-                chunk = sock.recv(4 - len(role))
-                if not chunk:
-                    break
-                role += chunk
-        except OSError:
+            role = _read_exact(sock.recv, len(ROLE_PUBLISHER))
+        except (OSError, WireFormatError):
             sock.close()
             return
         sock.settimeout(None)

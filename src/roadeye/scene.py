@@ -255,20 +255,32 @@ def sample_point_cloud(
 
 
 # ---------------------------------------------------------------------------
-# Frame file I/O. Layout: magic "CMMF", u32 LE frame count; per frame
-# f64 LE timestamp, u32 LE point count, then 4 x f32 LE per point.
+# Frame and ground-truth files share one container, all little-endian:
+# 4-byte magic, u32 frame count; per frame f64 timestamp, u32 record count,
+# then the records. Frame files ("CMMF") hold `_POINT` records, ground-truth
+# files ("CMMG") hold packed `_GT_RECORD` records.
 # ---------------------------------------------------------------------------
 
-def write_frames(frames: list[PointCloudFrame], path) -> None:
+_FILE_HEADER = struct.Struct("<4sI")  # magic, frame count
+_FRAME_HEADER = struct.Struct("<dI")
+_POINT = np.dtype(("<f4", (4,)))  # x, y, z, reflectivity
+_GT_RECORD = np.dtype([
+    ("id", "<i4"), ("cls", "u1"), ("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
+    ("w", "<f8"), ("l", "<f8"), ("h", "<f8"), ("heading", "<f8"), ("speed", "<f8"),
+])
+
+
+def _write_container(path, magic: bytes, frames: list, records) -> None:
+    """Write `frames` (each with a `.t`), `records(frame)` giving each one's array."""
     for a, b in zip(frames, frames[1:]):
         if b.t < a.t:
             raise ValueError(f"frame timestamps decrease: {a.t} -> {b.t}")
     with open(path, "wb") as f:
-        f.write(FRAME_MAGIC)
-        f.write(struct.pack("<I", len(frames)))
+        f.write(_FILE_HEADER.pack(magic, len(frames)))
         for fr in frames:
-            f.write(struct.pack("<dI", fr.t, len(fr.points)))
-            f.write(fr.points.astype("<f4").tobytes())
+            recs = records(fr)
+            f.write(_FRAME_HEADER.pack(fr.t, len(recs)))
+            f.write(recs.tobytes())
 
 
 def _need(buf: bytes, offset: int, count: int, what: str) -> None:
@@ -279,77 +291,59 @@ def _need(buf: bytes, offset: int, count: int, what: str) -> None:
         )
 
 
-def read_frames(path) -> list[PointCloudFrame]:
+def _read_container(path, magic: bytes, dtype: np.dtype) -> list[tuple[float, np.ndarray]]:
+    """(timestamp, read-only record array) for each frame of a container file."""
     with open(path, "rb") as f:
         buf = f.read()
-    off = 0
-    _need(buf, off, 8, "header")
-    if buf[:4] != FRAME_MAGIC:
-        raise FrameFormatError(f"bad magic at byte 0: {buf[:4]!r}")
-    (count,) = struct.unpack_from("<I", buf, 4)
-    off = 8
+    _need(buf, 0, _FILE_HEADER.size, "header")
+    found, count = _FILE_HEADER.unpack_from(buf)
+    if found != magic:
+        raise FrameFormatError(f"bad magic at byte 0: {found!r}")
+    off = _FILE_HEADER.size
     frames = []
     for k in range(count):
-        _need(buf, off, 12, f"frame {k} header")
-        t, n = struct.unpack_from("<dI", buf, off)
-        off += 12
-        _need(buf, off, 16 * n, f"frame {k} points")
-        pts = np.frombuffer(buf, dtype="<f4", count=4 * n, offset=off).reshape(n, 4)
-        off += 16 * n
-        if frames and t < frames[-1].t:
-            raise FrameFormatError(f"frame {k} timestamp decreases ({frames[-1].t} -> {t})")
-        frames.append(PointCloudFrame(t=t, points=pts.astype(np.float64)))
+        _need(buf, off, _FRAME_HEADER.size, f"frame {k} header")
+        t, n = _FRAME_HEADER.unpack_from(buf, off)
+        off += _FRAME_HEADER.size
+        if frames and t < frames[-1][0]:
+            raise FrameFormatError(f"frame {k} timestamp decreases ({frames[-1][0]} -> {t})")
+        _need(buf, off, n * dtype.itemsize, f"frame {k} records")
+        frames.append((t, np.frombuffer(buf, dtype=dtype, count=n, offset=off)))
+        off += n * dtype.itemsize
     if off != len(buf):
         raise FrameFormatError(f"trailing bytes at byte {off}")
     return frames
 
 
-# Ground-truth files use the same container conventions with box records:
-# magic "CMMG", u32 LE frame count; per frame f64 LE timestamp, u32 LE agent
-# count, then records of (i32 id, u8 class, 7 x f64 box, f64 speed) LE.
+def write_frames(frames: list[PointCloudFrame], path) -> None:
+    _write_container(path, FRAME_MAGIC, frames, lambda fr: fr.points.astype("<f4"))
 
-_GT_RECORD = struct.Struct("<iB7dd")
+
+def read_frames(path) -> list[PointCloudFrame]:
+    return [
+        PointCloudFrame(t=t, points=pts.astype(np.float64))
+        for t, pts in _read_container(path, FRAME_MAGIC, _POINT)
+    ]
+
+
+def _gt_records(fr: GroundTruthFrame) -> np.ndarray:
+    rows = [
+        (a.agent_id, 0 if a.cls is ObjectClass.VEHICLE else 1, *a.center, *a.dims, a.heading, a.speed)
+        for a in fr.agents
+    ]
+    return np.array(rows, dtype=_GT_RECORD)
 
 
 def write_ground_truth(frames: list[GroundTruthFrame], path) -> None:
-    with open(path, "wb") as f:
-        f.write(GROUND_TRUTH_MAGIC)
-        f.write(struct.pack("<I", len(frames)))
-        for fr in frames:
-            f.write(struct.pack("<dI", fr.t, len(fr.agents)))
-            for a in fr.agents:
-                cls_code = 0 if a.cls is ObjectClass.VEHICLE else 1
-                w, l, h = a.dims
-                f.write(
-                    _GT_RECORD.pack(
-                        a.agent_id, cls_code, a.center[0], a.center[1], a.center[2],
-                        w, l, h, a.heading, a.speed,
-                    )
-                )
+    _write_container(path, GROUND_TRUTH_MAGIC, frames, _gt_records)
 
 
 def read_ground_truth(path) -> list[GroundTruthFrame]:
-    with open(path, "rb") as f:
-        buf = f.read()
-    off = 0
-    _need(buf, off, 8, "header")
-    if buf[:4] != GROUND_TRUTH_MAGIC:
-        raise FrameFormatError(f"bad magic at byte 0: {buf[:4]!r}")
-    (count,) = struct.unpack_from("<I", buf, 4)
-    off = 8
-    frames = []
-    for k in range(count):
-        _need(buf, off, 12, f"frame {k} header")
-        t, n = struct.unpack_from("<dI", buf, off)
-        off += 12
-        agents = []
-        for j in range(n):
-            _need(buf, off, _GT_RECORD.size, f"frame {k} agent {j}")
-            aid, cls_code, x, y, z, w, l, h, heading, speed = _GT_RECORD.unpack_from(buf, off)
-            off += _GT_RECORD.size
-            cls = ObjectClass.VEHICLE if cls_code == 0 else ObjectClass.PEDESTRIAN
-            agents.append(AgentState(aid, cls, np.array([x, y, z]), (w, l, h), heading, speed))
-        frames.append(GroundTruthFrame(t=t, agents=agents))
-    if off != len(buf):
-        raise FrameFormatError(f"trailing bytes at byte {off}")
-    return frames
+    return [
+        GroundTruthFrame(t=t, agents=[
+            AgentState(aid, ObjectClass.VEHICLE if code == 0 else ObjectClass.PEDESTRIAN,
+                       np.array([x, y, z]), (w, l, h), heading, speed)
+            for aid, code, x, y, z, w, l, h, heading, speed in recs.tolist()
+        ])
+        for t, recs in _read_container(path, GROUND_TRUTH_MAGIC, _GT_RECORD)
+    ]

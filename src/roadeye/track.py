@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .detect import Detection
 from .geometry import ObjectClass, OrientedBox3D
@@ -123,6 +122,8 @@ class Tracker2D:
     def associate(self, boxes: np.ndarray) -> None:
         """Predict, match `boxes` (n, 4: x, y, w, l), update, and manage the
         track lifecycle."""
+        from scipy.optimize import linear_sum_assignment
+
         cfg = self.config
         boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
         self.mean = self.mean @ _F.T

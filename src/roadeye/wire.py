@@ -3,8 +3,8 @@
 Frame layout, all little-endian:
   magic "CMM1" | u32 payload length | f64 frame time | 4 x f64 phase stamps
   | u32 record count | records.
-Record: f64 t, i32 id, f64 lat, f64 lon, f64 alt, f32 w, f32 l, f32 h,
-f32 theta. Unset phase stamps travel as NaN.
+Record (the packed 52-byte `RECORD` dtype): f64 t, i32 id, f64 lat, f64 lon,
+f64 alt, f32 w, f32 l, f32 h, f32 theta. Unset phase stamps travel as NaN.
 """
 
 from __future__ import annotations
@@ -18,10 +18,16 @@ import numpy as np
 WIRE_MAGIC = b"CMM1"
 _HEADER = struct.Struct("<4sI")
 _FRAME_META = struct.Struct("<d4dI")
-_RECORD = struct.Struct("<di3d4f")
+# Named and ordered as the `PerceptionMessage` fields: a decoded row is its
+# argument list.
+RECORD = np.dtype([
+    ("t", "<f8"), ("id", "<i4"), ("lat", "<f8"), ("lon", "<f8"), ("alt", "<f8"),
+    ("w", "<f4"), ("l", "<f4"), ("h", "<f4"), ("theta", "<f4"),
+])
 
 HEADER_BYTES = _HEADER.size + _FRAME_META.size  # 52
-RECORD_BYTES = _RECORD.size  # 52
+RECORD_BYTES = RECORD.itemsize  # 52
+_MAX_READ = 1 << 20  # bytes asked of one recv/read, whatever a header claims
 
 PHASES = ("sensor", "edge_in", "edge_out", "onboard")
 
@@ -67,8 +73,10 @@ class PerceptionMessage:
             raise WireFormatError(f"lon {self.lon} outside (-180, 180]")
         if not 0.0 <= self.theta < 360.0:
             raise WireFormatError(f"theta {self.theta} outside [0, 360)")
-        if not (self.w > 0 and self.l > 0 and self.h > 0):
-            raise WireFormatError("dims must be positive")
+        if not (0.0 < self.w < math.inf and 0.0 < self.l < math.inf and 0.0 < self.h < math.inf):
+            raise WireFormatError("dims must be positive and finite")
+        if not (math.isfinite(self.t) and math.isfinite(self.alt)):
+            raise WireFormatError(f"t {self.t} and alt {self.alt} must be finite")
         if not -(2 ** 31) <= self.id < 2 ** 31:
             raise WireFormatError(f"id {self.id} does not fit in i32")
 
@@ -116,11 +124,11 @@ def encode_frame(msgs: list[PerceptionMessage], stamps: PhaseStamps, t_frame: fl
     for m in msgs:
         m.validate()
     stamp_vals = [math.nan if s is None else s for s in stamps.as_tuple()]
-    payload = bytearray()
-    payload += _FRAME_META.pack(t_frame, *stamp_vals, len(msgs))
-    for m in msgs:
-        payload += _RECORD.pack(m.t, m.id, m.lat, m.lon, m.alt, m.w, m.l, m.h, m.theta)
-    return _HEADER.pack(WIRE_MAGIC, len(payload)) + bytes(payload)
+    meta = _FRAME_META.pack(t_frame, *stamp_vals, len(msgs))
+    records = np.array(
+        [(m.t, m.id, m.lat, m.lon, m.alt, m.w, m.l, m.h, m.theta) for m in msgs], dtype=RECORD
+    ).tobytes()
+    return _HEADER.pack(WIRE_MAGIC, len(meta) + len(records)) + meta + records
 
 
 @dataclass
@@ -154,68 +162,55 @@ def decode_frame(data: bytes) -> DecodedFrame:
             f"{expected} payload bytes, header says {payload_len}"
         )
     msgs = []
-    for k in range(count):
-        t, mid, lat, lon, alt, w, l, h, theta = _RECORD.unpack_from(data, off)
+    for k, row in enumerate(np.frombuffer(data, dtype=RECORD, count=count, offset=off).tolist()):
         try:
-            msgs.append(PerceptionMessage(t=t, id=mid, lat=lat, lon=lon, alt=alt,
-                                          w=w, l=l, h=h, theta=theta))
+            # Construction wraps theta into [0, 360); on the wire it must already be there.
+            if not 0.0 <= row[-1] < 360.0:
+                raise WireFormatError(f"theta {row[-1]} outside [0, 360)")
+            msgs.append(PerceptionMessage(*row))
         except WireFormatError as e:
-            raise WireFormatError(f"record {k} at byte {off}: {e}") from None
-        off += RECORD_BYTES
+            raise WireFormatError(f"record {k} at byte {off + k * RECORD_BYTES}: {e}") from None
     stamps = PhaseStamps(
         *(None if math.isnan(v) else v for v in (s0, s1, s2, s3))
     )
     return DecodedFrame(messages=msgs, stamps=stamps, t_frame=t_frame)
 
 
-def frame_length(data: bytes) -> int | None:
-    """Total frame byte length from a buffer holding at least the header."""
-    if len(data) < _HEADER.size:
-        return None
-    magic, payload_len = _HEADER.unpack_from(data, 0)
-    if magic != WIRE_MAGIC:
-        raise WireFormatError(f"bad magic at offset 0: {magic!r}")
-    return _HEADER.size + payload_len
+def _read_exact(read, n: int) -> bytes | None:
+    """n bytes through `read` (a bound socket recv or file read); None on EOF
+    before the first byte."""
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = read(min(n - len(buf), _MAX_READ))
+        if not chunk:
+            if not buf:
+                return None
+            raise WireFormatError(f"stream truncated after {len(buf)} of {n} bytes")
+        buf += chunk
+    return bytes(buf)
 
 
-def read_frame_bytes(sock) -> bytes | None:
-    """Read one length-delimited frame from a socket; None on clean EOF."""
-    header = _recv_exact(sock, _HEADER.size)
+def _read_frame(read) -> bytes | None:
+    """One length-delimited frame through `read`; None on clean EOF."""
+    header = _read_exact(read, _HEADER.size)
     if header is None:
         return None
-    magic, payload_len = _HEADER.unpack_from(header, 0)
+    magic, payload_len = _HEADER.unpack(header)
     if magic != WIRE_MAGIC:
         raise WireFormatError(f"bad magic at offset 0: {magic!r}")
-    payload = _recv_exact(sock, payload_len)
+    payload = _read_exact(read, payload_len)
     if payload is None:
         raise WireFormatError(f"stream truncated inside payload at byte {_HEADER.size}")
     return header + payload
 
 
-def _recv_exact(sock, n: int) -> bytes | None:
-    """n bytes from the socket; None on EOF at a frame boundary."""
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            if not buf:
-                return None
-            raise WireFormatError(f"stream ended mid-read after {len(buf)} of {n} bytes")
-        buf += chunk
-    return bytes(buf)
+def read_frame_bytes(sock) -> bytes | None:
+    """Read one length-delimited frame from a socket; None on clean EOF."""
+    return _read_frame(sock.recv)
 
 
 def iter_frames_from_file(path):
-    """Yield raw frame byte strings from a concatenated-frames file."""
+    """Yield raw frame byte strings from a concatenated-frames file, one at a time."""
     with open(path, "rb") as f:
-        data = f.read()
-    off = 0
-    while off < len(data):
-        head = data[off:off + _HEADER.size]
-        if len(head) < _HEADER.size:
-            raise WireFormatError(f"truncated header at byte {off}")
-        total = frame_length(head)
-        if off + total > len(data):
-            raise WireFormatError(f"truncated frame at byte {off}")
-        yield data[off:off + total]
-        off += total
+        while (frame := _read_frame(f.read)) is not None:
+            yield frame

@@ -337,6 +337,30 @@ def test_eval_zero_dist_threshold_rejected(tmp_path):
                  "--results", str(results), "--dist-threshold", "0"]) == 2
 
 
+def test_eval_result_frame_count_mismatch_rejected(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path)
+    frames = tmp_path / "f.bin"
+    results = tmp_path / "r.bin"
+    main(["--config", str(cfg), "simulate", "--out", str(frames)])
+    main(["--config", str(cfg), "perceive", "--frames", str(frames),
+          "--gt", str(frames) + ".gt", "--out", str(results)])
+    from roadeye.wire import iter_frames_from_file
+
+    short = tmp_path / "short.bin"
+    short.write_bytes(b"".join(list(iter_frames_from_file(results))[:-1]))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "eval", "--gt", str(frames) + ".gt",
+                 "--results", str(short)]) == 2
+    assert "9 result frames but 10 ground-truth frames" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy loads at the first detection or tracked frame, not at start-up.
+    code = "import sys, roadeye.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert r.stdout.strip() == "[]"
+
+
 def test_eval_counts_mode(tmp_path):
     counts = tmp_path / "counts.json"
     counts.write_text(json.dumps({"tp": 1389, "fp": 43, "ground_truth": 1661}))

@@ -1,14 +1,19 @@
-"""Regression guard: `EdgePipeline` output bytes under a fixed seed.
+"""Regression guard: `EdgePipeline` output bytes and `roadeye simulate`
+file bytes under a fixed seed.
 
-The digests were recorded before the tracker moved to stacked arrays (the
-`cluster_crowd` one before the cluster detector grouped points with one sort);
-any refactor of the edge chain must keep them.
+The pipeline digests were recorded before the tracker moved to stacked arrays
+(the `cluster_crowd` one before the cluster detector grouped points with one
+sort), the simulate digests before the frame and ground-truth writers shared
+one container writer; any refactor of the edge chain or of the file formats
+must keep them.
 """
 
 import hashlib
+import json
 
 import pytest
 
+from roadeye.cli import main
 from roadeye.config import load_config
 from roadeye.pipeline import EdgePipeline
 from roadeye.scene import sample_point_cloud, step_scenario
@@ -73,3 +78,32 @@ def _stream_sha256(overrides: dict) -> str:
 )
 def test_perceive_stream_digest(overrides, expected):
     assert _stream_sha256(overrides) == expected
+
+
+@pytest.mark.parametrize(
+    "config, frames_sha256, gt_sha256",
+    [
+        pytest.param(
+            None,
+            "2f09672aa8ec213580450a52395cf4fd842f1e86389121649d6469d6cd6d2fcc",
+            "039f4e9ba32c58bcf94fa418ca73669b9258ea7a59b0800d01a16181005032c8",
+            id="default",
+        ),
+        pytest.param(
+            {"seed": 801, "scene": {"duration": 4.0, "agents": _crowd_agents(40)}},
+            "fbedaad4ad6b6700f8a0fc78ac2378c3a29268c068ba3df97939509b01feef24",
+            "896f9d0b7648c9a0fd428630bc1f346acd33baa591d3f35cd26e83814d4113f0",
+            id="crowd",
+        ),
+    ],
+)
+def test_simulate_file_digests(tmp_path, config, frames_sha256, gt_sha256):
+    argv = []
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = ["--config", str(path)]
+    out = tmp_path / "frames.bin"
+    assert main([*argv, "simulate", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == frames_sha256
+    assert hashlib.sha256((tmp_path / "frames.bin.gt").read_bytes()).hexdigest() == gt_sha256

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from roadeye.relay import RelayServer, connect_publisher, connect_subscriber
+from roadeye.relay import ROLE_SUBSCRIBER, RelayServer, connect_publisher, connect_subscriber
 from roadeye.wire import PerceptionMessage, PhaseStamps, encode_frame, read_frame_bytes
 
 
@@ -173,6 +173,31 @@ def test_every_relay_socket_sends_without_nagle_delay():
         for sock in (pub, sub, relay_side):
             assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
         pub.close()
+        sub.close()
+    finally:
+        server.stop()
+
+
+def test_bad_handshakes_closed_subscriber_unaffected():
+    server = RelayServer().start()
+    try:
+        sub = connect_subscriber(_endpoint(server))
+        short = socket.create_connection((server.host, server.port))
+        short.sendall(ROLE_SUBSCRIBER[:2])
+        short.shutdown(socket.SHUT_WR)  # 2 role bytes, then end of stream
+        unknown = socket.create_connection((server.host, server.port))
+        unknown.sendall(b"XXXX")
+        for bad in (short, unknown):
+            bad.settimeout(2.0)
+            assert bad.recv(1) == b""  # the relay closed it
+            bad.close()
+        assert server.subscriber_count == 1
+        pub = connect_publisher(_endpoint(server))
+        frames = _frames(5)
+        for f in frames:
+            pub.sendall(f)
+        pub.close()
+        assert _collect(sub, 5) == frames
         sub.close()
     finally:
         server.stop()

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from roadeye.detect import ClusterParams, detect_cluster
-from roadeye.scene import FrameFormatError, PointCloudFrame, read_frames, write_frames
+from roadeye.geometry import ObjectClass
+from roadeye.scene import (
+    AgentState,
+    FrameFormatError,
+    GroundTruthFrame,
+    PointCloudFrame,
+    read_frames,
+    read_ground_truth,
+    write_frames,
+    write_ground_truth,
+)
 from roadeye.wire import (
     PerceptionMessage,
     PhaseStamps,
@@ -58,6 +68,21 @@ def test_frame_file_rejects_every_truncation(tmp_path, rng):
         cut_path.write_bytes(data[:cut])
         with pytest.raises(FrameFormatError):
             read_frames(cut_path)
+
+
+def test_ground_truth_file_rejects_every_truncation(tmp_path):
+    car = AgentState(7, ObjectClass.VEHICLE, [1.0, 2.0, 0.8], (2.0, 4.5, 1.6), 0.3, 8.0)
+    walker = AgentState(8, ObjectClass.PEDESTRIAN, [-3.0, 5.0, 0.9], (0.6, 0.6, 1.8), -1.2, 1.2)
+    frames = [GroundTruthFrame(t=0.0, agents=[car, walker]), GroundTruthFrame(t=0.1, agents=[car])]
+    path = tmp_path / "gt.bin"
+    write_ground_truth(frames, path)
+    data = path.read_bytes()
+    assert len(read_ground_truth(path)) == 2
+    cut_path = tmp_path / "cut.gt"
+    for cut in range(len(data)):
+        cut_path.write_bytes(data[:cut])
+        with pytest.raises(FrameFormatError):
+            read_ground_truth(cut_path)
 
 
 def test_cluster_guards_unbounded_grid():

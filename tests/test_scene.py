@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -255,3 +256,19 @@ def test_ground_truth_roundtrip(tmp_path):
             assert np.allclose(sa.center, sb.center)
             assert sa.dims == sb.dims
             assert sa.heading == sb.heading
+
+
+def test_ground_truth_decreasing_timestamps_rejected(tmp_path):
+    cfg = _single_vehicle_config()
+    gt = [GroundTruthFrame(t=float(t), agents=step_scenario(cfg, float(t))) for t in (0.0, 1.0)]
+    with pytest.raises(ValueError, match="decrease"):
+        write_ground_truth(gt[::-1], tmp_path / "bad.gt")
+    path = tmp_path / "gt.bin"
+    write_ground_truth(gt, path)
+    data = bytearray(path.read_bytes())
+    # Frame 1's header follows the 8-byte file header, frame 0's 12-byte
+    # header and its 69-byte agent records.
+    struct.pack_into("<d", data, 8 + 12 + 69 * len(gt[0].agents), -1.0)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FrameFormatError, match="frame 1 timestamp decreases"):
+        read_ground_truth(path)

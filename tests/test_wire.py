@@ -1,5 +1,6 @@
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from roadeye.wire import (
     decode_frame,
     encode_frame,
     iter_frames_from_file,
+    read_frame_bytes,
     stamp_phase,
 )
 
@@ -64,7 +66,9 @@ def test_roundtrip_random_batches(rng):
             t_onboard=None if rng.random() < 0.5 else float(rng.uniform(30, 40)),
         )
         t_frame = float(rng.uniform(0, 100))
-        decoded = decode_frame(encode_frame(msgs, stamps, t_frame))
+        data = encode_frame(msgs, stamps, t_frame)
+        decoded = decode_frame(data)
+        assert encode_frame(decoded.messages, decoded.stamps, decoded.t_frame) == data
         assert decoded.messages == msgs
         assert decoded.stamps == stamps
         assert decoded.t_frame == t_frame
@@ -140,6 +144,32 @@ def test_decode_rejects_invalid_payload_values():
         decode_frame(bytes(data))
 
 
+# Byte offsets of record 0 fields in a frame: header 52, then t, id, lat, lon,
+# alt, w, l, h, theta.
+_T_AT, _ALT_AT, _W_AT, _THETA_AT = 52, 80, 88, 100
+
+
+@pytest.mark.parametrize("theta", [400.0, -10.0, 360.0])
+def test_decode_rejects_out_of_range_theta(theta):
+    data = bytearray(encode_frame([_msg()], _stamps(), t_frame=1.0))
+    struct.pack_into("<f", data, _THETA_AT, theta)
+    with pytest.raises(WireFormatError, match="record 0"):
+        decode_frame(bytes(data))
+
+
+@pytest.mark.parametrize(
+    "field, fmt, at, value",
+    [("alt", "<d", _ALT_AT, math.nan), ("t", "<d", _T_AT, math.inf), ("w", "<f", _W_AT, math.inf)],
+)
+def test_non_finite_values_rejected(field, fmt, at, value):
+    with pytest.raises(WireFormatError, match="finite"):
+        _msg(**{field: value})
+    data = bytearray(encode_frame([_msg()], _stamps(), t_frame=1.0))
+    struct.pack_into(fmt, data, at, value)
+    with pytest.raises(WireFormatError, match="record 0"):
+        decode_frame(bytes(data))
+
+
 def test_message_invariant_validation():
     with pytest.raises(WireFormatError):
         _msg(lat=90.5)
@@ -178,3 +208,27 @@ def test_iter_frames_from_file(tmp_path, rng):
     path.write_bytes(b"".join(frames) + frames[0][:10])
     with pytest.raises(WireFormatError, match="truncated"):
         list(iter_frames_from_file(path))
+    path.write_bytes(b"".join(frames) + frames[0][:-1])
+    with pytest.raises(WireFormatError, match="truncated"):
+        list(iter_frames_from_file(path))
+    # A header claiming ~4 GiB of payload fails on the missing bytes, without
+    # asking the file for the claimed length in one read.
+    path.write_bytes(b"CMM1" + struct.pack("<I", 0xFFFFFFF0) + bytes(100))
+    with pytest.raises(WireFormatError, match="truncated"):
+        list(iter_frames_from_file(path))
+
+
+def test_frame_reader_reassembles_short_reads(rng):
+    frames = [encode_frame([_msg(rng)] * k, _stamps(), t_frame=float(k)) for k in range(4)]
+    stream = b"".join(frames)
+    pos = 0
+
+    def read(n):  # hands out at most 3 bytes per call, like a slow socket
+        nonlocal pos
+        chunk = stream[pos:pos + min(n, 3)]
+        pos += len(chunk)
+        return chunk
+
+    sock = SimpleNamespace(recv=read)
+    assert [read_frame_bytes(sock) for _ in frames] == frames
+    assert read_frame_bytes(sock) is None
