@@ -24,7 +24,7 @@ from .geoloc import (
     georeference_tracks,
     lidar_to_ecef,
 )
-from .wire import PerceptionMessage, PhaseStamps, decode_frame, encode_frame, stamp_phase
+from .wire import PerceptionMessage, PhaseStamps, decode_frame, encode_frame
 from .relay import RelayServer, relay_serve
 from .onboard import build_pixel_map, classify_by_size, emit_render, gps_to_pixel, reconstruct_frame
 from .evaluate import (

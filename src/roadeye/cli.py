@@ -12,6 +12,7 @@ import json
 import logging
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from . import onboard as onboard_mod
@@ -33,12 +34,11 @@ from .scene import (
     GroundTruthFrame,
     read_frames,
     read_ground_truth,
-    sample_point_cloud,
-    step_scenario,
+    scenario_frames,
     write_frames,
     write_ground_truth,
 )
-from .wire import decode_frame, iter_frames_from_file, read_frame_bytes, stamp_phase
+from .wire import decode_frame, iter_frames_from_file, read_frame_bytes
 
 log = logging.getLogger(__name__)
 
@@ -71,12 +71,10 @@ def _tap_messages(tap, msgs):
 
 
 def cmd_simulate(cfg: PipelineConfig, args) -> int:
-    scenario = cfg.scenario()
     frames, gt = [], []
-    for k, t in enumerate(scenario.frame_times()):
-        agents = step_scenario(scenario, float(t))
-        frames.append(sample_point_cloud(agents, scenario, frame_index=k, t=float(t)))
-        gt.append(GroundTruthFrame(t=float(t), agents=agents))
+    for agents, frame in scenario_frames(cfg.scenario()):
+        frames.append(frame)
+        gt.append(GroundTruthFrame(t=frame.t, agents=agents))
     write_frames(frames, args.out)
     gt_path = args.gt if args.gt else str(args.out) + ".gt"
     write_ground_truth(gt, gt_path)
@@ -164,7 +162,7 @@ def cmd_onboard(cfg: PipelineConfig, args) -> int:
             if raw is None:
                 break
             decoded = decode_frame(raw)
-            stamps = stamp_phase(decoded.stamps, "onboard", time.time())
+            stamps = replace(decoded.stamps, t_onboard=time.time())
             if record_f is not None:
                 record_f.write(raw)
             ego = ego_sim.state_at(decoded.t_frame)
@@ -260,10 +258,7 @@ def cmd_bench(cfg: PipelineConfig, args) -> int:
         ground_point_density=density,
         rng_seed=cfg.seed,
     )
-    frames = []
-    for k, t in enumerate(scenario.frame_times()):
-        ag = step_scenario(scenario, float(t))
-        frames.append(sample_point_cloud(ag, scenario, frame_index=k, t=float(t)))
+    frames = [frame for _, frame in scenario_frames(scenario)]
     mean_points = sum(len(f) for f in frames) / max(1, len(frames))
 
     import copy
@@ -271,11 +266,13 @@ def cmd_bench(cfg: PipelineConfig, args) -> int:
     bench_cfg = PipelineConfig(data=copy.deepcopy(cfg.data))
     bench_cfg.data["detector"]["backend"] = "cluster"
     pipeline = EdgePipeline(bench_cfg, wall_stamps=True)
-    stamps_out = []
+    stamps_out, stage_seconds = [], {}
     for frame in frames:
         result = pipeline.process(frame)
-        stamps_out.append(stamp_phase(result.stamps, "onboard", time.time()))
-    report = latency_report(stamps_out, pipeline.stage_timers, same_clock=True)
+        stamps_out.append(replace(result.stamps, t_onboard=time.time()))
+        for name, seconds in result.stage_seconds.items():
+            stage_seconds.setdefault(name, []).append(seconds)
+    report = latency_report(stamps_out, stage_seconds)
     print(f"frames: {len(frames)}   mean points/frame: {mean_points:.0f}")
     print(format_latency_report(report), end="")
     if args.json:

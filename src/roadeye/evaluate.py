@@ -3,7 +3,7 @@
 Detections match ground truth greedily by ascending plan-view center
 distance; precision, recall, and miss all use integer counts so a perfect
 run reports exactly 1.0. Latency aggregates phase durations from per-frame
-stamps with an explicit cross-clock caveat for the onboard side.
+stamps taken on one clock.
 """
 
 from __future__ import annotations
@@ -152,7 +152,6 @@ class LatencyReport:
     total_p95_ms: float
     throughput_hz: float
     frames: int
-    phase3_skew_uncertain: bool = False
     stage_breakdown: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -167,7 +166,6 @@ class LatencyReport:
             "phase3_p95_ms": self.phase3_p95_ms,
             "total_p95_ms": self.total_p95_ms,
             "throughput_hz": self.throughput_hz,
-            "phase3_skew_uncertain": self.phase3_skew_uncertain,
         }
         for name, stat in self.stage_breakdown.items():
             d[f"stage_{name}_ms"] = stat.median_ms
@@ -182,15 +180,13 @@ def _stat(durations_s: list[float]) -> tuple[float, float]:
 
 def latency_report(
     stamps: list[PhaseStamps],
-    stage_timers: dict[str, list[float]] | None = None,
-    same_clock: bool = True,
+    stage_seconds: dict[str, list[float]] | None = None,
 ) -> LatencyReport:
-    """Aggregate per-frame phase durations.
+    """Aggregate per-frame phase durations, all stamps on one clock.
 
     Phase 1 spans sensor to edge ingest, phase 2 the edge processing, and
-    phase 3 edge egress to onboard display. With `same_clock=False` the
-    onboard stamps live in another clock domain: phase 3 (and the total) are
-    still reported but flagged skew-uncertain, and their sign is not checked.
+    phase 3 edge egress to onboard display. `stage_seconds` maps a stage
+    name to its per-frame wall seconds.
     """
     if not stamps:
         raise ValueError("no stamped frames to report on")
@@ -206,7 +202,7 @@ def latency_report(
         p2.append(d2)
         if s.t_onboard is not None:
             d3 = s.t_onboard - s.t_edge_out
-            if same_clock and d3 < 0:
+            if d3 < 0:
                 raise ValueError(f"frame {k} onboard stamp precedes edge-out")
             p3.append(d3)
             tot.append(s.t_onboard - s.t_sensor)
@@ -221,8 +217,8 @@ def latency_report(
     p3_med, p3_p95 = _stat(p3) if p3 else (0.0, 0.0)
     tot_med, tot_p95 = _stat(tot)
     breakdown = {}
-    if stage_timers:
-        for name, durations in stage_timers.items():
+    if stage_seconds:
+        for name, durations in stage_seconds.items():
             if durations:
                 med, p95 = _stat(list(durations))
                 breakdown[name] = StageStat(median_ms=med, p95_ms=p95)
@@ -237,7 +233,6 @@ def latency_report(
         total_p95_ms=tot_p95,
         throughput_hz=throughput,
         frames=len(stamps),
-        phase3_skew_uncertain=not same_clock and bool(p3),
         stage_breakdown=breakdown,
     )
 
@@ -248,9 +243,8 @@ def format_latency_report(report: LatencyReport) -> str:
         f"phase 1 (sensor side):        median {report.phase1_ms:8.3f} ms   p95 {report.phase1_p95_ms:8.3f} ms",
         f"phase 2 (edge-server side):   median {report.phase2_ms:8.3f} ms   p95 {report.phase2_p95_ms:8.3f} ms",
     ]
-    caveat = "  [cross-clock, skew-uncertain]" if report.phase3_skew_uncertain else ""
     lines.append(
-        f"phase 3 (cloud/onboard side): median {report.phase3_ms:8.3f} ms   p95 {report.phase3_p95_ms:8.3f} ms{caveat}"
+        f"phase 3 (cloud/onboard side): median {report.phase3_ms:8.3f} ms   p95 {report.phase3_p95_ms:8.3f} ms"
     )
     lines.append(
         f"total:                        median {report.total_ms:8.3f} ms   p95 {report.total_p95_ms:8.3f} ms"

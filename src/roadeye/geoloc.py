@@ -205,21 +205,20 @@ def load_gcp_file(path) -> list[GcpCorrespondence]:
 
 def georeference_tracks(
     tracks: list[Track3D],
-    p_cali: RigidTransform,
-    p_ecef: RigidTransform,
+    h_to_ecef: RigidTransform,
     wgs: Wgs84Params = WGS84,
     t: float = 0.0,
 ) -> list[PerceptionMessage]:
-    """Package tracked boxes as geodetic perception messages.
+    """Package tracked H-Coor boxes as geodetic perception messages.
 
+    `h_to_ecef` is p_ecef . inverse(p_cali), built once per calibration.
     Heading is re-expressed clockwise from north: 90 deg minus the box
-    heading plus the combined transform's z-yaw, wrapped into [0, 360).
+    heading plus the transform's z-yaw, wrapped into [0, 360).
     """
-    m = p_ecef @ p_cali.inverse()
-    yaw = m.yaw
+    yaw = h_to_ecef.yaw
     msgs = []
     for tr in tracks:
-        g = ecef_to_geodetic(EcefPos(*m.apply_point(tr.box.center)), wgs)
+        g = ecef_to_geodetic(EcefPos(*h_to_ecef.apply_point(tr.box.center)), wgs)
         heading = (90.0 - math.degrees(tr.box.theta + yaw)) % 360.0
         msgs.append(
             PerceptionMessage(

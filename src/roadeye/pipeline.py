@@ -1,9 +1,9 @@
 """Edge-side processing chain: preprocess, detect, track, georeference, encode.
 
 One EdgePipeline instance owns the tracker state and the calibration for a
-frame stream. Stage wall-times are collected per frame for the latency
-report; phase stamps default to the simulated frame clock so a given input
-and seed always encode to identical bytes.
+frame stream, and keeps nothing else per frame: each FrameResult carries its
+own phase stamps and stage wall-times. Phase stamps default to the simulated
+frame clock so a given input and seed always encode to identical bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .geometry import RigidTransform, transform_box
 from .preproc import apply_transform, estimate_ground_calibration, geofence
 from .scene import AgentState, PointCloudFrame
 from .track import Tracker2D, track_frame
-from .wire import PhaseStamps, encode_frame, stamp_phase
+from .wire import PhaseStamps, encode_frame
 
 
 class PipelineStageError(RuntimeError):
@@ -31,6 +31,18 @@ class PipelineStageError(RuntimeError):
 class FrameResult:
     encoded: bytes
     stamps: PhaseStamps
+    stage_seconds: dict[str, float]  # wall seconds this frame spent per stage
+
+
+def _timed(seconds: dict[str, float], name: str, fn, *args):
+    """Call fn(*args), adding its wall time to seconds[name]; a raise names the stage."""
+    t0 = time.perf_counter()
+    try:
+        out = fn(*args)
+    except Exception as e:
+        raise PipelineStageError(name, e) from e
+    seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - t0
+    return out
 
 
 class EdgePipeline:
@@ -46,12 +58,12 @@ class EdgePipeline:
         self.tracker = Tracker2D(config.tracker_config())
         self.mount_height = float(config["scene.mount_height"])
         self.wall_stamps = wall_stamps
-        self.p_cali = p_cali
-        self.p_ecef = self._build_p_ecef()
         self.sensor_pose = config.scenario().sensor_pose
+        self.p_ecef = self._build_p_ecef()
+        self.p_cali = self.world_to_h = self.h_to_ecef = None
+        if p_cali is not None:
+            self._set_calibration(p_cali)
         self.frame_index = 0
-        self.stage_timers: dict[str, list[float]] = {}
-        self._frame_stage_seconds: dict[str, float] = {}
 
     def _build_p_ecef(self) -> RigidTransform:
         gcp_file = self.config["geoloc.gcp_file"]
@@ -59,60 +71,50 @@ class EdgePipeline:
             return estimate_ecef_transform(load_gcp_file(gcp_file)).transform
         return enu_to_ecef_transform(self.config.sensor_geodetic())
 
+    def _set_calibration(self, p_cali: RigidTransform):
+        """Fix the L→H calibration and the two transforms that follow from it."""
+        self.p_cali = p_cali
+        self.world_to_h = p_cali @ self.sensor_pose
+        self.h_to_ecef = self.p_ecef @ p_cali.inverse()
+
     def _now(self, frame_t: float) -> float:
         return time.time() if self.wall_stamps else frame_t
 
-    def _timed(self, name: str, fn, *args):
-        t0 = time.perf_counter()
-        try:
-            out = fn(*args)
-        except Exception as e:
-            raise PipelineStageError(name, e) from e
-        elapsed = time.perf_counter() - t0
-        self._frame_stage_seconds[name] = self._frame_stage_seconds.get(name, 0.0) + elapsed
-        return out
-
     def process(self, frame: PointCloudFrame, gt_agents: list[AgentState] | None = None) -> FrameResult:
         """Run one frame through the full edge chain and encode it."""
-        self._frame_stage_seconds = {}
-        stamps = stamp_phase(PhaseStamps(), "sensor", self._now(frame.t))
-        stamps = stamp_phase(stamps, "edge_in", self._now(frame.t))
+        seconds: dict[str, float] = {}
+        t_in = self._now(frame.t)
 
-        fenced = self._timed("preprocess", geofence, frame, self.bounds)
+        fenced = _timed(seconds, "preprocess", geofence, frame, self.bounds)
         if self.p_cali is None:
-            self.p_cali = self._timed(
-                "preprocess", estimate_ground_calibration, fenced, self.mount_height,
+            self._set_calibration(_timed(
+                seconds, "preprocess", estimate_ground_calibration, fenced, self.mount_height,
                 self.config.seed,
-            )
-        leveled = self._timed("preprocess", apply_transform, fenced, self.p_cali)
+            ))
+        leveled = _timed(seconds, "preprocess", apply_transform, fenced, self.p_cali)
 
         if self.backend == "oracle":
             if gt_agents is None:
                 raise PipelineStageError(
                     "detection", ValueError("oracle backend needs ground-truth agents")
                 )
-            world_to_h = self.p_cali @ self.sensor_pose
             seed = [self.config.seed & 0xFFFFFFFF, 0xDE7EC7, self.frame_index]
-            dets = self._timed(
-                "detection", self._oracle_detect, gt_agents, seed, world_to_h
-            )
+            dets = _timed(seconds, "detection", self._oracle_detect, gt_agents, seed)
         else:
-            dets = self._timed("detection", detect_cluster, leveled, self.cluster_params)
+            dets = _timed(seconds, "detection", detect_cluster, leveled, self.cluster_params)
 
-        tracks = self._timed("tracking", track_frame, self.tracker, dets, frame.t)
-        msgs = self._timed(
-            "geolocalization",
-            lambda: georeference_tracks(tracks, self.p_cali, self.p_ecef, t=frame.t),
+        tracks = _timed(seconds, "tracking", track_frame, self.tracker, dets, frame.t)
+        msgs = _timed(
+            seconds, "geolocalization",
+            lambda: georeference_tracks(tracks, self.h_to_ecef, t=frame.t),
         )
-        stamps = stamp_phase(stamps, "edge_out", self._now(frame.t))
-        encoded = self._timed("encoding", encode_frame, msgs, stamps, frame.t)
+        stamps = PhaseStamps(t_sensor=t_in, t_edge_in=t_in, t_edge_out=self._now(frame.t))
+        encoded = _timed(seconds, "encoding", encode_frame, msgs, stamps, frame.t)
         self.frame_index += 1
-        for name, total in self._frame_stage_seconds.items():
-            self.stage_timers.setdefault(name, []).append(total)
-        return FrameResult(encoded=encoded, stamps=stamps)
+        return FrameResult(encoded=encoded, stamps=stamps, stage_seconds=seconds)
 
-    def _oracle_detect(self, gt_agents, seed, world_to_h):
+    def _oracle_detect(self, gt_agents, seed):
         dets = detect_oracle(gt_agents, self.noise, seed, self.bounds)
         for d in dets:
-            d.box = transform_box(d.box, world_to_h)
+            d.box = transform_box(d.box, self.world_to_h)
         return dets

@@ -254,6 +254,13 @@ def sample_point_cloud(
     return PointCloudFrame(t=t, points=pts)
 
 
+def scenario_frames(config: ScenarioConfig):
+    """Yield (agent states, sampled frame) at each of the scenario's frame times."""
+    for k, t in enumerate(config.frame_times()):
+        agents = step_scenario(config, float(t))
+        yield agents, sample_point_cloud(agents, config, frame_index=k, t=float(t))
+
+
 # ---------------------------------------------------------------------------
 # Frame and ground-truth files share one container, all little-endian:
 # 4-byte magic, u32 frame count; per frame f64 timestamp, u32 record count,

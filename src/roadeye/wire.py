@@ -1,4 +1,4 @@
-"""Binary perception-message codec and pipeline phase stamping.
+"""Binary perception-message codec and the phase stamps each frame carries.
 
 Frame layout, all little-endian:
   magic "CMM1" | u32 payload length | f64 frame time | 4 x f64 phase stamps
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,6 @@ RECORD = np.dtype([
 HEADER_BYTES = _HEADER.size + _FRAME_META.size  # 52
 RECORD_BYTES = RECORD.itemsize  # 52
 _MAX_READ = 1 << 20  # bytes asked of one recv/read, whatever a header claims
-
-PHASES = ("sensor", "edge_in", "edge_out", "onboard")
 
 
 class WireFormatError(ValueError):
@@ -99,24 +97,6 @@ class PhaseStamps:
 
     def as_tuple(self) -> tuple:
         return (self.t_sensor, self.t_edge_in, self.t_edge_out, self.t_onboard)
-
-
-_PHASE_FIELD = {
-    "sensor": "t_sensor",
-    "edge_in": "t_edge_in",
-    "edge_out": "t_edge_out",
-    "onboard": "t_onboard",
-}
-
-
-def stamp_phase(stamps: PhaseStamps, phase: str, now: float) -> PhaseStamps:
-    """Return stamps with `phase` set; each phase may be stamped once."""
-    field_name = _PHASE_FIELD.get(phase)
-    if field_name is None:
-        raise ValueError(f"unknown phase {phase!r}, expected one of {PHASES}")
-    if getattr(stamps, field_name) is not None:
-        raise ValueError(f"phase {phase!r} already stamped")
-    return replace(stamps, **{field_name: now})
 
 
 def encode_frame(msgs: list[PerceptionMessage], stamps: PhaseStamps, t_frame: float = 0.0) -> bytes:

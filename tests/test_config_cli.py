@@ -3,6 +3,7 @@ import json
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -379,6 +380,44 @@ def test_onboard_without_relay_reports_connection_refused(tmp_path):
              "--connect", "127.0.0.1:1", "--connect-timeout", "0.5")
     assert r.returncode == 2
     assert "connect" in r.stderr.lower()
+
+
+def test_onboard_renders_frames_that_arrive_already_stamped(tmp_path):
+    # The codec carries an onboard stamp, so a relayed frame may hold one;
+    # the subscriber overwrites it with its own arrival time.
+    from roadeye.relay import RelayServer, connect_publisher
+    from roadeye.wire import PhaseStamps, encode_frame
+
+    renders = tmp_path / "renders"
+    stamps = tmp_path / "stamps.jsonl"
+    server = RelayServer().start()
+    proc = None
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "roadeye", "onboard", "--out-dir", str(renders),
+             "--connect", f"{server.host}:{server.port}", "--max-frames", "2",
+             "--stamps", str(stamps)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert "connected" in proc.stdout.readline()
+        deadline = time.monotonic() + 10.0
+        while server.subscriber_count == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        with connect_publisher(f"{server.host}:{server.port}") as pub:
+            pub.sendall(encode_frame([], PhaseStamps(1.0, 2.0, 3.0, 4.0), t_frame=0.0))
+            pub.sendall(encode_frame([], PhaseStamps(1.0, 2.0, 3.0), t_frame=0.1))
+        _, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err
+    finally:
+        if proc is not None and proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        server.stop()
+    assert len(list(renders.glob("render_*.svg"))) == 2
+    first, second = [json.loads(line) for line in stamps.read_text().splitlines()]
+    assert first[:3] == [1.0, 2.0, 3.0]
+    assert first[3] > 1e9  # the subscriber's wall clock, not the relayed 4.0
+    assert second[3] > 1e9
 
 
 def test_cluster_backend_end_to_end(tmp_path):

@@ -220,7 +220,7 @@ def _track(x, y, z, theta=0.0, tid=1):
 
 def test_georeference_trivial_composition():
     p_ecef = RigidTransform.from_translation([WGS84.R, 0.0, 0.0])
-    msgs = georeference_tracks([_track(0.0, 0.0, 0.0)], RigidTransform.identity(), p_ecef, t=2.5)
+    msgs = georeference_tracks([_track(0.0, 0.0, 0.0)], p_ecef, t=2.5)
     assert len(msgs) == 1
     m = msgs[0]
     assert m.lat == pytest.approx(0.0, abs=1e-9)
@@ -233,7 +233,7 @@ def test_georeference_trivial_composition():
 def test_georeference_preserves_ids_and_order(rng):
     p_ecef = enu_to_ecef_transform(GeodeticPos(40.0, -105.0, 1600.0))
     tracks = [_track(rng.uniform(-40, 40), rng.uniform(-40, 40), 0.8, tid=k) for k in range(12)]
-    msgs = georeference_tracks(tracks, RigidTransform.identity(), p_ecef)
+    msgs = georeference_tracks(tracks, p_ecef)
     assert [m.id for m in msgs] == list(range(12))
 
 
@@ -245,7 +245,7 @@ def test_georeference_matches_composed_calls(rng):
         )
         track = _track(rng.uniform(-40, 40), rng.uniform(-40, 40), rng.uniform(-2, 2),
                        theta=rng.uniform(-3, 3))
-        msgs = georeference_tracks([track], p_cali, p_ecef, t=1.0)
+        msgs = georeference_tracks([track], p_ecef @ p_cali.inverse(), t=1.0)
         ecef = lidar_to_ecef(track.box.center, p_cali, p_ecef)
         g = ecef_to_geodetic(ecef)
         assert msgs[0].lat == pytest.approx(g.lat, abs=1e-12)
@@ -259,13 +259,9 @@ def test_georeference_matches_composed_calls(rng):
 def test_georeference_heading_convention():
     # Identity-yaw chain: heading east (theta 0) -> compass 90 degrees.
     p_ecef = RigidTransform.from_translation([WGS84.R, 0.0, 0.0])
-    msgs = georeference_tracks(
-        [_track(0.0, 0.0, 0.0, theta=0.0)], RigidTransform.identity(), p_ecef
-    )
+    msgs = georeference_tracks([_track(0.0, 0.0, 0.0, theta=0.0)], p_ecef)
     assert float(msgs[0].theta) == pytest.approx(90.0)
-    msgs = georeference_tracks(
-        [_track(0.0, 0.0, 0.0, theta=math.pi / 2)], RigidTransform.identity(), p_ecef
-    )
+    msgs = georeference_tracks([_track(0.0, 0.0, 0.0, theta=math.pi / 2)], p_ecef)
     assert float(msgs[0].theta) == pytest.approx(0.0)
 
 

@@ -16,7 +16,7 @@ import pytest
 from roadeye.cli import main
 from roadeye.config import load_config
 from roadeye.pipeline import EdgePipeline
-from roadeye.scene import sample_point_cloud, step_scenario
+from roadeye.scene import scenario_frames
 
 
 def _crowd_agents(n: int) -> list[dict]:
@@ -38,12 +38,9 @@ def _crowd_agents(n: int) -> list[dict]:
 
 def _stream_sha256(overrides: dict) -> str:
     cfg = load_config(overrides=overrides)
-    scenario = cfg.scenario()
     pipeline = EdgePipeline(cfg)
     digest = hashlib.sha256()
-    for k, t in enumerate(scenario.frame_times()):
-        agents = step_scenario(scenario, float(t))
-        frame = sample_point_cloud(agents, scenario, frame_index=k, t=float(t))
+    for agents, frame in scenario_frames(cfg.scenario()):
         digest.update(pipeline.process(frame, agents).encoded)
     return digest.hexdigest()
 

@@ -15,7 +15,6 @@ from roadeye.wire import (
     encode_frame,
     iter_frames_from_file,
     read_frame_bytes,
-    stamp_phase,
 )
 
 
@@ -187,17 +186,6 @@ def test_message_f32_quantization():
     m = _msg(w=2.1, theta=123.456)
     assert m.w == float(np.float32(2.1))
     assert m.theta == float(np.float32(123.456))
-
-
-def test_stamp_phase_order_and_double_stamp():
-    s = PhaseStamps()
-    for phase, now in zip(("sensor", "edge_in", "edge_out", "onboard"), (1.0, 2.0, 3.0, 4.0)):
-        s = stamp_phase(s, phase, now)
-    assert s.as_tuple() == (1.0, 2.0, 3.0, 4.0)
-    with pytest.raises(ValueError, match="already"):
-        stamp_phase(s, "edge_in", 9.0)
-    with pytest.raises(ValueError, match="unknown"):
-        stamp_phase(s, "warp", 1.0)
 
 
 def test_iter_frames_from_file(tmp_path, rng):
