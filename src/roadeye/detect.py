@@ -121,8 +121,10 @@ def detect_oracle(
 ) -> list[Detection]:
     """Ground-truth detector: drop, perturb, and add Poisson clutter.
 
-    Deterministic under `seed`. With all-zero noise the survivors equal the
-    agent boxes exactly.
+    Boxes come out in the frame of `agents`; clutter centres are drawn
+    inside `bounds`, which must be given in that same frame. Deterministic
+    under `seed`. With all-zero noise the survivors equal the agent boxes
+    exactly.
     """
     rng = np.random.default_rng(seed)
     if bounds is None:

@@ -9,12 +9,12 @@ frame clock so a given input and seed always encode to identical bytes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import PipelineConfig
 from .detect import detect_cluster, detect_oracle
 from .geoloc import enu_to_ecef_transform, estimate_ecef_transform, georeference_tracks, load_gcp_file
-from .geometry import RigidTransform, transform_box
+from .geometry import RigidTransform
 from .preproc import apply_transform, estimate_ground_calibration, geofence
 from .scene import AgentState, PointCloudFrame
 from .track import Tracker2D, track_frame
@@ -114,7 +114,12 @@ class EdgePipeline:
         return FrameResult(encoded=encoded, stamps=stamps, stage_seconds=seconds)
 
     def _oracle_detect(self, gt_agents, seed):
-        dets = detect_oracle(gt_agents, self.noise, seed, self.bounds)
-        for d in dets:
-            d.box = transform_box(d.box, self.world_to_h)
-        return dets
+        # The oracle draws clutter inside the geofence in the frame of the
+        # agents it is given, so it gets them in H-Coor, where the geofence
+        # holds and the detections are reported.
+        yaw = self.world_to_h.yaw
+        agents_h = [
+            replace(a, center=self.world_to_h.apply_point(a.center), heading=a.heading + yaw)
+            for a in gt_agents
+        ]
+        return detect_oracle(agents_h, self.noise, seed, self.bounds)

@@ -5,7 +5,9 @@ The pipeline digests were recorded before the tracker moved to stacked arrays
 (the `cluster_crowd` one before the cluster detector grouped points with one
 sort), the simulate digests before the frame and ground-truth writers shared
 one container writer; any refactor of the edge chain or of the file formats
-must keep them.
+must keep them. `noisy_oracle_crowd` was re-recorded when the oracle's
+clutter moved from under the road into the geofence, which changes the
+altitude of every clutter message.
 """
 
 import hashlib
@@ -54,7 +56,7 @@ def _stream_sha256(overrides: dict) -> str:
                 "scene": {"duration": 4.0, "points_per_agent": 50, "agents": _crowd_agents(40)},
                 "detector": {"oracle": {"sigma_pos": 0.1, "p_miss": 0.05, "fp_rate": 2.0}},
             },
-            "e63203bc47824a1f7aa8f4e90d4c5a0e6479723d5fcab2c2a86077674306f3b5",
+            "3404ca8c27c21630825c33290c0e619bb6e9ff7c09a9268cd586ccc86e95fb55",
             id="noisy_oracle_crowd",
         ),
         pytest.param(

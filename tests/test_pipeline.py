@@ -2,6 +2,10 @@
 
 import itertools
 
+import numpy as np
+import pytest
+
+from roadeye import pipeline as pipeline_mod
 from roadeye.config import load_config
 from roadeye.pipeline import EdgePipeline
 from roadeye.scene import scenario_frames
@@ -40,3 +44,26 @@ def test_pipeline_keeps_no_per_frame_history():
         n += 1
     assert n == 100
     assert _container_sizes(pipeline) == after_5
+
+
+def test_oracle_clutter_lies_inside_the_geofence(monkeypatch):
+    cfg = load_config(overrides={
+        "scene": {"duration": 2.0}, "detector": {"oracle": {"fp_rate": 20.0}},
+    })
+    seen = []
+    track_frame = pipeline_mod.track_frame
+
+    def recording_track_frame(tracker, dets, t):
+        seen.extend(dets)
+        return track_frame(tracker, dets, t)
+
+    monkeypatch.setattr(pipeline_mod, "track_frame", recording_track_frame)
+    pipeline = EdgePipeline(cfg)
+    for agents, frame in scenario_frames(cfg.scenario()):
+        pipeline.process(frame, agents)
+    # Clutter scores are uniform in [0, 1); every agent detection scores 1.
+    clutter = np.array([d.box.center for d in seen if d.score < 1.0])
+    agent_bottoms = [d.box.z - d.box.h / 2 for d in seen if d.score == 1.0]
+    assert len(clutter) > 200 and agent_bottoms
+    assert cfg.geofence_bounds().contains(clutter).all()
+    assert agent_bottoms == pytest.approx([-cfg["scene.mount_height"]] * len(agent_bottoms))
