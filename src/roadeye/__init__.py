@@ -22,7 +22,6 @@ from .geoloc import (
     estimate_ecef_transform,
     geodetic_to_ecef,
     georeference_tracks,
-    lidar_to_ecef,
 )
 from .wire import PerceptionMessage, PhaseStamps, decode_frame, encode_frame
 from .relay import RelayServer, relay_serve

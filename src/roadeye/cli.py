@@ -66,7 +66,7 @@ def _tap_messages(tap, msgs):
     if tap is None:
         return
     for m in msgs:
-        tap.write(json.dumps(m.to_dict()) + "\n")
+        tap.write(json.dumps(m._asdict()) + "\n")
     tap.flush()
 
 

@@ -1,9 +1,9 @@
 """Oriented 3D detection: pluggable backends plus box-encoding/loss math.
 
-Two detector backends share one output type: a ground-truth oracle with
-configurable corruption, and a voxel-clustering baseline. The residual
-encoding and the localization / classification / direction losses are
-standalone functions usable without either backend.
+Two detector backends share one output type, a `DETECTION` record array:
+a ground-truth oracle with configurable corruption, and a voxel-clustering
+baseline. The residual encoding and the localization / classification /
+direction losses are standalone functions usable without either backend.
 """
 
 from __future__ import annotations
@@ -17,14 +17,29 @@ from .geometry import ObjectClass, OrientedBox3D, normalize_angle
 from .preproc import GeofenceBounds
 from .scene import AgentState
 
-# Footprint threshold separating vehicles from pedestrians in the cluster
-# backend, matching the onboard size split.
+# Footprint threshold separating vehicles from pedestrians among cluster and
+# clutter boxes.
 CLUSTER_VEHICLE_FOOTPRINT = 2.5  # m
 MIN_CLUSTER_EXTENT = 0.05  # m, keeps degenerate clusters within box invariants
+
+# One detected object per row: the box as `OrientedBox3D` names it, the class
+# as an index into CLASSES, the score, and the track id (-1 until tracked).
+BOX = np.dtype([(name, "<f8") for name in ("x", "y", "z", "w", "l", "h", "theta")])
+DETECTION = np.dtype([("box", BOX), ("cls", "u1"), ("score", "<f8"), ("id", "<i8")])
+CLASSES = (ObjectClass.VEHICLE, ObjectClass.PEDESTRIAN)
+
+
+def _footprint_class(box) -> np.ndarray:
+    """Class codes for BOX rows: vehicle iff the footprint reaches
+    CLUSTER_VEHICLE_FOOTPRINT, matching the onboard size split."""
+    return np.where(np.maximum(box["w"], box["l"]) >= CLUSTER_VEHICLE_FOOTPRINT, 0, 1)
 
 
 @dataclass
 class Detection:
+    """One scored box, as evaluation takes it; the pipeline carries
+    `DETECTION` rows instead."""
+
     box: OrientedBox3D
     cls: ObjectClass
     score: float
@@ -98,55 +113,64 @@ class LossWeights:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def _clutter_box(rng: np.random.Generator, bounds: GeofenceBounds) -> Detection:
+def truth_boxes(agents: list[AgentState]) -> np.recarray:
+    """The agents' boxes as DETECTION rows, in order: score 1, id -1."""
+    rows = [
+        ((*a.center.tolist(), *a.dims, a.heading), CLASSES.index(a.cls), 1.0, -1)
+        for a in agents
+    ]
+    return np.array(rows, dtype=DETECTION).view(np.recarray)
+
+
+def _clutter_box(rng: np.random.Generator, bounds: GeofenceBounds) -> tuple:
     w = rng.uniform(0.4, 2.6)
     l = rng.uniform(0.4, 12.0)
     h = rng.uniform(1.3, 4.5)
-    box = OrientedBox3D(
+    box = (
         rng.uniform(bounds.x_min, bounds.x_max),
         rng.uniform(bounds.y_min, bounds.y_max),
         rng.uniform(bounds.z_min, bounds.z_max),
         w, l, h,
-        rng.uniform(-math.pi, math.pi),
+        normalize_angle(rng.uniform(-math.pi, math.pi)),
     )
-    cls = ObjectClass.VEHICLE if max(w, l) >= CLUSTER_VEHICLE_FOOTPRINT else ObjectClass.PEDESTRIAN
-    return Detection(box=box, cls=cls, score=float(rng.uniform(0.0, 1.0)))
+    cls = 0 if max(w, l) >= CLUSTER_VEHICLE_FOOTPRINT else 1
+    return (box, cls, float(rng.uniform(0.0, 1.0)), -1)
 
 
 def detect_oracle(
-    agents: list[AgentState],
+    truth,
     noise: DetectorNoise,
     seed,
     bounds: GeofenceBounds | None = None,
-) -> list[Detection]:
+) -> np.recarray:
     """Ground-truth detector: drop, perturb, and add Poisson clutter.
 
-    Boxes come out in the frame of `agents`; clutter centres are drawn
-    inside `bounds`, which must be given in that same frame. Deterministic
-    under `seed`. With all-zero noise the survivors equal the agent boxes
-    exactly.
+    `truth` is a list of agents or their `truth_boxes` rows. Boxes come out
+    in the frame of `truth`; clutter centres are drawn inside `bounds`,
+    which must be given in that same frame. Deterministic under `seed`.
+    With all-zero noise the survivors equal the truth boxes exactly.
     """
     rng = np.random.default_rng(seed)
     if bounds is None:
         bounds = GeofenceBounds()
-    dets = []
-    for agent in agents:
+    if not isinstance(truth, np.ndarray):
+        truth = truth_boxes(truth)
+    rows = []
+    for (x, y, z, w, l, h, theta), cls in zip(truth["box"].tolist(), truth["cls"].tolist()):
         if noise.p_miss > 0 and rng.random() < noise.p_miss:
             continue
-        c = agent.center.copy()
-        dims = np.array(agent.dims, dtype=float)
-        theta = agent.heading
+        c = np.array([x, y, z])
+        dims = np.array([w, l, h])
         if noise.sigma_pos > 0:
             c = c + rng.normal(0.0, noise.sigma_pos, 3)
         if noise.sigma_dim > 0:
             dims = np.maximum(dims + rng.normal(0.0, noise.sigma_dim, 3), MIN_CLUSTER_EXTENT)
         if noise.sigma_theta > 0:
             theta = theta + rng.normal(0.0, noise.sigma_theta)
-        box = OrientedBox3D(c[0], c[1], c[2], dims[0], dims[1], dims[2], theta)
-        dets.append(Detection(box=box, cls=agent.cls, score=1.0))
+        rows.append(((*c.tolist(), *dims.tolist(), normalize_angle(theta)), cls, 1.0, -1))
     for _ in range(int(rng.poisson(noise.fp_rate))):
-        dets.append(_clutter_box(rng, bounds))
-    return dets
+        rows.append(_clutter_box(rng, bounds))
+    return np.array(rows, dtype=DETECTION).view(np.recarray)
 
 
 def _voxel_components(vox: np.ndarray) -> np.ndarray:
@@ -189,13 +213,13 @@ def _voxel_components(vox: np.ndarray) -> np.ndarray:
     return labels[inverse]
 
 
-def detect_cluster(frame_h, params: ClusterParams) -> list[Detection]:
+def detect_cluster(frame_h, params: ClusterParams) -> np.recarray:
     """Voxel connected-component detector over a leveled (H-Coor) frame."""
     xyz = frame_h.xyz
     keep = xyz[:, 2] > params.ground_z + 0.2
     pts = xyz[keep]
     if len(pts) == 0:
-        return []
+        return np.recarray(0, DETECTION)
     vox = np.floor(pts / params.voxel).astype(np.int64)
     labels = _voxel_components(vox)
     # One stable sort groups each component's points contiguously, in input
@@ -204,7 +228,7 @@ def detect_cluster(frame_h, params: ClusterParams) -> list[Detection]:
     order = np.argsort(labels, kind="stable")
     counts = np.bincount(labels)
     ends = np.cumsum(counts)
-    dets = []
+    rows = []
     for lbl in np.flatnonzero(counts >= params.min_points):
         member = pts[order[ends[lbl] - counts[lbl]:ends[lbl]]]
         centroid = member.mean(axis=0)
@@ -218,13 +242,9 @@ def detect_cluster(frame_h, params: ClusterParams) -> list[Detection]:
         l = max(float(along.max() - along.min()), MIN_CLUSTER_EXTENT)
         w = max(float(across.max() - across.min()), MIN_CLUSTER_EXTENT)
         h = max(float(member[:, 2].max() - member[:, 2].min()), MIN_CLUSTER_EXTENT)
-        cls = (
-            ObjectClass.VEHICLE
-            if max(w, l) >= CLUSTER_VEHICLE_FOOTPRINT
-            else ObjectClass.PEDESTRIAN
-        )
-        box = OrientedBox3D(*centroid, w, l, h, theta)
-        dets.append(Detection(box=box, cls=cls, score=min(1.0, len(member) / 100.0)))
+        rows.append(((*centroid.tolist(), w, l, h, theta), 0, min(1.0, len(member) / 100.0), -1))
+    dets = np.array(rows, dtype=DETECTION).view(np.recarray)
+    dets.cls = _footprint_class(dets.box)
     return dets
 
 

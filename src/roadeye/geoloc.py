@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import RigidTransform
-from .wire import PerceptionMessage
-
-if TYPE_CHECKING:
-    from .track import Track3D
+from .wire import RECORD, quantize_heading
 
 BOWRING_TOL = 1e-12  # rad
 BOWRING_MAX_ITER = 10
@@ -79,12 +75,6 @@ class GcpCorrespondence:
 class TransformFit:
     transform: RigidTransform
     rms: float  # m, residual of the fitted correspondences
-
-
-def lidar_to_ecef(p_hor, p_cali: RigidTransform, p_ecef: RigidTransform) -> EcefPos:
-    """Map an H-Coor point to ECEF: p_ecef . inverse(p_cali) . p_hor."""
-    v = (p_ecef @ p_cali.inverse()).apply_point(p_hor)
-    return EcefPos(*v)
 
 
 def geodetic_latitude(z: float, s: float, wgs: Wgs84Params = WGS84) -> tuple[float, int]:
@@ -204,33 +194,29 @@ def load_gcp_file(path) -> list[GcpCorrespondence]:
 
 
 def georeference_tracks(
-    tracks: list[Track3D],
+    tracks: np.ndarray,
     h_to_ecef: RigidTransform,
-    wgs: Wgs84Params = WGS84,
     t: float = 0.0,
-) -> list[PerceptionMessage]:
-    """Package tracked H-Coor boxes as geodetic perception messages.
+    wgs: Wgs84Params = WGS84,
+) -> np.ndarray:
+    """Package tracked H-Coor DETECTION rows as wire `RECORD` rows.
 
     `h_to_ecef` is p_ecef . inverse(p_cali), built once per calibration.
     Heading is re-expressed clockwise from north: 90 deg minus the box
     heading plus the transform's z-yaw, wrapped into [0, 360).
     """
-    yaw = h_to_ecef.yaw
-    msgs = []
-    for tr in tracks:
-        g = ecef_to_geodetic(EcefPos(*h_to_ecef.apply_point(tr.box.center)), wgs)
-        heading = (90.0 - math.degrees(tr.box.theta + yaw)) % 360.0
-        msgs.append(
-            PerceptionMessage(
-                t=t,
-                id=tr.id,
-                lat=g.lat,
-                lon=g.lon,
-                alt=g.alt,
-                w=tr.box.w,
-                l=tr.box.l,
-                h=tr.box.h,
-                theta=heading,
-            )
-        )
-    return msgs
+    box = tracks["box"]
+    out = np.empty(len(tracks), RECORD)
+    out["t"] = t
+    out["id"] = tracks["id"]
+    geo = [
+        ecef_to_geodetic(EcefPos(*h_to_ecef.apply_point(c)), wgs)
+        for c in np.column_stack([box["x"], box["y"], box["z"]])
+    ]
+    out["lat"] = [g.lat for g in geo]
+    out["lon"] = [g.lon for g in geo]
+    out["alt"] = [g.alt for g in geo]
+    for name in ("w", "l", "h"):
+        out[name] = box[name]
+    out["theta"] = quantize_heading(90.0 - np.degrees(box["theta"] + h_to_ecef.yaw))
+    return out

@@ -27,6 +27,28 @@ def normalize_angle(theta: float) -> float:
     return r
 
 
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """normalize_angle over an array; bit-equal to it for |theta| <= 3 pi."""
+    r = theta - TWO_PI * np.round(theta / TWO_PI)
+    r = np.where(r > math.pi, r - TWO_PI, r)
+    return np.where(r <= -math.pi, r + TWO_PI, r)
+
+
+def plan_distances(a_xy: np.ndarray, b_xy: np.ndarray, reach: float) -> np.ndarray:
+    """(len(a), len(b)) plan-view distances from `np.hypot`, for the pairs
+    whose x and y offsets both lie within `reach`; inf for every other pair.
+
+    hypot is the costly part and never falls below either offset, so a
+    caller gating at `reach` or below sees exactly what a full matrix gives.
+    """
+    dx = a_xy[:, None, 0] - b_xy[None, :, 0]
+    dy = a_xy[:, None, 1] - b_xy[None, :, 1]
+    near = (np.abs(dx) <= reach) & (np.abs(dy) <= reach)
+    dist = np.full(dx.shape, np.inf)
+    dist[near] = np.hypot(dx[near], dy[near])
+    return dist
+
+
 @dataclass
 class OrientedBox3D:
     """Axis-up oriented box: center (x, y, z), extents (w, l, h), yaw theta.
@@ -173,12 +195,3 @@ def _skew(v: np.ndarray) -> np.ndarray:
         ]
     )
 
-
-def transform_box(box: OrientedBox3D, t: RigidTransform) -> OrientedBox3D:
-    """Transform a box center and add the transform's z-yaw to its heading.
-
-    Exact for transforms whose rotation is about +z; under tilt the heading
-    update is the yaw projection only.
-    """
-    cx, cy, cz = t.apply_point(box.center)
-    return OrientedBox3D(cx, cy, cz, box.w, box.l, box.h, box.theta + t.yaw)

@@ -2,8 +2,9 @@
 
 Two surveyed reference points anchor an affine map from geodetic positions
 to screen pixels (equirectangular meters about the first reference, then a
-per-axis pixel ratio). Received perception messages become top-view icons;
-the ego vehicle is drawn from its own simulated GPS feed.
+per-axis pixel ratio). Received perception records become top-view icons,
+one `ICON` row each; the ego vehicle, row 0, is drawn from its own simulated
+GPS feed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geoloc import GeodeticPos, WGS84
-from .wire import PerceptionMessage
+from .wire import RECORD
 
 EGO_SUPPRESS_RADIUS = 2.0  # m, roadside echo of the ego vehicle is dropped
 PEDESTRIAN_MAX_FOOTPRINT = 1.2  # m
@@ -27,10 +28,17 @@ class DegenerateMapError(ValueError):
     """Reference points coincide on some axis; no transfer ratio exists."""
 
 
-class IconKind(enum.Enum):
-    EGO = "ego"
-    VEHICLE = "vehicle"
-    PEDESTRIAN = "pedestrian"
+class IconKind(enum.IntEnum):
+    EGO = 0
+    VEHICLE = 1
+    PEDESTRIAN = 2
+
+
+# One top-view icon per row; `id` -1 draws no label.
+ICON = np.dtype([
+    ("kind", "u1"), ("px", "<f8", (2,)), ("heading_deg", "<f8"), ("dims_m", "<f8", (2,)),
+    ("id", "<i8"),
+])
 
 
 @dataclass
@@ -56,30 +64,26 @@ class EgoState:
 
 
 @dataclass
-class RenderIcon:
-    kind: IconKind
-    px: tuple[float, float]
-    heading_deg: float
-    dims_m: tuple[float, float]  # (w, l)
-    id: int | None = None
-
-
-@dataclass
 class RenderFrame:
     t: float
-    icons: list[RenderIcon] = field(default_factory=list)
+    icons: np.recarray = field(default_factory=lambda: np.recarray(0, ICON))  # ICON rows
     size: tuple[float, float] = (800.0, 800.0)
 
     def __post_init__(self):
-        if sum(1 for i in self.icons if i.kind is IconKind.EGO) > 1:
+        if np.count_nonzero(self.icons.kind == IconKind.EGO) > 1:
             raise ValueError("at most one ego icon per frame")
+
+
+def _en_offsets(origin: GeodeticPos, lat, lon, radius: float = WGS84.R):
+    """East/north meters of (lat, lon), scalars or arrays, equirectangular about origin."""
+    d_east = radius * math.cos(math.radians(origin.lat)) * np.radians(lon - origin.lon)
+    d_north = radius * np.radians(lat - origin.lat)
+    return d_east, d_north
 
 
 def local_en_offset(origin: GeodeticPos, g: GeodeticPos, radius: float = WGS84.R) -> tuple[float, float]:
     """East/north meters of g relative to origin, equirectangular about origin."""
-    d_east = radius * math.cos(math.radians(origin.lat)) * math.radians(g.lon - origin.lon)
-    d_north = radius * math.radians(g.lat - origin.lat)
-    return d_east, d_north
+    return _en_offsets(origin, g.lat, g.lon, radius)
 
 
 def offset_geodetic(origin: GeodeticPos, east: float, north: float) -> GeodeticPos:
@@ -115,64 +119,53 @@ def build_pixel_map(
     )
 
 
-def gps_to_pixel(pixel_map: PixelMap, g: GeodeticPos) -> tuple[float, float]:
+def _pixels(pixel_map: PixelMap, lat, lon):
     """Affine application of the transfer ratios about reference point A."""
-    d_east, d_north = local_en_offset(pixel_map.ref_a_gps, g)
+    d_east, d_north = _en_offsets(pixel_map.ref_a_gps, lat, lon)
     u = pixel_map.ref_a_px[0] + d_east / pixel_map.meters_per_pixel_x
     v = pixel_map.ref_a_px[1] + d_north / pixel_map.meters_per_pixel_y
     return u, v
 
 
-def classify_by_size(w: float, l: float, h: float) -> IconKind:
-    """Pedestrian iff the footprint stays under 1.2 m and height under 2.2 m."""
-    if not (w > 0 and l > 0 and h > 0):
+def gps_to_pixel(pixel_map: PixelMap, g: GeodeticPos) -> tuple[float, float]:
+    """Screen pixel (u, v) of one geodetic position."""
+    return _pixels(pixel_map, g.lat, g.lon)
+
+
+def classify_by_size(w, l, h) -> np.ndarray:
+    """IconKind code per box: pedestrian iff the footprint stays under 1.2 m
+    and height under 2.2 m, vehicle otherwise."""
+    w, l, h = np.asarray(w), np.asarray(l), np.asarray(h)
+    if not np.all((w > 0) & (l > 0) & (h > 0)):
         raise ValueError("dims must be positive")
-    if max(w, l) < PEDESTRIAN_MAX_FOOTPRINT and h < PEDESTRIAN_MAX_HEIGHT:
-        return IconKind.PEDESTRIAN
-    return IconKind.VEHICLE
+    pedestrian = (np.maximum(w, l) < PEDESTRIAN_MAX_FOOTPRINT) & (h < PEDESTRIAN_MAX_HEIGHT)
+    return np.where(pedestrian, IconKind.PEDESTRIAN, IconKind.VEHICLE)
 
 
-def _in_viewport(px: tuple[float, float], viewport: tuple[float, float] | None) -> bool:
-    if viewport is None:
-        return True
-    return 0.0 <= px[0] <= viewport[0] and 0.0 <= px[1] <= viewport[1]
+def reconstruct_frame(msgs, ego: EgoState, pixel_map: PixelMap) -> RenderFrame:
+    """Build the icon rows for one render tick from messages or `RECORD` rows.
 
-
-def reconstruct_frame(
-    msgs: list[PerceptionMessage], ego: EgoState, pixel_map: PixelMap
-) -> RenderFrame:
-    """Build the icon list for one render tick.
-
-    Messages within the ego-suppression radius are treated as the roadside's
+    Records within the ego-suppression radius are treated as the roadside's
     echo of the ego vehicle; icons landing outside the viewport are dropped.
     """
-    icons = [
-        RenderIcon(
-            kind=IconKind.EGO,
-            px=gps_to_pixel(pixel_map, ego.gps),
-            heading_deg=ego.heading,
-            dims_m=EGO_ICON_DIMS,
-        )
-    ]
-    for m in msgs:
-        pos = GeodeticPos(lat=m.lat, lon=m.lon, alt=m.alt)
-        de, dn = local_en_offset(ego.gps, pos)
-        if math.hypot(de, dn) <= EGO_SUPPRESS_RADIUS:
-            continue
-        px = gps_to_pixel(pixel_map, pos)
-        if not _in_viewport(px, pixel_map.viewport):
-            continue
-        icons.append(
-            RenderIcon(
-                kind=classify_by_size(m.w, m.l, m.h),
-                px=px,
-                heading_deg=m.theta,
-                dims_m=(m.w, m.l),
-                id=m.id,
-            )
-        )
+    rec = np.asarray(msgs, RECORD)
+    d_east, d_north = _en_offsets(ego.gps, rec["lat"], rec["lon"])
+    u, v = _pixels(pixel_map, rec["lat"], rec["lon"])
+    keep = np.hypot(d_east, d_north) > EGO_SUPPRESS_RADIUS
+    if pixel_map.viewport is not None:
+        width, height = pixel_map.viewport
+        keep &= (u >= 0.0) & (u <= width) & (v >= 0.0) & (v <= height)
+    shown = rec[keep]
+    icons = np.recarray(1 + len(shown), ICON)
+    icons[0] = (IconKind.EGO, gps_to_pixel(pixel_map, ego.gps), ego.heading, EGO_ICON_DIMS, -1)
+    rest = icons[1:]
+    rest.kind = classify_by_size(shown["w"], shown["l"], shown["h"])
+    rest.px = np.column_stack([u[keep], v[keep]])
+    rest.heading_deg = shown["theta"]
+    rest.dims_m = np.column_stack([shown["w"], shown["l"]])
+    rest.id = shown["id"]
     size = pixel_map.viewport if pixel_map.viewport is not None else (800.0, 800.0)
-    return RenderFrame(t=msgs[0].t if msgs else ego.t, icons=icons, size=size)
+    return RenderFrame(t=float(rec["t"][0]) if len(rec) else ego.t, icons=icons, size=size)
 
 
 # ---------------------------------------------------------------------------
@@ -184,53 +177,51 @@ _ICON_FILL = {
     IconKind.VEHICLE: "#2e6fd8",
     IconKind.PEDESTRIAN: "#3aa655",
 }
+PX_PER_M = 8.0
 
 
-def _rect_corners(px, heading_deg, dims_m, px_per_m) -> list[tuple[float, float]]:
-    w, l = dims_m
-    half_w = w / 2.0 * px_per_m
-    half_l = l / 2.0 * px_per_m
+def _rect_corners(icons: np.recarray) -> np.ndarray:
+    """(n, 8) pixel corners u0, v0, ..., u3, v3 of each icon's rectangle."""
+    half_w = icons.dims_m[:, 0] / 2.0 * PX_PER_M
+    half_l = icons.dims_m[:, 1] / 2.0 * PX_PER_M
     # Screen heading: 0 deg points up (north), clockwise positive.
-    a = math.radians(heading_deg)
-    fx, fy = math.sin(a), -math.cos(a)  # forward in pixel axes (v grows down)
+    a = np.radians(icons.heading_deg)
+    fx, fy = np.sin(a), -np.cos(a)  # forward in pixel axes (v grows down)
     rx, ry = -fy, fx
-    u, v = px
-    return [
-        (u + fx * half_l + rx * half_w, v + fy * half_l + ry * half_w),
-        (u + fx * half_l - rx * half_w, v + fy * half_l - ry * half_w),
-        (u - fx * half_l - rx * half_w, v - fy * half_l - ry * half_w),
-        (u - fx * half_l + rx * half_w, v - fy * half_l + ry * half_w),
-    ]
+    u, v = icons.px[:, 0], icons.px[:, 1]
+    return np.column_stack([
+        u + fx * half_l + rx * half_w, v + fy * half_l + ry * half_w,
+        u + fx * half_l - rx * half_w, v + fy * half_l - ry * half_w,
+        u - fx * half_l - rx * half_w, v - fy * half_l - ry * half_w,
+        u - fx * half_l + rx * half_w, v - fy * half_l + ry * half_w,
+    ])
 
 
 def render_svg(frame: RenderFrame) -> str:
     """Vector document for one frame; byte-stable for identical frames."""
     w, h = frame.size
-    px_per_m = 8.0
+    icons = frame.icons
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
         f'viewBox="0 0 {w:.0f} {h:.0f}">',
         f'<rect x="0" y="0" width="{w:.0f}" height="{h:.0f}" fill="#1b1f23"/>',
     ]
-    for icon in frame.icons:
-        fill = _ICON_FILL[icon.kind]
-        if icon.kind is IconKind.PEDESTRIAN:
-            r = max(icon.dims_m[0], icon.dims_m[1]) / 2.0 * px_per_m
-            lines.append(
-                f'<circle cx="{icon.px[0]:.2f}" cy="{icon.px[1]:.2f}" r="{r:.2f}" '
-                f'fill="{fill}"/>'
-            )
+    radius = np.maximum(icons.dims_m[:, 0], icons.dims_m[:, 1]) / 2.0 * PX_PER_M
+    for kind, (u, v), r, corners, tid in zip(
+        icons.kind.tolist(), icons.px.tolist(), radius.tolist(),
+        _rect_corners(icons).tolist(), icons.id.tolist(),
+    ):
+        fill = _ICON_FILL[kind]
+        if kind == IconKind.PEDESTRIAN:
+            lines.append(f'<circle cx="{u:.2f}" cy="{v:.2f}" r="{r:.2f}" fill="{fill}"/>')
         else:
-            pts = " ".join(
-                f"{x:.2f},{y:.2f}"
-                for x, y in _rect_corners(icon.px, icon.heading_deg, icon.dims_m, px_per_m)
-            )
+            pts = "{:.2f},{:.2f} {:.2f},{:.2f} {:.2f},{:.2f} {:.2f},{:.2f}".format(*corners)
             lines.append(f'<polygon points="{pts}" fill="{fill}"/>')
-        if icon.id is not None and icon.id >= 0:
+        if tid >= 0:
             lines.append(
-                f'<text x="{icon.px[0]:.2f}" y="{icon.px[1] - 8.0:.2f}" '
-                f'fill="#e6e6e6" font-size="11" text-anchor="middle">{icon.id}</text>'
+                f'<text x="{u:.2f}" y="{v - 8.0:.2f}" '
+                f'fill="#e6e6e6" font-size="11" text-anchor="middle">{tid}</text>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

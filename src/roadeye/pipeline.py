@@ -9,12 +9,14 @@ frame clock so a given input and seed always encode to identical bytes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+import numpy as np
 
 from .config import PipelineConfig
-from .detect import detect_cluster, detect_oracle
+from .detect import detect_cluster, detect_oracle, truth_boxes
 from .geoloc import enu_to_ecef_transform, estimate_ecef_transform, georeference_tracks, load_gcp_file
-from .geometry import RigidTransform
+from .geometry import RigidTransform, wrap_angles
 from .preproc import apply_transform, estimate_ground_calibration, geofence
 from .scene import AgentState, PointCloudFrame
 from .track import Tracker2D, track_frame
@@ -99,27 +101,26 @@ class EdgePipeline:
                     "detection", ValueError("oracle backend needs ground-truth agents")
                 )
             seed = [self.config.seed & 0xFFFFFFFF, 0xDE7EC7, self.frame_index]
-            dets = _timed(seconds, "detection", self._oracle_detect, gt_agents, seed)
+            truth = _timed(seconds, "detection", self._truth_in_h, gt_agents)
+            dets = _timed(seconds, "detection", detect_oracle, truth, self.noise, seed, self.bounds)
         else:
             dets = _timed(seconds, "detection", detect_cluster, leveled, self.cluster_params)
 
         tracks = _timed(seconds, "tracking", track_frame, self.tracker, dets, frame.t)
-        msgs = _timed(
-            seconds, "geolocalization",
-            lambda: georeference_tracks(tracks, self.h_to_ecef, t=frame.t),
+        records = _timed(
+            seconds, "geolocalization", georeference_tracks, tracks, self.h_to_ecef, frame.t
         )
         stamps = PhaseStamps(t_sensor=t_in, t_edge_in=t_in, t_edge_out=self._now(frame.t))
-        encoded = _timed(seconds, "encoding", encode_frame, msgs, stamps, frame.t)
+        encoded = _timed(seconds, "encoding", encode_frame, records, stamps, frame.t)
         self.frame_index += 1
         return FrameResult(encoded=encoded, stamps=stamps, stage_seconds=seconds)
 
-    def _oracle_detect(self, gt_agents, seed):
-        # The oracle draws clutter inside the geofence in the frame of the
-        # agents it is given, so it gets them in H-Coor, where the geofence
-        # holds and the detections are reported.
-        yaw = self.world_to_h.yaw
-        agents_h = [
-            replace(a, center=self.world_to_h.apply_point(a.center), heading=a.heading + yaw)
-            for a in gt_agents
-        ]
-        return detect_oracle(agents_h, self.noise, seed, self.bounds)
+    def _truth_in_h(self, gt_agents: list[AgentState]) -> np.recarray:
+        """The agents' boxes in H-Coor, where the oracle draws clutter inside
+        the geofence and the detections are reported."""
+        truth = truth_boxes(gt_agents)
+        box = truth.box
+        xyz = self.world_to_h.apply_points(np.column_stack([box.x, box.y, box.z]))
+        box.x, box.y, box.z = xyz.T
+        box.theta = wrap_angles(box.theta + self.world_to_h.yaw)
+        return truth

@@ -1,10 +1,11 @@
 """3D multi-object tracking: 2D motion association with ID lift to 3D.
 
-Detections are flattened to plan-view boxes, associated frame to frame by a
-constant-velocity Kalman filter plus Hungarian matching on center distance,
-and the resulting IDs are attached back onto the full 3D boxes through a
-Euclidean gate. Live tracks are held as stacked arrays, one row per track
-in creation order, so each frame is a handful of batched array operations.
+`DETECTION` rows are flattened to plan-view boxes, associated frame to frame
+by a constant-velocity Kalman filter plus Hungarian matching on center
+distance, and the resulting IDs are written back into the rows' `id` column
+through a Euclidean gate. Live tracks are held as stacked arrays, one row per
+track in creation order, so each frame is a handful of batched array
+operations.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .detect import Detection
-from .geometry import ObjectClass, OrientedBox3D
+from .geometry import plan_distances
 
 GATE_COST = 1.0e9  # cost assigned to pairs outside the association gate
 MIN_BOX2D_EXTENT = 0.05
@@ -43,13 +43,6 @@ class Track2D:
     def box(self) -> Box2D:
         x, y, w, l = self.mean[:4].tolist()
         return Box2D(x, y, max(w, MIN_BOX2D_EXTENT), max(l, MIN_BOX2D_EXTENT))
-
-
-@dataclass
-class Track3D:
-    box: OrientedBox3D
-    cls: ObjectClass
-    id: int  # -1 = no track within the gate
 
 
 @dataclass
@@ -129,9 +122,7 @@ class Tracker2D:
         self.mean = self.mean @ _F.T
         self.cov = _F @ self.cov @ _F.T + _process_noise(cfg)
 
-        dist = np.hypot(
-            self.mean[:, None, 0] - boxes[None, :, 0], self.mean[:, None, 1] - boxes[None, :, 1]
-        )
+        dist = plan_distances(self.mean[:, :2], boxes[:, :2], cfg.gate_assoc)
         rows, cols = linear_sum_assignment(np.where(dist <= cfg.gate_assoc, dist, GATE_COST))
         in_gate = dist[rows, cols] <= cfg.gate_assoc
         rows, cols = rows[in_gate], cols[in_gate]
@@ -168,45 +159,51 @@ class Tracker2D:
         self.confirmed = np.concatenate([self.confirmed[live], np.full(n_new, cfg.n_init <= 1)])
 
 
-def project_to_2d(dets: list[Detection]) -> np.ndarray:
-    """(n, 4) plan-view boxes x, y, w, l; drops z, h, theta and class."""
-    return np.array([(d.box.x, d.box.y, d.box.w, d.box.l) for d in dets], dtype=float).reshape(-1, 4)
+def project_to_2d(dets: np.ndarray) -> np.ndarray:
+    """(n, 4) plan-view boxes x, y, w, l of DETECTION rows; drops z, h,
+    theta and class."""
+    box = dets["box"]
+    return np.column_stack([box["x"], box["y"], box["w"], box["l"]])
 
 
 def lift_to_3d(
-    dets: list[Detection],
+    dets: np.ndarray,
     track_ids: np.ndarray,
     track_xy: np.ndarray,
     d_o: float,
     mode: str = "first",
-) -> list[Track3D]:
-    """Attach 2D track IDs to 3D detections through a plan-distance gate.
+) -> np.ndarray:
+    """Track id per DETECTION row, through a plan-distance gate.
 
     "first" takes the first track, in row order, strictly inside d_o;
-    "nearest" the closest one inside the gate. Unmatched detections carry -1.
+    "nearest" the closest one inside the gate. Unmatched rows get -1.
     """
     if d_o <= 0:
         raise ValueError("d_o must be positive")
     track_ids = np.asarray(track_ids)
     track_xy = np.asarray(track_xy, dtype=float).reshape(-1, 2)
-    det_xy = project_to_2d(dets)[:, :2]
-    dist = np.hypot(
-        det_xy[:, None, 0] - track_xy[None, :, 0], det_xy[:, None, 1] - track_xy[None, :, 1]
-    )
+    box = dets["box"]
+    dist = plan_distances(np.column_stack([box["x"], box["y"]]), track_xy, d_o)
     inside = dist < d_o
     hit = inside.any(axis=1)
     chosen = np.full(len(dets), -1, dtype=np.int64)
     if hit.any():
         pick = np.argmax(inside[hit], axis=1) if mode == "first" else np.argmin(dist[hit], axis=1)
         chosen[hit] = track_ids[pick]
-    return [Track3D(box=d.box, cls=d.cls, id=int(i)) for d, i in zip(dets, chosen)]
+    return chosen
 
 
-def track_frame(tracker: Tracker2D, dets: list[Detection], t: float | None = None) -> list[Track3D]:
-    """One tracking step: project to 2D, associate, lift IDs back to 3D."""
+def track_frame(tracker: Tracker2D, dets: np.ndarray, t: float | None = None) -> np.ndarray:
+    """One tracking step: project to 2D, associate, lift IDs back to 3D.
+
+    Returns a copy of the DETECTION rows with `id` filled in.
+    """
     if t is not None:
         if tracker.last_t is not None and t <= tracker.last_t:
             raise ValueError(f"out-of-order timestamp {t} after {tracker.last_t}")
         tracker.last_t = t
     tracker.associate(project_to_2d(dets))
-    return lift_to_3d(dets, tracker.ids, tracker.mean[:, :2], tracker.config.d_o, tracker.config.lift)
+    out = dets.copy()
+    cfg = tracker.config
+    out["id"] = lift_to_3d(dets, tracker.ids, tracker.mean[:, :2], cfg.d_o, cfg.lift)
+    return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,18 +35,45 @@ class WireFormatError(ValueError):
     """Rejected frame bytes; the message names the offset and field."""
 
 
-def _f32(v: float) -> float:
-    return float(np.float32(v))
+def quantize_heading(theta):
+    """Degrees clockwise from north on the float32 grid the wire carries,
+    wrapped into [0, 360); a value that rounds up to 360 becomes 0."""
+    q = np.asarray(np.remainder(theta, 360.0), dtype=np.float32)
+    return np.where(q == np.float32(360.0), np.float32(0.0), q)
 
 
-@dataclass
-class PerceptionMessage:
-    """One georeferenced object record crossing the wire.
+def _finite_positive(v):
+    return (v > 0.0) & (v < np.inf)
 
-    Dims and heading are quantized to float32 on construction so encoded
-    frames round-trip field-exactly.
+
+# Every rule a record obeys, as (test over RECORD columns, reason template).
+# Construction, encoding and decoding all check records against this one list.
+_RULES = (
+    (lambda r: (r["lat"] >= -90.0) & (r["lat"] <= 90.0), "lat {lat} outside [-90, 90]"),
+    (lambda r: (r["lon"] > -180.0) & (r["lon"] <= 180.0), "lon {lon} outside (-180, 180]"),
+    (lambda r: (r["theta"] >= 0.0) & (r["theta"] < 360.0), "theta {theta} outside [0, 360)"),
+    (lambda r: _finite_positive(r["w"]) & _finite_positive(r["l"]) & _finite_positive(r["h"]),
+     "dims must be positive and finite"),
+    (lambda r: np.isfinite(r["t"]) & np.isfinite(r["alt"]), "t {t} and alt {alt} must be finite"),
+)
+
+
+def check_records(rec: np.ndarray, offset: int | None = None) -> None:
+    """Raise WireFormatError naming the first record that breaks a rule.
+
+    With `offset`, the byte where record 0 starts, the message also names
+    the byte where the bad record starts.
     """
+    ok = np.array([rule(rec) for rule, _ in _RULES])
+    if ok.all():
+        return
+    k = int(np.argmin(ok.all(axis=0)))
+    reason = _RULES[int(np.argmin(ok[:, k]))][1].format(**dict(zip(RECORD.names, rec[k].item())))
+    where = f"record {k}" if offset is None else f"record {k} at byte {offset + k * RECORD_BYTES}"
+    raise WireFormatError(f"{where}: {reason}")
 
+
+class _Fields(NamedTuple):
     t: float
     id: int
     lat: float
@@ -56,34 +84,27 @@ class PerceptionMessage:
     h: float
     theta: float  # degrees clockwise from north, [0, 360)
 
-    def __post_init__(self):
-        self.w = _f32(self.w)
-        self.l = _f32(self.l)
-        self.h = _f32(self.h)
-        theta = _f32(self.theta % 360.0)
-        self.theta = 0.0 if theta == 360.0 else theta
-        self.validate()
+
+class PerceptionMessage(_Fields):
+    """One georeferenced object record crossing the wire: the Python view of
+    one `RECORD` row.
+
+    Construction quantizes dims and heading to float32 and wraps the heading
+    into [0, 360), so encoded frames round-trip field-exactly, then checks
+    the record rules. `_make` builds a message from a row as it stands.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t, id, lat, lon, alt, w, l, h, theta):
+        if not -(2 ** 31) <= id < 2 ** 31:
+            raise WireFormatError(f"id {id} does not fit in i32")
+        rec = np.array([(t, id, lat, lon, alt, w, l, h, quantize_heading(theta))], RECORD)
+        check_records(rec)
+        return cls._make(rec.item())
 
     def validate(self):
-        if not -90.0 <= self.lat <= 90.0:
-            raise WireFormatError(f"lat {self.lat} outside [-90, 90]")
-        if not -180.0 < self.lon <= 180.0:
-            raise WireFormatError(f"lon {self.lon} outside (-180, 180]")
-        if not 0.0 <= self.theta < 360.0:
-            raise WireFormatError(f"theta {self.theta} outside [0, 360)")
-        if not (0.0 < self.w < math.inf and 0.0 < self.l < math.inf and 0.0 < self.h < math.inf):
-            raise WireFormatError("dims must be positive and finite")
-        if not (math.isfinite(self.t) and math.isfinite(self.alt)):
-            raise WireFormatError(f"t {self.t} and alt {self.alt} must be finite")
-        if not -(2 ** 31) <= self.id < 2 ** 31:
-            raise WireFormatError(f"id {self.id} does not fit in i32")
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.t, "id": self.id, "lat": self.lat, "lon": self.lon,
-            "alt": self.alt, "w": self.w, "l": self.l, "h": self.h,
-            "theta": self.theta,
-        }
+        check_records(np.array([self], RECORD))
 
 
 @dataclass
@@ -99,16 +120,14 @@ class PhaseStamps:
         return (self.t_sensor, self.t_edge_in, self.t_edge_out, self.t_onboard)
 
 
-def encode_frame(msgs: list[PerceptionMessage], stamps: PhaseStamps, t_frame: float = 0.0) -> bytes:
-    """Serialize one frame; refuses messages violating their invariants."""
-    for m in msgs:
-        m.validate()
+def encode_frame(msgs, stamps: PhaseStamps, t_frame: float = 0.0) -> bytes:
+    """Serialize one frame of messages, or of `RECORD` rows; refuses records
+    that break a rule."""
+    rec = np.asarray(msgs, RECORD)
+    check_records(rec)
     stamp_vals = [math.nan if s is None else s for s in stamps.as_tuple()]
-    meta = _FRAME_META.pack(t_frame, *stamp_vals, len(msgs))
-    records = np.array(
-        [(m.t, m.id, m.lat, m.lon, m.alt, m.w, m.l, m.h, m.theta) for m in msgs], dtype=RECORD
-    ).tobytes()
-    return _HEADER.pack(WIRE_MAGIC, len(meta) + len(records)) + meta + records
+    meta = _FRAME_META.pack(t_frame, *stamp_vals, len(rec))
+    return _HEADER.pack(WIRE_MAGIC, len(meta) + rec.nbytes) + meta + rec.tobytes()
 
 
 @dataclass
@@ -141,15 +160,9 @@ def decode_frame(data: bytes) -> DecodedFrame:
             f"record area mismatch at byte {off}: {count} records need "
             f"{expected} payload bytes, header says {payload_len}"
         )
-    msgs = []
-    for k, row in enumerate(np.frombuffer(data, dtype=RECORD, count=count, offset=off).tolist()):
-        try:
-            # Construction wraps theta into [0, 360); on the wire it must already be there.
-            if not 0.0 <= row[-1] < 360.0:
-                raise WireFormatError(f"theta {row[-1]} outside [0, 360)")
-            msgs.append(PerceptionMessage(*row))
-        except WireFormatError as e:
-            raise WireFormatError(f"record {k} at byte {off + k * RECORD_BYTES}: {e}") from None
+    rec = np.frombuffer(data, dtype=RECORD, count=count, offset=off)
+    check_records(rec, off)
+    msgs = list(map(PerceptionMessage._make, rec.tolist()))
     stamps = PhaseStamps(
         *(None if math.isnan(v) else v for v in (s0, s1, s2, s3))
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from roadeye.detect import DETECTION
 from roadeye.geometry import RigidTransform
 
 
@@ -17,6 +18,11 @@ def random_rigid(rng: np.random.Generator, t_scale: float = 100.0) -> RigidTrans
     return RigidTransform.from_rotation_translation(
         random_rotation(rng), rng.uniform(-t_scale, t_scale, 3)
     )
+
+
+def detections(rows) -> np.recarray:
+    """DETECTION rows from ((x, y, z, w, l, h, theta), cls, score, id) tuples."""
+    return np.array(list(rows), dtype=DETECTION).view(np.recarray)
 
 
 @pytest.fixture

@@ -7,9 +7,9 @@ import pytest
 from roadeye.detect import (
     CLUSTER_VEHICLE_FOOTPRINT,
     MIN_CLUSTER_EXTENT,
+    CLASSES,
     BoxResiduals,
     ClusterParams,
-    Detection,
     DetectorNoise,
     LossWeights,
     decode_box_residuals,
@@ -22,10 +22,13 @@ from roadeye.detect import (
     localization_loss,
     smooth_l1,
     total_loss,
+    truth_boxes,
     _voxel_components,
 )
 from roadeye.geometry import ObjectClass, OrientedBox3D, normalize_angle
 from roadeye.scene import AgentState, PointCloudFrame, ScenarioConfig, sample_point_cloud
+
+from conftest import detections
 
 VEHICLE_DIMS = (2.0, 4.5, 1.6)
 
@@ -41,10 +44,10 @@ def test_oracle_zero_noise_is_identity():
     dets = detect_oracle(agents, DetectorNoise(), seed=7)
     assert len(dets) == 2
     for det, agent in zip(dets, agents):
-        assert np.array_equal(det.box.center, agent.center)
-        assert det.box.dims == agent.dims
+        assert (det.box.x, det.box.y, det.box.z) == tuple(agent.center)
+        assert (det.box.w, det.box.l, det.box.h) == agent.dims
         assert det.box.theta == agent.heading
-        assert det.cls == agent.cls
+        assert CLASSES[det.cls] is agent.cls
         assert det.score == 1.0
 
 
@@ -54,7 +57,7 @@ def test_oracle_all_missed_returns_only_clutter():
     # Survivor boxes would sit exactly on agent centers; clutter never does.
     for det in dets:
         assert all(
-            not np.allclose(det.box.center, a.center) for a in agents
+            not np.allclose((det.box.x, det.box.y, det.box.z), a.center) for a in agents
         )
 
 
@@ -104,7 +107,7 @@ def test_cluster_two_separated_boxes():
 
 def test_cluster_empty_frame():
     frame = PointCloudFrame(t=0.0, points=np.empty((0, 4)))
-    assert detect_cluster(frame, ClusterParams()) == []
+    assert len(detect_cluster(frame, ClusterParams())) == 0
 
 
 def test_cluster_center_accuracy():
@@ -115,7 +118,7 @@ def test_cluster_center_accuracy():
     det = dets[0]
     err = math.hypot(det.box.x - 8.0, det.box.y - (-4.0))
     assert err <= 0.3
-    assert det.cls is ObjectClass.VEHICLE
+    assert CLASSES[det.cls] is ObjectClass.VEHICLE
 
 
 def test_cluster_output_invariants():
@@ -125,7 +128,7 @@ def test_cluster_output_invariants():
     ]
     frame = _surface_frame(agents)
     dets = detect_cluster(frame, ClusterParams(voxel=0.3, min_points=5, ground_z=-4.74))
-    assert dets
+    assert len(dets) > 0
     for det in dets:
         assert det.box.w > 0 and det.box.l > 0 and det.box.h > 0
         assert -math.pi < det.box.theta <= math.pi
@@ -137,14 +140,14 @@ def test_cluster_classifies_pedestrian_by_footprint():
     frame = _surface_frame([ped])
     dets = detect_cluster(frame, ClusterParams(voxel=0.2, min_points=10, ground_z=-4.74))
     assert len(dets) == 1
-    assert dets[0].cls is ObjectClass.PEDESTRIAN
+    assert CLASSES[dets[0].cls] is ObjectClass.PEDESTRIAN
 
 
 def _detect_cluster_reference(frame_h, params):
     """Per-label mask scan: the O(labels x points) form `detect_cluster` replaced."""
     pts = frame_h.xyz[frame_h.xyz[:, 2] > params.ground_z + 0.2]
     if len(pts) == 0:
-        return []
+        return detections([])
     labels = _voxel_components(np.floor(pts / params.voxel).astype(np.int64))
     dets = []
     for lbl in np.unique(labels):
@@ -168,8 +171,11 @@ def _detect_cluster_reference(frame_h, params):
             else ObjectClass.PEDESTRIAN
         )
         box = OrientedBox3D(*centroid, w, l, h, theta)
-        dets.append(Detection(box=box, cls=cls, score=min(1.0, len(member) / 100.0)))
-    return dets
+        dets.append((
+            (box.x, box.y, box.z, box.w, box.l, box.h, box.theta),
+            CLASSES.index(cls), min(1.0, len(member) / 100.0), -1,
+        ))
+    return detections(dets)
 
 
 def _scattered_frame(seed=801):
@@ -197,12 +203,11 @@ def test_cluster_matches_per_label_reference(min_points):
         min_points = int(sizes.max()) + 1
     params.min_points = min_points
     got = detect_cluster(frame, params)
-    # Exact equality: dataclass `==` compares every box field as a float,
-    # plus the class and the score.
-    assert got == _detect_cluster_reference(frame, params)
+    # Exact equality of every box field as a float, the class and the score.
+    assert got.tolist() == _detect_cluster_reference(frame, params).tolist()
     assert len(got) == np.count_nonzero(sizes >= min_points)
     if min_points > sizes.max():
-        assert got == []
+        assert len(got) == 0
 
 
 def test_cluster_all_ground_points_gives_nothing():
@@ -210,8 +215,8 @@ def test_cluster_all_ground_points_gives_nothing():
     xyz = rng.uniform([-30.0, -30.0, -4.9], [30.0, 30.0, -4.54], (2000, 3))
     frame = PointCloudFrame(t=0.0, points=np.column_stack([xyz, np.full(len(xyz), 0.5)]))
     params = ClusterParams(voxel=0.3, min_points=1, ground_z=-4.74)
-    assert detect_cluster(frame, params) == []
-    assert _detect_cluster_reference(frame, params) == []
+    assert len(detect_cluster(frame, params)) == 0
+    assert len(_detect_cluster_reference(frame, params)) == 0
 
 
 # --- residual encoding ------------------------------------------------------

@@ -16,13 +16,11 @@ from roadeye.geoloc import (
     geodetic_latitude,
     geodetic_to_ecef,
     georeference_tracks,
-    lidar_to_ecef,
     load_gcp_file,
 )
-from roadeye.geometry import ObjectClass, OrientedBox3D, RigidTransform
-from roadeye.track import Track3D
+from roadeye.geometry import RigidTransform
 
-from conftest import random_rigid
+from conftest import detections, random_rigid
 
 SEMI_MINOR = WGS84.R * (1.0 - WGS84.f)
 
@@ -34,30 +32,6 @@ def test_wgs84_eccentricity_identity():
     assert abs(w.e2 - (1.0 - (1.0 - w.f) ** 2)) <= 1e-15
     custom = Wgs84Params(R=6378137.0, f=1.0 / 300.0)
     assert abs(custom.e2 - (1.0 - (1.0 - custom.f) ** 2)) <= 1e-15
-
-
-# --- lidar -> ECEF ----------------------------------------------------------
-
-def test_lidar_to_ecef_identity_transforms():
-    out = lidar_to_ecef([1.0, 2.0, 3.0], RigidTransform.identity(), RigidTransform.identity())
-    assert (out.X, out.Y, out.Z) == (1.0, 2.0, 3.0)
-
-
-def test_lidar_to_ecef_pure_translation():
-    t = RigidTransform.from_translation([10.0, -5.0, 2.0])
-    out = lidar_to_ecef([1.0, 2.0, 3.0], RigidTransform.identity(), t)
-    assert np.allclose([out.X, out.Y, out.Z], [11.0, -3.0, 5.0])
-
-
-def test_lidar_to_ecef_matches_matrix_chain(rng):
-    for _ in range(100):
-        p_cali = random_rigid(rng, t_scale=10)
-        p_ecef = random_rigid(rng, t_scale=100)
-        p = rng.uniform(-50, 50, 3)
-        out = lidar_to_ecef(p, p_cali, p_ecef)
-        hom = np.append(p, 1.0)
-        expected = (p_ecef.matrix @ np.linalg.inv(p_cali.matrix) @ hom)[:3]
-        assert np.allclose([out.X, out.Y, out.Z], expected, atol=1e-9)
 
 
 # --- ECEF <-> geodetic ------------------------------------------------------
@@ -213,28 +187,29 @@ def test_gcp_file_bad_field_count(tmp_path):
 # --- georeferencing ---------------------------------------------------------
 
 def _track(x, y, z, theta=0.0, tid=1):
-    return Track3D(
-        box=OrientedBox3D(x, y, z, 2.0, 4.5, 1.6, theta), cls=ObjectClass.VEHICLE, id=tid
-    )
+    """One tracked DETECTION row."""
+    return detections([((x, y, z, 2.0, 4.5, 1.6, theta), 0, 1.0, tid)])
 
 
 def test_georeference_trivial_composition():
     p_ecef = RigidTransform.from_translation([WGS84.R, 0.0, 0.0])
-    msgs = georeference_tracks([_track(0.0, 0.0, 0.0)], p_ecef, t=2.5)
+    msgs = georeference_tracks(_track(0.0, 0.0, 0.0), p_ecef, t=2.5)
     assert len(msgs) == 1
     m = msgs[0]
-    assert m.lat == pytest.approx(0.0, abs=1e-9)
-    assert m.lon == pytest.approx(0.0, abs=1e-9)
-    assert m.alt == pytest.approx(0.0, abs=1e-6)
-    assert m.t == 2.5
-    assert m.id == 1
+    assert m["lat"] == pytest.approx(0.0, abs=1e-9)
+    assert m["lon"] == pytest.approx(0.0, abs=1e-9)
+    assert m["alt"] == pytest.approx(0.0, abs=1e-6)
+    assert m["t"] == 2.5
+    assert m["id"] == 1
 
 
 def test_georeference_preserves_ids_and_order(rng):
     p_ecef = enu_to_ecef_transform(GeodeticPos(40.0, -105.0, 1600.0))
-    tracks = [_track(rng.uniform(-40, 40), rng.uniform(-40, 40), 0.8, tid=k) for k in range(12)]
+    tracks = np.concatenate(
+        [_track(rng.uniform(-40, 40), rng.uniform(-40, 40), 0.8, tid=k) for k in range(12)]
+    )
     msgs = georeference_tracks(tracks, p_ecef)
-    assert [m.id for m in msgs] == list(range(12))
+    assert msgs["id"].tolist() == list(range(12))
 
 
 def test_georeference_matches_composed_calls(rng):
@@ -245,24 +220,27 @@ def test_georeference_matches_composed_calls(rng):
         )
         track = _track(rng.uniform(-40, 40), rng.uniform(-40, 40), rng.uniform(-2, 2),
                        theta=rng.uniform(-3, 3))
-        msgs = georeference_tracks([track], p_ecef @ p_cali.inverse(), t=1.0)
-        ecef = lidar_to_ecef(track.box.center, p_cali, p_ecef)
-        g = ecef_to_geodetic(ecef)
-        assert msgs[0].lat == pytest.approx(g.lat, abs=1e-12)
-        assert msgs[0].lon == pytest.approx(g.lon, abs=1e-12)
-        assert msgs[0].alt == pytest.approx(g.alt, abs=1e-9)
+        msgs = georeference_tracks(track, p_ecef @ p_cali.inverse(), t=1.0)
+        box = track[0].box
+        # Oracle: the two transforms applied one after the other, then the
+        # scalar geodetic conversion.
+        ecef = p_ecef.apply_point(p_cali.inverse().apply_point([box.x, box.y, box.z]))
+        g = ecef_to_geodetic(EcefPos(*ecef))
+        assert msgs[0]["lat"] == pytest.approx(g.lat, abs=1e-12)
+        assert msgs[0]["lon"] == pytest.approx(g.lon, abs=1e-12)
+        assert msgs[0]["alt"] == pytest.approx(g.alt, abs=1e-9)
         yaw = (p_ecef @ p_cali.inverse()).yaw
-        expected_heading = (90.0 - math.degrees(track.box.theta + yaw)) % 360.0
-        assert float(msgs[0].theta) == pytest.approx(expected_heading, abs=1e-3)
+        expected_heading = (90.0 - math.degrees(box.theta + yaw)) % 360.0
+        assert float(msgs[0]["theta"]) == pytest.approx(expected_heading, abs=1e-3)
 
 
 def test_georeference_heading_convention():
     # Identity-yaw chain: heading east (theta 0) -> compass 90 degrees.
     p_ecef = RigidTransform.from_translation([WGS84.R, 0.0, 0.0])
-    msgs = georeference_tracks([_track(0.0, 0.0, 0.0, theta=0.0)], p_ecef)
-    assert float(msgs[0].theta) == pytest.approx(90.0)
-    msgs = georeference_tracks([_track(0.0, 0.0, 0.0, theta=math.pi / 2)], p_ecef)
-    assert float(msgs[0].theta) == pytest.approx(0.0)
+    msgs = georeference_tracks(_track(0.0, 0.0, 0.0, theta=0.0), p_ecef)
+    assert float(msgs[0]["theta"]) == pytest.approx(90.0)
+    msgs = georeference_tracks(_track(0.0, 0.0, 0.0, theta=math.pi / 2), p_ecef)
+    assert float(msgs[0]["theta"]) == pytest.approx(0.0)
 
 
 def test_enu_transform_is_rigid_and_centered():

@@ -10,7 +10,7 @@ from roadeye.geometry import (
     normalize_angle,
     rotation_about_z,
     rotation_aligning,
-    transform_box,
+    wrap_angles,
 )
 
 from conftest import random_rigid
@@ -96,10 +96,13 @@ def test_rotation_aligning_degenerate_cases():
     assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_transform_box_translates_center_and_adds_yaw():
-    box = OrientedBox3D(1, 2, 3, 2, 4, 1.5, 0.3)
-    t = RigidTransform.from_rotation_translation(rotation_about_z(0.5), [1, 1, -2])
-    out = transform_box(box, t)
-    assert np.allclose(out.center, t.apply_point(box.center))
-    assert out.theta == pytest.approx(normalize_angle(0.3 + 0.5))
-    assert out.dims == box.dims
+def test_wrap_angles_matches_normalize_angle(rng):
+    # Within |theta| <= 3 pi, where the pipeline uses it: heading plus yaw plus noise.
+    theta = np.concatenate([
+        rng.uniform(-3 * math.pi, 3 * math.pi, 10000),
+        [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi, -3 * math.pi,
+         np.nextafter(math.pi, 4.0), np.nextafter(-math.pi, -4.0)],
+    ])
+    got = wrap_angles(theta)
+    assert got.tolist() == [normalize_angle(t) for t in theta.tolist()]
+    assert np.all((got > -math.pi) & (got <= math.pi))

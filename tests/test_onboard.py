@@ -9,9 +9,9 @@ from roadeye.onboard import (
     DegenerateMapError,
     EgoSimulator,
     EgoState,
+    ICON,
     IconKind,
     RenderFrame,
-    RenderIcon,
     build_pixel_map,
     classify_by_size,
     emit_render,
@@ -114,8 +114,11 @@ def test_colinear_points_stay_colinear(rng):
 # --- classification ----------------------------------------------------------
 
 def test_classify_canonical_shapes():
-    assert classify_by_size(0.6, 0.6, 1.7) is IconKind.PEDESTRIAN
-    assert classify_by_size(1.9, 4.6, 1.6) is IconKind.VEHICLE
+    assert classify_by_size(0.6, 0.6, 1.7) == IconKind.PEDESTRIAN
+    assert classify_by_size(1.9, 4.6, 1.6) == IconKind.VEHICLE
+    # Columns classify row by row.
+    kinds = classify_by_size([0.6, 1.9], [0.6, 4.6], [1.7, 1.6])
+    assert kinds.tolist() == [IconKind.PEDESTRIAN, IconKind.VEHICLE]
 
 
 def test_classify_boundary_sweep():
@@ -125,18 +128,20 @@ def test_classify_boundary_sweep():
             expected = (
                 IconKind.PEDESTRIAN if max(w, 0.9) < 1.2 and h < 2.2 else IconKind.VEHICLE
             )
-            assert got is expected
+            assert got == expected
 
 
 def test_classify_rejects_nonpositive():
     with pytest.raises(ValueError):
         classify_by_size(0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        classify_by_size([1.0, 1.0], [1.0, 1.0], [1.0, -1.0])
 
 
 def test_classify_is_pure(rng):
     for _ in range(50):
         dims = tuple(rng.uniform(0.3, 5.0, 3))
-        assert classify_by_size(*dims) is classify_by_size(*dims)
+        assert classify_by_size(*dims) == classify_by_size(*dims)
 
 
 # --- reconstruction ----------------------------------------------------------
@@ -144,7 +149,7 @@ def test_classify_is_pure(rng):
 def test_empty_messages_give_ego_only():
     frame = reconstruct_frame([], _ego(), _map())
     assert len(frame.icons) == 1
-    assert frame.icons[0].kind is IconKind.EGO
+    assert frame.icons[0].kind == IconKind.EGO
 
 
 def test_vehicle_north_of_ego():
@@ -152,7 +157,7 @@ def test_vehicle_north_of_ego():
     frame = reconstruct_frame([_msg(0.0, 20.0)], _ego(), m)
     assert len(frame.icons) == 2
     icon = frame.icons[1]
-    assert icon.kind is IconKind.VEHICLE
+    assert icon.kind == IconKind.VEHICLE
     u, v = gps_to_pixel(m, offset_geodetic(ORIGIN, 0.0, 20.0))
     assert math.hypot(icon.px[0] - u, icon.px[1] - v) <= 1e-9
     # North of ego: smaller v (up on screen).
@@ -197,19 +202,23 @@ def test_icon_bookkeeping_identity(rng):
 
 def test_pedestrian_message_classified():
     frame = reconstruct_frame([_msg(5.0, 5.0, w=0.6, l=0.6, h=1.7)], _ego(), _map())
-    assert frame.icons[1].kind is IconKind.PEDESTRIAN
+    assert frame.icons[1].kind == IconKind.PEDESTRIAN
 
 
 # --- emission ----------------------------------------------------------------
 
+def _icons(*rows):
+    return np.array(list(rows), dtype=ICON).view(np.recarray)
+
+
 def _fixed_frame():
     return RenderFrame(
         t=1.5,
-        icons=[
-            RenderIcon(IconKind.EGO, (400.0, 420.0), 0.0, (1.9, 4.6)),
-            RenderIcon(IconKind.VEHICLE, (300.0, 350.0), 90.0, (2.0, 4.5), id=7),
-            RenderIcon(IconKind.PEDESTRIAN, (500.0, 300.0), 180.0, (0.6, 0.6), id=12),
-        ],
+        icons=_icons(
+            (IconKind.EGO, (400.0, 420.0), 0.0, (1.9, 4.6), -1),
+            (IconKind.VEHICLE, (300.0, 350.0), 90.0, (2.0, 4.5), 7),
+            (IconKind.PEDESTRIAN, (500.0, 300.0), 180.0, (0.6, 0.6), 12),
+        ),
         size=(800.0, 800.0),
     )
 
@@ -238,10 +247,10 @@ def test_render_frame_rejects_two_egos():
     with pytest.raises(ValueError):
         RenderFrame(
             t=0.0,
-            icons=[
-                RenderIcon(IconKind.EGO, (0.0, 0.0), 0.0, (1.9, 4.6)),
-                RenderIcon(IconKind.EGO, (1.0, 1.0), 0.0, (1.9, 4.6)),
-            ],
+            icons=_icons(
+                (IconKind.EGO, (0.0, 0.0), 0.0, (1.9, 4.6), -1),
+                (IconKind.EGO, (1.0, 1.0), 0.0, (1.9, 4.6), -1),
+            ),
         )
 
 

@@ -54,16 +54,19 @@ def test_oracle_clutter_lies_inside_the_geofence(monkeypatch):
     track_frame = pipeline_mod.track_frame
 
     def recording_track_frame(tracker, dets, t):
-        seen.extend(dets)
+        seen.append(dets)
         return track_frame(tracker, dets, t)
 
     monkeypatch.setattr(pipeline_mod, "track_frame", recording_track_frame)
     pipeline = EdgePipeline(cfg)
     for agents, frame in scenario_frames(cfg.scenario()):
         pipeline.process(frame, agents)
+    seen = np.concatenate(seen)
+    box = seen["box"]
     # Clutter scores are uniform in [0, 1); every agent detection scores 1.
-    clutter = np.array([d.box.center for d in seen if d.score < 1.0])
-    agent_bottoms = [d.box.z - d.box.h / 2 for d in seen if d.score == 1.0]
+    centers = np.column_stack([box["x"], box["y"], box["z"]])
+    clutter = centers[seen["score"] < 1.0]
+    agent_bottoms = (box["z"] - box["h"] / 2)[seen["score"] == 1.0].tolist()
     assert len(clutter) > 200 and agent_bottoms
     assert cfg.geofence_bounds().contains(clutter).all()
     assert agent_bottoms == pytest.approx([-cfg["scene.mount_height"]] * len(agent_bottoms))

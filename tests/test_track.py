@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from roadeye.detect import Detection, DetectorNoise, detect_oracle
-from roadeye.geometry import ObjectClass, OrientedBox3D
+from roadeye.detect import CLASSES, DetectorNoise, detect_oracle
+from roadeye.geometry import ObjectClass
 from roadeye.scene import AgentSpec, ScenarioConfig, step_scenario
 from roadeye.track import (
     Box2D,
@@ -16,13 +16,16 @@ from roadeye.track import (
     track_frame,
 )
 
+from conftest import detections
+
 VEHICLE_DIMS = (2.0, 4.5, 1.6)
 PED_DIMS = (0.6, 0.6, 1.7)
 
 
 def _det(x, y, w=2.0, l=4.5, cls=ObjectClass.VEHICLE):
+    """One DETECTION row tuple."""
     h = 1.6 if cls is ObjectClass.VEHICLE else 1.7
-    return Detection(box=OrientedBox3D(x, y, h / 2, w, l, h, 0.0), cls=cls, score=1.0)
+    return ((x, y, h / 2, w, l, h, 0.0), CLASSES.index(cls), 1.0, -1)
 
 
 # --- projection -------------------------------------------------------------
@@ -32,18 +35,17 @@ def _boxes(*rows):
 
 
 def test_project_empty():
-    assert project_to_2d([]).shape == (0, 4)
+    assert project_to_2d(detections([])).shape == (0, 4)
 
 
 def test_project_drops_3d_fields():
-    det = Detection(box=OrientedBox3D(1, 2, 3, 2, 4, 1.5, 0.3), cls=ObjectClass.VEHICLE, score=1.0)
-    out = project_to_2d([det])
+    out = project_to_2d(detections([((1, 2, 3, 2, 4, 1.5, 0.3), 0, 1.0, -1)]))
     assert out.tolist() == [[1.0, 2.0, 2.0, 4.0]]
 
 
 def test_project_fieldwise(rng):
-    dets = [_det(rng.uniform(-50, 50), rng.uniform(-50, 50),
-                 w=rng.uniform(1.5, 2.6), l=rng.uniform(3.5, 12.0)) for _ in range(64)]
+    dets = detections(_det(rng.uniform(-50, 50), rng.uniform(-50, 50),
+                           w=rng.uniform(1.5, 2.6), l=rng.uniform(3.5, 12.0)) for _ in range(64))
     out = project_to_2d(dets)
     assert out.shape == (len(dets), 4)
     for d, b in zip(dets, out):
@@ -141,26 +143,26 @@ def test_covariance_stays_psd(rng):
 # --- lift -------------------------------------------------------------------
 
 def test_lift_inside_gate():
-    out = lift_to_3d([_det(0.0, 0.0)], [7], [[0.5, 0.0]], d_o=2.0)
-    assert out[0].id == 7
+    out = lift_to_3d(detections([_det(0.0, 0.0)]), [7], [[0.5, 0.0]], d_o=2.0)
+    assert out.tolist() == [7]
 
 
 def test_lift_outside_gate_gives_sentinel():
-    out = lift_to_3d([_det(0.0, 0.0)], [7], [[3.0, 0.0]], d_o=2.0)
-    assert out[0].id == -1
+    out = lift_to_3d(detections([_det(0.0, 0.0)]), [7], [[3.0, 0.0]], d_o=2.0)
+    assert out.tolist() == [-1]
 
 
 def test_lift_first_vs_nearest():
     ids, xy = [1, 2], [[1.5, 0.0], [0.2, 0.0]]
-    first = lift_to_3d([_det(0.0, 0.0)], ids, xy, d_o=2.0, mode="first")
-    nearest = lift_to_3d([_det(0.0, 0.0)], ids, xy, d_o=2.0, mode="nearest")
-    assert first[0].id == 1
-    assert nearest[0].id == 2
+    first = lift_to_3d(detections([_det(0.0, 0.0)]), ids, xy, d_o=2.0, mode="first")
+    nearest = lift_to_3d(detections([_det(0.0, 0.0)]), ids, xy, d_o=2.0, mode="nearest")
+    assert first.tolist() == [1]
+    assert nearest.tolist() == [2]
 
 
 def test_lift_matches_bruteforce_scan(rng):
     for _ in range(25):
-        dets = [_det(*rng.uniform(-20, 20, 2)) for _ in range(20)]
+        dets = detections(_det(*rng.uniform(-20, 20, 2)) for _ in range(20))
         ids = rng.permutation(100)[:20]
         xy = rng.uniform(-20, 20, (20, 2))
         first = lift_to_3d(dets, ids, xy, d_o=3.0)
@@ -173,18 +175,22 @@ def test_lift_matches_bruteforce_scan(rng):
                     expected_first = tid
                 if dist < 3.0 and dist < best:
                     expected_nearest, best = tid, dist
-            assert lifted.id == expected_first
-            assert closest.id == expected_nearest
-            assert lifted.box == det.box and lifted.cls is det.cls
+            assert lifted == expected_first
+            assert closest == expected_nearest
 
 
 def test_lift_preserves_cardinality_and_payload(rng):
-    dets = [_det(*rng.uniform(-20, 20, 2)) for _ in range(9)]
+    dets = detections(_det(*rng.uniform(-20, 20, 2)) for _ in range(9))
     for mode in ("first", "nearest"):
         out = lift_to_3d(dets, np.empty(0, dtype=int), np.empty((0, 2)), d_o=2.0, mode=mode)
-        assert len(out) == len(dets)
-        assert all(tr.id == -1 for tr in out)
-    assert lift_to_3d([], [3], [[0.0, 0.0]], d_o=2.0) == []
+        assert out.tolist() == [-1] * len(dets)
+    assert lift_to_3d(detections([]), [3], [[0.0, 0.0]], d_o=2.0).tolist() == []
+    # A tracking step fills in the id column and leaves every other field as it was.
+    tracked = track_frame(Tracker2D(TrackerConfig()), dets, 0.0)
+    payload = ["box", "cls", "score"]
+    assert tracked[payload].tolist() == dets[payload].tolist()
+    assert (tracked.id >= 0).all()
+    assert dets.id.tolist() == [-1] * len(dets)
 
 
 # --- batched filter ---------------------------------------------------------
@@ -274,10 +280,10 @@ def test_scripted_run_zero_id_switches():
 
 def test_no_detection_frame_increments_ages():
     tracker = Tracker2D(TrackerConfig())
-    track_frame(tracker, [_det(0.0, 0.0)], 0.0)
+    track_frame(tracker, detections([_det(0.0, 0.0)]), 0.0)
     before = tracker.misses[0]
-    out = track_frame(tracker, [], 0.1)
-    assert out == []
+    out = track_frame(tracker, detections([]), 0.1)
+    assert len(out) == 0
     assert tracker.misses[0] == before + 1
 
 
@@ -321,9 +327,9 @@ def test_distinct_ids_for_separated_detections():
 
 def test_out_of_order_timestamp_rejected():
     tracker = Tracker2D(TrackerConfig())
-    track_frame(tracker, [_det(0.0, 0.0)], 1.0)
+    track_frame(tracker, detections([_det(0.0, 0.0)]), 1.0)
     with pytest.raises(ValueError, match="out-of-order"):
-        track_frame(tracker, [_det(0.0, 0.0)], 0.5)
+        track_frame(tracker, detections([_det(0.0, 0.0)]), 0.5)
 
 
 def test_tracker_config_validation():

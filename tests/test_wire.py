@@ -129,8 +129,7 @@ def test_record_count_mismatch_rejected():
 
 
 def test_encode_refuses_invalid_message(rng):
-    msg = _msg(rng)
-    msg.lat = 123.0  # mutate past construction-time validation
+    msg = _msg(rng)._replace(lat=123.0)  # a row built past construction-time checks
     with pytest.raises(WireFormatError, match="lat"):
         encode_frame([msg], _stamps())
 
