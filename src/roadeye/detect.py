@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ObjectClass, OrientedBox3D, normalize_angle
+from .geometry import ObjectClass, OrientedBox3D, normalize_angle, wrap_angles
 from .preproc import GeofenceBounds
 from .scene import AgentState
 
@@ -122,19 +122,22 @@ def truth_boxes(agents: list[AgentState]) -> np.recarray:
     return np.array(rows, dtype=DETECTION).view(np.recarray)
 
 
-def _clutter_box(rng: np.random.Generator, bounds: GeofenceBounds) -> tuple:
-    w = rng.uniform(0.4, 2.6)
-    l = rng.uniform(0.4, 12.0)
-    h = rng.uniform(1.3, 4.5)
-    box = (
-        rng.uniform(bounds.x_min, bounds.x_max),
-        rng.uniform(bounds.y_min, bounds.y_max),
-        rng.uniform(bounds.z_min, bounds.z_max),
-        w, l, h,
-        normalize_angle(rng.uniform(-math.pi, math.pi)),
-    )
-    cls = 0 if max(w, l) >= CLUSTER_VEHICLE_FOOTPRINT else 1
-    return (box, cls, float(rng.uniform(0.0, 1.0)), -1)
+def _clutter(rng: np.random.Generator, bounds: GeofenceBounds, n: int) -> np.recarray:
+    """n clutter boxes inside `bounds`: the bottom is drawn, not the centre,
+    so each box lies between the geofence floor and ceiling."""
+    out = np.recarray(n, DETECTION)
+    box = out["box"]
+    box["w"] = rng.uniform(0.4, 2.6, n)
+    box["l"] = rng.uniform(0.4, 12.0, n)
+    box["h"] = np.minimum(rng.uniform(1.3, 4.5, n), bounds.z_max - bounds.z_min)
+    box["x"] = rng.uniform(bounds.x_min, bounds.x_max, n)
+    box["y"] = rng.uniform(bounds.y_min, bounds.y_max, n)
+    box["z"] = rng.uniform(bounds.z_min, bounds.z_max - box["h"]) + box["h"] / 2.0
+    box["theta"] = wrap_angles(rng.uniform(-math.pi, math.pi, n))
+    out["cls"] = _footprint_class(box)
+    out["score"] = rng.uniform(0.0, 1.0, n)
+    out["id"] = -1
+    return out
 
 
 def detect_oracle(
@@ -146,31 +149,30 @@ def detect_oracle(
     """Ground-truth detector: drop, perturb, and add Poisson clutter.
 
     `truth` is a list of agents or their `truth_boxes` rows. Boxes come out
-    in the frame of `truth`; clutter centres are drawn inside `bounds`,
-    which must be given in that same frame. Deterministic under `seed`.
-    With all-zero noise the survivors equal the truth boxes exactly.
+    in the frame of `truth`, survivors first and in order; clutter lies
+    inside `bounds`, which must be given in that same frame. Deterministic
+    under `seed`. With all-zero noise the survivors equal the truth boxes
+    exactly.
     """
     rng = np.random.default_rng(seed)
     if bounds is None:
         bounds = GeofenceBounds()
     if not isinstance(truth, np.ndarray):
         truth = truth_boxes(truth)
-    rows = []
-    for (x, y, z, w, l, h, theta), cls in zip(truth["box"].tolist(), truth["cls"].tolist()):
-        if noise.p_miss > 0 and rng.random() < noise.p_miss:
-            continue
-        c = np.array([x, y, z])
-        dims = np.array([w, l, h])
-        if noise.sigma_pos > 0:
-            c = c + rng.normal(0.0, noise.sigma_pos, 3)
-        if noise.sigma_dim > 0:
-            dims = np.maximum(dims + rng.normal(0.0, noise.sigma_dim, 3), MIN_CLUSTER_EXTENT)
-        if noise.sigma_theta > 0:
-            theta = theta + rng.normal(0.0, noise.sigma_theta)
-        rows.append(((*c.tolist(), *dims.tolist(), normalize_angle(theta)), cls, 1.0, -1))
-    for _ in range(int(rng.poisson(noise.fp_rate))):
-        rows.append(_clutter_box(rng, bounds))
-    return np.array(rows, dtype=DETECTION).view(np.recarray)
+    dets = truth[rng.random(len(truth)) >= noise.p_miss] if noise.p_miss > 0 else truth.copy()
+    box = dets["box"]
+    if noise.sigma_pos > 0:
+        for name, offset in zip("xyz", rng.normal(0.0, noise.sigma_pos, (len(dets), 3)).T):
+            box[name] += offset
+    if noise.sigma_dim > 0:
+        for name, offset in zip("wlh", rng.normal(0.0, noise.sigma_dim, (len(dets), 3)).T):
+            box[name] = np.maximum(box[name] + offset, MIN_CLUSTER_EXTENT)
+    if noise.sigma_theta > 0:
+        box["theta"] = wrap_angles(box["theta"] + rng.normal(0.0, noise.sigma_theta, len(dets)))
+    dets["score"] = 1.0
+    dets["id"] = -1
+    clutter = _clutter(rng, bounds, int(rng.poisson(noise.fp_rate)))
+    return np.concatenate([dets, clutter]).view(np.recarray)
 
 
 def _voxel_components(vox: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from roadeye.detect import (
     _voxel_components,
 )
 from roadeye.geometry import ObjectClass, OrientedBox3D, normalize_angle
+from roadeye.preproc import GeofenceBounds
 from roadeye.scene import AgentState, PointCloudFrame, ScenarioConfig, sample_point_cloud
 
 from conftest import detections
@@ -39,16 +40,61 @@ def _agent(x=0.0, y=0.0, cls=ObjectClass.VEHICLE, dims=VEHICLE_DIMS, heading=0.0
 
 # --- oracle backend ---------------------------------------------------------
 
-def test_oracle_zero_noise_is_identity():
+def test_oracle_zero_noise_is_identity(rng):
     agents = [_agent(3.0, -2.0, heading=0.4), _agent(10.0, 5.0, heading=-1.0)]
+    agents += [
+        _agent(*rng.uniform(-40, 40, 2), heading=rng.uniform(-math.pi, math.pi))
+        for _ in range(40)
+    ]
     dets = detect_oracle(agents, DetectorNoise(), seed=7)
-    assert len(dets) == 2
+    assert len(dets) == len(agents)
     for det, agent in zip(dets, agents):
         assert (det.box.x, det.box.y, det.box.z) == tuple(agent.center)
         assert (det.box.w, det.box.l, det.box.h) == agent.dims
         assert det.box.theta == agent.heading
         assert CLASSES[det.cls] is agent.cls
-        assert det.score == 1.0
+        assert det.score == 1.0 and det.id == -1
+    # The truth-box form gives the same rows.
+    assert detect_oracle(truth_boxes(agents), DetectorNoise(), seed=7).tolist() == dets.tolist()
+
+
+def test_oracle_noise_statistics():
+    # 200 agents 10 m apart on a line, so each survivor names its agent.
+    agents = [_agent(10.0 * k - 1000.0, 0.0) for k in range(200)]
+    truth = np.array([a.center for a in agents])
+    noise = DetectorNoise(sigma_pos=0.1, p_miss=0.2, fp_rate=3.0)
+    offsets, survivors, clutter = [], 0, []
+    for seed in range(100):
+        dets = detect_oracle(agents, noise, seed=seed)
+        kept = dets[dets.score == 1.0]
+        centers = np.column_stack([kept.box.x, kept.box.y, kept.box.z])
+        k = np.round((centers[:, 0] + 1000.0) / 10.0).astype(int)
+        assert np.all(np.diff(k) > 0)  # survivors keep the agent order
+        offsets.append(centers - truth[k])
+        survivors += len(kept)
+        clutter.append(len(dets) - len(kept))
+        assert (kept.box.w == 2.0).all() and (kept.box.theta == 0.0).all()
+    offsets = np.concatenate(offsets)
+    # Bounds at about five standard errors for these sample sizes.
+    assert abs(1.0 - survivors / (100 * 200) - 0.2) <= 0.015
+    assert np.all(np.abs(offsets.std(axis=0) - 0.1) <= 0.004)
+    assert np.all(np.abs(offsets.mean(axis=0)) <= 0.004)
+    assert abs(np.mean(clutter) - 3.0) <= 0.9
+
+
+def test_oracle_clutter_lies_between_geofence_floor_and_ceiling():
+    bounds = GeofenceBounds(z_min=-5.0, z_max=0.0)
+    boxes = [
+        d.box
+        for seed in range(20)
+        for d in detect_oracle([], DetectorNoise(fp_rate=50.0), seed=seed, bounds=bounds)
+    ]
+    assert len(boxes) > 500
+    bottoms = np.array([b.z - b.h / 2 for b in boxes])
+    tops = np.array([b.z + b.h / 2 for b in boxes])
+    centers = np.array([(b.x, b.y, b.z) for b in boxes])
+    assert bottoms.min() >= bounds.z_min - 1e-9 and tops.max() <= bounds.z_max + 1e-9
+    assert bounds.contains(centers).all()
 
 
 def test_oracle_all_missed_returns_only_clutter():

@@ -7,7 +7,8 @@ sort), the simulate digests before the frame and ground-truth writers shared
 one container writer; any refactor of the edge chain or of the file formats
 must keep them. `noisy_oracle_crowd` was re-recorded when the oracle's
 clutter moved from under the road into the geofence, which changes the
-altitude of every clutter message.
+altitude of every clutter message, and again when the oracle drew its miss,
+noise and clutter as arrays, which changes the random stream behind them.
 """
 
 import hashlib
@@ -56,7 +57,7 @@ def _stream_sha256(overrides: dict) -> str:
                 "scene": {"duration": 4.0, "points_per_agent": 50, "agents": _crowd_agents(40)},
                 "detector": {"oracle": {"sigma_pos": 0.1, "p_miss": 0.05, "fp_rate": 2.0}},
             },
-            "3404ca8c27c21630825c33290c0e619bb6e9ff7c09a9268cd586ccc86e95fb55",
+            "6063945c27e737868386fcf39c3b78e534371b7e3c765c2ba46a8d4a26d0525f",
             id="noisy_oracle_crowd",
         ),
         pytest.param(
