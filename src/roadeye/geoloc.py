@@ -1,9 +1,11 @@
 """Geodetic conversion of tracked boxes: sensor frame -> ECEF -> lat/lon/alt.
 
 The ECEF-to-geodetic direction runs the iterated reduced-latitude scheme
-(Bowring); the forward closed form is kept alongside as its test oracle.
-The sensor-to-ECEF transform comes either from ground-control-point
-correspondences or from a surveyed sensor location.
+(Bowring): per point to convergence in `ecef_to_geodetic`, the oracle, and
+a fixed number of steps over whole arrays in `ecef_to_geodetic_points`,
+which georeferencing uses. The forward closed form is kept alongside as
+their test oracle. The sensor-to-ECEF transform comes either from
+ground-control-point correspondences or from a surveyed sensor location.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ from .wire import RECORD, quantize_heading
 
 BOWRING_TOL = 1e-12  # rad
 BOWRING_MAX_ITER = 10
+# Latitude evaluations of the array form: from the reduced-latitude start the
+# iteration converges cubically, and three steps agree with the converged
+# scalar to ~1e-14 deg and ~2e-9 m from -100 m to 9 km altitude.
+BOWRING_STEPS = 3
 POLAR_S_EPS = 1e-9  # m, below this X-Y radius the longitude is undefined
 
 
@@ -116,6 +122,31 @@ def ecef_to_geodetic(p: EcefPos, wgs: Wgs84Params = WGS84) -> GeodeticPos:
     return GeodeticPos(lat=math.degrees(phi), lon=math.degrees(lon), alt=alt)
 
 
+def ecef_to_geodetic_points(xyz: np.ndarray, wgs: Wgs84Params = WGS84):
+    """(lat deg, lon deg, alt m) arrays for (n, 3) ECEF points: the scalar
+    conversion's rules, with BOWRING_STEPS latitude evaluations per point."""
+    x, y, z = np.asarray(xyz, dtype=float).reshape(-1, 3).T
+    if np.any(x * x + y * y + z * z < 1.0):
+        raise ValueError("point within 1 m of Earth's center")
+    f, e2, r = wgs.f, wgs.e2, wgs.R
+    s = np.hypot(x, y)
+    beta = np.arctan2(z, (1.0 - f) * s)
+    for _ in range(BOWRING_STEPS):
+        phi = np.arctan2(
+            z + e2 * (1.0 - f) / (1.0 - e2) * r * np.sin(beta) ** 3,
+            s - e2 * r * np.cos(beta) ** 3,
+        )
+        beta = np.arctan2((1.0 - f) * np.sin(phi), np.cos(phi))
+    sin_phi = np.sin(phi)
+    n = r / np.sqrt(1.0 - e2 * sin_phi ** 2)
+    alt = s * np.cos(phi) + (z + e2 * n * sin_phi) * sin_phi - n
+    polar = s < POLAR_S_EPS
+    lat = np.where(polar, np.copysign(90.0, z), np.degrees(phi))
+    lon = np.where(polar, 0.0, np.degrees(np.arctan2(y, x)))
+    alt = np.where(polar, np.abs(z) - r * (1.0 - f), alt)
+    return lat, lon, alt
+
+
 def geodetic_to_ecef(g: GeodeticPos, wgs: Wgs84Params = WGS84) -> EcefPos:
     """Closed-form forward transform (oracle for the iterative inverse)."""
     phi = math.radians(g.lat)
@@ -209,13 +240,8 @@ def georeference_tracks(
     out = np.empty(len(tracks), RECORD)
     out["t"] = t
     out["id"] = tracks["id"]
-    geo = [
-        ecef_to_geodetic(EcefPos(*h_to_ecef.apply_point(c)), wgs)
-        for c in np.column_stack([box["x"], box["y"], box["z"]])
-    ]
-    out["lat"] = [g.lat for g in geo]
-    out["lon"] = [g.lon for g in geo]
-    out["alt"] = [g.alt for g in geo]
+    ecef = h_to_ecef.apply_points(np.column_stack([box["x"], box["y"], box["z"]]))
+    out["lat"], out["lon"], out["alt"] = ecef_to_geodetic_points(ecef, wgs)
     for name in ("w", "l", "h"):
         out[name] = box[name]
     out["theta"] = quantize_heading(90.0 - np.degrees(box["theta"] + h_to_ecef.yaw))

@@ -11,6 +11,7 @@ from roadeye.geoloc import (
     WGS84,
     Wgs84Params,
     ecef_to_geodetic,
+    ecef_to_geodetic_points,
     enu_to_ecef_transform,
     estimate_ecef_transform,
     geodetic_latitude,
@@ -70,11 +71,35 @@ def test_polar_axis_point():
     g = ecef_to_geodetic(EcefPos(0.0, 0.0, -SEMI_MINOR - 50.0))
     assert g.lat == -90.0
     assert g.alt == pytest.approx(50.0, abs=1e-9)
+    # The array form takes the same polar branch, point by point.
+    polar = [(0.0, 0.0, SEMI_MINOR), (0.0, 0.0, -SEMI_MINOR - 50.0), (1e-10, -1e-10, 7.0e6)]
+    lat, lon, alt = ecef_to_geodetic_points(np.array(polar + [(WGS84.R, 0.0, 0.0)]))
+    for k, p in enumerate(polar):
+        g = ecef_to_geodetic(EcefPos(*p))
+        assert (lat[k], lon[k], alt[k]) == (g.lat, g.lon, g.alt)
+    assert (lat[3], lon[3]) == (0.0, 0.0)
 
 
 def test_near_center_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="within 1 m of Earth's center"):
         ecef_to_geodetic(EcefPos(0.1, 0.2, 0.3))
+    # One such point rejects the whole array.
+    with pytest.raises(ValueError, match="within 1 m of Earth's center"):
+        ecef_to_geodetic_points(np.array([[WGS84.R, 0.0, 0.0], [0.1, 0.2, 0.3]]))
+
+
+def test_array_form_matches_scalar_oracle():
+    # Acceptance criterion 2's domain and sample size.
+    rng = np.random.default_rng(20240811)
+    lat = rng.uniform(-89.9, 89.9, 10000)
+    lon = rng.uniform(-180.0, 180.0, 10000)
+    alt = rng.uniform(-100.0, 9000.0, 10000)
+    ecef = [geodetic_to_ecef(GeodeticPos(*g)) for g in zip(lat, lon, alt)]
+    got = ecef_to_geodetic_points(np.array([(e.X, e.Y, e.Z) for e in ecef]))
+    oracle = [ecef_to_geodetic(e) for e in ecef]
+    assert np.max(np.abs(got[0] - [g.lat for g in oracle])) <= 1e-12
+    assert np.max(np.abs(got[1] - [g.lon for g in oracle])) <= 1e-12
+    assert np.max(np.abs(got[2] - [g.alt for g in oracle])) <= 1e-6
 
 
 def test_forward_equator_and_pole():

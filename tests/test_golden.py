@@ -9,6 +9,9 @@ must keep them. `noisy_oracle_crowd` was re-recorded when the oracle's
 clutter moved from under the road into the geofence, which changes the
 altitude of every clutter message, and again when the oracle drew its miss,
 noise and clutter as arrays, which changes the random stream behind them.
+All three were re-recorded when georeferencing moved to the fixed-step array
+Bowring iteration: every decoded field is unchanged except lat, lon and alt,
+which move by at most 1.5e-14 deg and 1.9e-9 m.
 """
 
 import hashlib
@@ -57,12 +60,12 @@ def _stream_sha256(overrides: dict) -> str:
                 "scene": {"duration": 4.0, "points_per_agent": 50, "agents": _crowd_agents(40)},
                 "detector": {"oracle": {"sigma_pos": 0.1, "p_miss": 0.05, "fp_rate": 2.0}},
             },
-            "6063945c27e737868386fcf39c3b78e534371b7e3c765c2ba46a8d4a26d0525f",
+            "a4d7efc9aa74615343a4a8d173760b6531a450405a8108a58ce4260956a39ab1",
             id="noisy_oracle_crowd",
         ),
         pytest.param(
             {"detector": {"backend": "cluster"}},
-            "9297a4fa1f54ee9953e6dc474e2a50232388386e93a9681e99e08ab875edb4c6",
+            "15d137ecfafbead8e5b91a9ed68777fe453d96b628310beeca4707d7076b0f92",
             id="default_cluster",
         ),
         pytest.param(
@@ -71,7 +74,7 @@ def _stream_sha256(overrides: dict) -> str:
                 "scene": {"duration": 4.0, "agents": _crowd_agents(40)},
                 "detector": {"backend": "cluster"},
             },
-            "a746454b9c165763c5dfdffedc1bdc6fbc0006fc65fc158294da05dc2d2b10a7",
+            "91df297aebdc52c4e2d772808b11fff1b74a22b67abd83569b4691dcac4f3883",
             id="cluster_crowd",
         ),
     ],
