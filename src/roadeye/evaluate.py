@@ -8,17 +8,12 @@ stamps taken on one clock.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import OrientedBox3D
+from .geometry import OrientedBox3D, plan_distances
 from .wire import PhaseStamps
-
-if TYPE_CHECKING:
-    from .detect import Detection
 
 DEFAULT_MATCH_THRESHOLD = 2.0  # m, plan-view center distance
 
@@ -61,32 +56,31 @@ class MetricReport:
 
 def match_detections(
     gt: list[OrientedBox3D],
-    dets: list[Detection],
+    dets,
     dist_threshold: float = DEFAULT_MATCH_THRESHOLD,
 ) -> ConfusionCounts:
     """Greedy one-to-one matching by ascending plan-view center distance.
 
-    Pairs within the threshold count as TP; leftover detections are FP and
-    leftover ground truth FN. TN stays 0: nothing proposes negatives.
+    `dets` holds anything with `box.x` and `box.y`: `Detection`s or
+    DETECTION rows. Pairs within the threshold are taken in ascending
+    (distance, gt index, detection index) order and count as TP; leftover
+    detections are FP and leftover ground truth FN. TN stays 0: nothing
+    proposes negatives.
     """
     if dist_threshold <= 0:
         raise ValueError("dist_threshold must be positive")
-    pairs = []
-    for i, g in enumerate(gt):
-        for j, d in enumerate(dets):
-            dist = math.hypot(g.x - d.box.x, g.y - d.box.y)
-            if dist <= dist_threshold:
-                pairs.append((dist, i, j))
-    pairs.sort()
+    gt_xy = np.array([(g.x, g.y) for g in gt], dtype=float).reshape(-1, 2)
+    det_xy = np.array([(d.box.x, d.box.y) for d in dets], dtype=float).reshape(-1, 2)
+    dist = plan_distances(gt_xy, det_xy, dist_threshold)
+    i, j = np.nonzero(dist <= dist_threshold)
+    order = np.lexsort((j, i, dist[i, j]))
     used_gt, used_det = set(), set()
-    tp = 0
-    for _, i, j in pairs:
-        if i in used_gt or j in used_det:
-            continue
-        used_gt.add(i)
-        used_det.add(j)
-        tp += 1
-    return ConfusionCounts(tp=tp, fp=len(dets) - tp, fn=len(gt) - tp)
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if a not in used_gt and b not in used_det:
+            used_gt.add(a)
+            used_det.add(b)
+    tp = len(used_gt)
+    return ConfusionCounts(tp=tp, fp=len(det_xy) - tp, fn=len(gt_xy) - tp)
 
 
 def count_id_switches(frames) -> int:

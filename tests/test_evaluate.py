@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from roadeye.detect import Detection
@@ -71,6 +72,47 @@ def _bruteforce_max_matching(gt, dets, threshold):
                 if ok:
                     return k
     return best
+
+
+def _pair_list_counts(gt, dets, threshold):
+    """The O(n*m) Python pair list `match_detections` replaced: every pair
+    within the threshold, sorted by (distance, gt index, detection index),
+    taken greedily."""
+    pairs = []
+    for i, g in enumerate(gt):
+        for j, d in enumerate(dets):
+            dist = math.hypot(g.x - d.box.x, g.y - d.box.y)
+            if dist <= threshold:
+                pairs.append((dist, i, j))
+    pairs.sort()
+    used_gt, used_det = set(), set()
+    for _, i, j in pairs:
+        if i not in used_gt and j not in used_det:
+            used_gt.add(i)
+            used_det.add(j)
+    tp = len(used_gt)
+    return (tp, len(dets) - tp, len(gt) - tp)
+
+
+def test_counts_equal_pair_list_reference(rng):
+    for trial in range(300):
+        n_gt = 0 if trial % 10 == 0 else int(rng.integers(0, 40))
+        n_det = 0 if trial % 10 == 5 else int(rng.integers(0, 40))
+        # Half the scenes sit on a 0.5 m grid, where equal distances tie and
+        # pairs land exactly on the 2 m threshold.
+        step = 0.5 if trial % 2 else None
+        def xy():
+            p = rng.uniform(-15, 15, 2)
+            return np.round(p / step) * step if step else p
+        gt = [_box(*xy()) for _ in range(n_gt)]
+        dets = [_det(*xy()) for _ in range(n_det)]
+        c = match_detections(gt, dets, 2.0)
+        assert (c.tp, c.fp, c.fn) == _pair_list_counts(gt, dets, 2.0)
+    # Three detections tie at 1 m from one truth box: the lowest index wins.
+    gt = [_box(0, 0), _box(0, 3)]
+    dets = [_det(1, 0), _det(0, 1), _det(-1, 0)]
+    c = match_detections(gt, dets, 2.0)
+    assert (c.tp, c.fp, c.fn) == _pair_list_counts(gt, dets, 2.0) == (2, 1, 0)
 
 
 def test_greedy_matches_exhaustive_on_small_instances(rng):
