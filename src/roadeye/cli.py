@@ -15,6 +15,8 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import onboard as onboard_mod
 from .config import ConfigError, PipelineConfig, load_config
 from .evaluate import (
@@ -25,9 +27,9 @@ from .evaluate import (
     latency_report,
     match_detections,
 )
-from .detect import Detection
+from .detect import DETECTION
 from .geoloc import geodetic_to_ecef, GeodeticPos, enu_to_ecef_transform
-from .geometry import ObjectClass, OrientedBox3D
+from .geometry import ObjectClass
 from .pipeline import EdgePipeline, PipelineStageError
 from .relay import connect_publisher, connect_subscriber, relay_serve
 from .scene import (
@@ -176,15 +178,12 @@ def cmd_onboard(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
-def _messages_to_world_detections(msgs, inv_transform) -> list[Detection]:
-    """Map decoded messages back to world-frame boxes for evaluation."""
-    dets = []
-    for m in msgs:
-        p = inv_transform.apply_point(
-            geodetic_to_ecef(GeodeticPos(lat=m.lat, lon=m.lon, alt=m.alt)).as_array()
-        )
-        box = OrientedBox3D(p[0], p[1], p[2], m.w, m.l, m.h, 0.0)
-        dets.append(Detection(box=box, cls=ObjectClass.VEHICLE, score=1.0))
+def _messages_to_world_detections(msgs, inv_transform) -> np.recarray:
+    """Decoded messages mapped back to world-frame DETECTION rows for
+    evaluation; only the box centres are filled in, all matching reads."""
+    ecef = [geodetic_to_ecef(GeodeticPos(m.lat, m.lon, m.alt)).as_array() for m in msgs]
+    dets = np.zeros(len(msgs), DETECTION).view(np.recarray)
+    dets.box.x, dets.box.y, dets.box.z = inv_transform.apply_points(np.reshape(ecef, (-1, 3))).T
     return dets
 
 
@@ -233,8 +232,6 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_bench(cfg: PipelineConfig, args) -> int:
-    import numpy as np
-
     from .scene import AgentSpec, ScenarioConfig
 
     # Dense synthetic load: a ring of circulating vehicles over a ground
@@ -265,7 +262,11 @@ def cmd_bench(cfg: PipelineConfig, args) -> int:
 
     bench_cfg = PipelineConfig(data=copy.deepcopy(cfg.data))
     bench_cfg.data["detector"]["backend"] = "cluster"
-    pipeline = EdgePipeline(bench_cfg, wall_stamps=True)
+    # Frame 0 pays the lazy scipy import and the ground calibration once per
+    # run: process it untimed, then time every frame on that calibration.
+    warm = EdgePipeline(bench_cfg)
+    warm.process(frames[0])
+    pipeline = EdgePipeline(bench_cfg, p_cali=warm.p_cali, wall_stamps=True)
     stamps_out, stage_seconds = [], {}
     for frame in frames:
         result = pipeline.process(frame)

@@ -447,3 +447,22 @@ def test_cluster_backend_end_to_end(tmp_path):
     # Clustered surface points of clean synthetic boxes track ground truth.
     assert data["recall"] >= 0.9
     assert data["precision"] >= 0.9
+
+
+def test_bench_times_no_set_up(tmp_path, monkeypatch):
+    # A ground calibration that takes 0.3 s must not reach any timed stage.
+    from roadeye import pipeline as pipeline_mod
+
+    calibrate = pipeline_mod.estimate_ground_calibration
+
+    def slow_calibration(*args):
+        time.sleep(0.3)
+        return calibrate(*args)
+
+    monkeypatch.setattr(pipeline_mod, "estimate_ground_calibration", slow_calibration)
+    report = tmp_path / "bench.json"
+    assert main(["bench", "--frames", "6", "--points", "3000", "--json", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["frames"] == 6
+    assert data["stage_preprocess_p95_ms"] < 100.0
+    assert data["phase2_p95_ms"] < 100.0
