@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ObjectClass, OrientedBox3D, normalize_angle, wrap_angles
+from .geometry import CLASSES, ObjectClass, OrientedBox3D, normalize_angle, wrap_angles
 from .preproc import GeofenceBounds
 from .scene import AgentState
 
@@ -26,7 +26,6 @@ MIN_CLUSTER_EXTENT = 0.05  # m, keeps degenerate clusters within box invariants
 # as an index into CLASSES, the score, and the track id (-1 until tracked).
 BOX = np.dtype([(name, "<f8") for name in ("x", "y", "z", "w", "l", "h", "theta")])
 DETECTION = np.dtype([("box", BOX), ("cls", "u1"), ("score", "<f8"), ("id", "<i8")])
-CLASSES = (ObjectClass.VEHICLE, ObjectClass.PEDESTRIAN)
 
 
 def _footprint_class(box) -> np.ndarray:
@@ -37,8 +36,7 @@ def _footprint_class(box) -> np.ndarray:
 
 @dataclass
 class Detection:
-    """One scored box, as evaluation takes it; the pipeline carries
-    `DETECTION` rows instead."""
+    """One scored box as an object; the pipeline carries `DETECTION` rows."""
 
     box: OrientedBox3D
     cls: ObjectClass
@@ -169,8 +167,6 @@ def detect_oracle(
             box[name] = np.maximum(box[name] + offset, MIN_CLUSTER_EXTENT)
     if noise.sigma_theta > 0:
         box["theta"] = wrap_angles(box["theta"] + rng.normal(0.0, noise.sigma_theta, len(dets)))
-    dets["score"] = 1.0
-    dets["id"] = -1
     clutter = _clutter(rng, bounds, int(rng.poisson(noise.fp_rate)))
     return np.concatenate([dets, clutter]).view(np.recarray)
 

@@ -19,6 +19,10 @@ class ObjectClass(enum.Enum):
     PEDESTRIAN = "pedestrian"
 
 
+# The integer code of a class, in record arrays and files, is its index here.
+CLASSES = (ObjectClass.VEHICLE, ObjectClass.PEDESTRIAN)
+
+
 def normalize_angle(theta: float) -> float:
     """Wrap an angle in radians into (-pi, pi]."""
     r = math.remainder(theta, TWO_PI)
@@ -35,12 +39,9 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
 
 
 def plan_distances(a_xy: np.ndarray, b_xy: np.ndarray, reach: float) -> np.ndarray:
-    """(len(a), len(b)) plan-view distances from `np.hypot`, for the pairs
-    whose x and y offsets both lie within `reach`; inf for every other pair.
-
-    hypot is the costly part and never falls below either offset, so a
-    caller gating at `reach` or below sees exactly what a full matrix gives.
-    """
+    """(len(a), len(b)) plan-view `np.hypot` distances where both offsets lie
+    within `reach`, inf elsewhere. hypot, the costly part, is never below
+    either offset, so a gate at `reach` or below sees what a full matrix gives."""
     dx = a_xy[:, None, 0] - b_xy[None, :, 0]
     dy = a_xy[:, None, 1] - b_xy[None, :, 1]
     near = (np.abs(dx) <= reach) & (np.abs(dy) <= reach)
@@ -73,10 +74,6 @@ class OrientedBox3D:
     @property
     def center(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
-
-    @property
-    def dims(self) -> tuple[float, float, float]:
-        return (self.w, self.l, self.h)
 
     @property
     def footprint_diagonal(self) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class EgoState:
 @dataclass
 class RenderFrame:
     t: float
-    icons: np.recarray = field(default_factory=lambda: np.recarray(0, ICON))  # ICON rows
+    icons: np.recarray  # ICON rows
     size: tuple[float, float] = (800.0, 800.0)
 
     def __post_init__(self):
@@ -74,16 +74,15 @@ class RenderFrame:
             raise ValueError("at most one ego icon per frame")
 
 
-def _en_offsets(origin: GeodeticPos, lat, lon, radius: float = WGS84.R):
-    """East/north meters of (lat, lon), scalars or arrays, equirectangular about origin."""
-    d_east = radius * math.cos(math.radians(origin.lat)) * np.radians(lon - origin.lon)
-    d_north = radius * np.radians(lat - origin.lat)
+def local_en_offset(origin: GeodeticPos, g, radius: float = WGS84.R):
+    """East/north meters of g relative to origin, equirectangular about origin.
+
+    `g` is a GeodeticPos, or anything with `lat` and `lon` arrays, such as
+    RECORD rows viewed as a recarray; the offsets are then arrays too.
+    """
+    d_east = radius * math.cos(math.radians(origin.lat)) * np.radians(g.lon - origin.lon)
+    d_north = radius * np.radians(g.lat - origin.lat)
     return d_east, d_north
-
-
-def local_en_offset(origin: GeodeticPos, g: GeodeticPos, radius: float = WGS84.R) -> tuple[float, float]:
-    """East/north meters of g relative to origin, equirectangular about origin."""
-    return _en_offsets(origin, g.lat, g.lon, radius)
 
 
 def offset_geodetic(origin: GeodeticPos, east: float, north: float) -> GeodeticPos:
@@ -119,23 +118,18 @@ def build_pixel_map(
     )
 
 
-def _pixels(pixel_map: PixelMap, lat, lon):
-    """Affine application of the transfer ratios about reference point A."""
-    d_east, d_north = _en_offsets(pixel_map.ref_a_gps, lat, lon)
+def gps_to_pixel(pixel_map: PixelMap, g):
+    """Affine application of the transfer ratios about reference point A;
+    `g` as for local_en_offset."""
+    d_east, d_north = local_en_offset(pixel_map.ref_a_gps, g)
     u = pixel_map.ref_a_px[0] + d_east / pixel_map.meters_per_pixel_x
     v = pixel_map.ref_a_px[1] + d_north / pixel_map.meters_per_pixel_y
     return u, v
 
 
-def gps_to_pixel(pixel_map: PixelMap, g: GeodeticPos) -> tuple[float, float]:
-    """Screen pixel (u, v) of one geodetic position."""
-    return _pixels(pixel_map, g.lat, g.lon)
-
-
 def classify_by_size(w, l, h) -> np.ndarray:
     """IconKind code per box: pedestrian iff the footprint stays under 1.2 m
     and height under 2.2 m, vehicle otherwise."""
-    w, l, h = np.asarray(w), np.asarray(l), np.asarray(h)
     if not np.all((w > 0) & (l > 0) & (h > 0)):
         raise ValueError("dims must be positive")
     pedestrian = (np.maximum(w, l) < PEDESTRIAN_MAX_FOOTPRINT) & (h < PEDESTRIAN_MAX_HEIGHT)
@@ -148,9 +142,9 @@ def reconstruct_frame(msgs, ego: EgoState, pixel_map: PixelMap) -> RenderFrame:
     Records within the ego-suppression radius are treated as the roadside's
     echo of the ego vehicle; icons landing outside the viewport are dropped.
     """
-    rec = np.asarray(msgs, RECORD)
-    d_east, d_north = _en_offsets(ego.gps, rec["lat"], rec["lon"])
-    u, v = _pixels(pixel_map, rec["lat"], rec["lon"])
+    rec = np.asarray(msgs, RECORD).view(np.recarray)
+    d_east, d_north = local_en_offset(ego.gps, rec)
+    u, v = gps_to_pixel(pixel_map, rec)
     keep = np.hypot(d_east, d_north) > EGO_SUPPRESS_RADIUS
     if pixel_map.viewport is not None:
         width, height = pixel_map.viewport
@@ -159,13 +153,13 @@ def reconstruct_frame(msgs, ego: EgoState, pixel_map: PixelMap) -> RenderFrame:
     icons = np.recarray(1 + len(shown), ICON)
     icons[0] = (IconKind.EGO, gps_to_pixel(pixel_map, ego.gps), ego.heading, EGO_ICON_DIMS, -1)
     rest = icons[1:]
-    rest.kind = classify_by_size(shown["w"], shown["l"], shown["h"])
+    rest.kind = classify_by_size(shown.w, shown.l, shown.h)
     rest.px = np.column_stack([u[keep], v[keep]])
-    rest.heading_deg = shown["theta"]
-    rest.dims_m = np.column_stack([shown["w"], shown["l"]])
-    rest.id = shown["id"]
+    rest.heading_deg = shown.theta
+    rest.dims_m = np.column_stack([shown.w, shown.l])
+    rest.id = shown.id
     size = pixel_map.viewport if pixel_map.viewport is not None else (800.0, 800.0)
-    return RenderFrame(t=float(rec["t"][0]) if len(rec) else ego.t, icons=icons, size=size)
+    return RenderFrame(t=float(rec.t[0]) if len(rec) else ego.t, icons=icons, size=size)
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +174,20 @@ _ICON_FILL = {
 PX_PER_M = 8.0
 
 
+# (along, across) signs of the four rectangle corners, in drawing order.
+_CORNERS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)])
+
+
 def _rect_corners(icons: np.recarray) -> np.ndarray:
     """(n, 8) pixel corners u0, v0, ..., u3, v3 of each icon's rectangle."""
-    half_w = icons.dims_m[:, 0] / 2.0 * PX_PER_M
-    half_l = icons.dims_m[:, 1] / 2.0 * PX_PER_M
+    along = icons.dims_m[:, 1, None] / 2.0 * PX_PER_M * _CORNERS[:, 0]
+    across = icons.dims_m[:, 0, None] / 2.0 * PX_PER_M * _CORNERS[:, 1]
     # Screen heading: 0 deg points up (north), clockwise positive.
-    a = np.radians(icons.heading_deg)
+    a = np.radians(icons.heading_deg)[:, None]
     fx, fy = np.sin(a), -np.cos(a)  # forward in pixel axes (v grows down)
-    rx, ry = -fy, fx
-    u, v = icons.px[:, 0], icons.px[:, 1]
-    return np.column_stack([
-        u + fx * half_l + rx * half_w, v + fy * half_l + ry * half_w,
-        u + fx * half_l - rx * half_w, v + fy * half_l - ry * half_w,
-        u - fx * half_l - rx * half_w, v - fy * half_l - ry * half_w,
-        u - fx * half_l + rx * half_w, v - fy * half_l + ry * half_w,
-    ])
+    u = icons.px[:, 0, None] + fx * along - fy * across
+    v = icons.px[:, 1, None] + fy * along + fx * across
+    return np.stack([u, v], axis=2).reshape(len(icons), 8)
 
 
 def render_svg(frame: RenderFrame) -> str:

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ObjectClass, OrientedBox3D, RigidTransform, normalize_angle, rotation_about_z
+from .geometry import CLASSES, ObjectClass, OrientedBox3D, RigidTransform, normalize_angle
+from .geometry import rotation_about_z
 
 AREA_HALF_EXTENT = 51.2  # m, half side of the surveillance square
 
@@ -201,16 +202,6 @@ def sample_box_surface(box: OrientedBox3D, n: int, rng: np.random.Generator) -> 
     return local @ rotation_about_z(box.theta).T + box.center
 
 
-def surface_distance(box: OrientedBox3D, pts: np.ndarray) -> np.ndarray:
-    """Distance of points to the box surface (0 when exactly on it)."""
-    local = (np.asarray(pts, dtype=float) - box.center) @ rotation_about_z(box.theta)
-    half = np.array([box.l / 2.0, box.w / 2.0, box.h / 2.0])
-    q = np.abs(local) - half
-    outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
-    inside = np.abs(np.max(np.minimum(q, 0.0), axis=1))
-    return np.where(np.all(q <= 0, axis=1), inside, outside)
-
-
 def _agent_point_count(base: int, range_m: float, attenuate: bool = True) -> int:
     if not attenuate:
         return base
@@ -335,7 +326,7 @@ def read_frames(path) -> list[PointCloudFrame]:
 
 def _gt_records(fr: GroundTruthFrame) -> np.ndarray:
     rows = [
-        (a.agent_id, 0 if a.cls is ObjectClass.VEHICLE else 1, *a.center, *a.dims, a.heading, a.speed)
+        (a.agent_id, CLASSES.index(a.cls), *a.center, *a.dims, a.heading, a.speed)
         for a in fr.agents
     ]
     return np.array(rows, dtype=_GT_RECORD)
@@ -348,8 +339,7 @@ def write_ground_truth(frames: list[GroundTruthFrame], path) -> None:
 def read_ground_truth(path) -> list[GroundTruthFrame]:
     return [
         GroundTruthFrame(t=t, agents=[
-            AgentState(aid, ObjectClass.VEHICLE if code == 0 else ObjectClass.PEDESTRIAN,
-                       np.array([x, y, z]), (w, l, h), heading, speed)
+            AgentState(aid, CLASSES[code], np.array([x, y, z]), (w, l, h), heading, speed)
             for aid, code, x, y, z, w, l, h, heading, speed in recs.tolist()
         ])
         for t, recs in _read_container(path, GROUND_TRUTH_MAGIC, _GT_RECORD)

@@ -182,8 +182,7 @@ def lift_to_3d(
         raise ValueError("d_o must be positive")
     track_ids = np.asarray(track_ids)
     track_xy = np.asarray(track_xy, dtype=float).reshape(-1, 2)
-    box = dets["box"]
-    dist = plan_distances(np.column_stack([box["x"], box["y"]]), track_xy, d_o)
+    dist = plan_distances(project_to_2d(dets), track_xy, d_o)
     inside = dist < d_o
     hit = inside.any(axis=1)
     chosen = np.full(len(dets), -1, dtype=np.int64)
@@ -194,10 +193,8 @@ def lift_to_3d(
 
 
 def track_frame(tracker: Tracker2D, dets: np.ndarray, t: float | None = None) -> np.ndarray:
-    """One tracking step: project to 2D, associate, lift IDs back to 3D.
-
-    Returns a copy of the DETECTION rows with `id` filled in.
-    """
+    """One tracking step: project to 2D, associate, lift IDs back to 3D;
+    returns a copy of the DETECTION rows with `id` filled in."""
     if t is not None:
         if tracker.last_t is not None and t <= tracker.last_t:
             raise ValueError(f"out-of-order timestamp {t} after {tracker.last_t}")

@@ -11,16 +11,14 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 WIRE_MAGIC = b"CMM1"
 _HEADER = struct.Struct("<4sI")
 _FRAME_META = struct.Struct("<d4dI")
-# Named and ordered as the `PerceptionMessage` fields: a decoded row is its
-# argument list.
 RECORD = np.dtype([
     ("t", "<f8"), ("id", "<i4"), ("lat", "<f8"), ("lon", "<f8"), ("alt", "<f8"),
     ("w", "<f4"), ("l", "<f4"), ("h", "<f4"), ("theta", "<f4"),
@@ -42,28 +40,21 @@ def quantize_heading(theta):
     return np.where(q == np.float32(360.0), np.float32(0.0), q)
 
 
-def _finite_positive(v):
-    return (v > 0.0) & (v < np.inf)
-
-
 # Every rule a record obeys, as (test over RECORD columns, reason template).
 # Construction, encoding and decoding all check records against this one list.
 _RULES = (
     (lambda r: (r["lat"] >= -90.0) & (r["lat"] <= 90.0), "lat {lat} outside [-90, 90]"),
     (lambda r: (r["lon"] > -180.0) & (r["lon"] <= 180.0), "lon {lon} outside (-180, 180]"),
     (lambda r: (r["theta"] >= 0.0) & (r["theta"] < 360.0), "theta {theta} outside [0, 360)"),
-    (lambda r: _finite_positive(r["w"]) & _finite_positive(r["l"]) & _finite_positive(r["h"]),
+    (lambda r: np.all([(r[k] > 0.0) & (r[k] < np.inf) for k in "wlh"], axis=0),
      "dims must be positive and finite"),
     (lambda r: np.isfinite(r["t"]) & np.isfinite(r["alt"]), "t {t} and alt {alt} must be finite"),
 )
 
 
 def check_records(rec: np.ndarray, offset: int | None = None) -> None:
-    """Raise WireFormatError naming the first record that breaks a rule.
-
-    With `offset`, the byte where record 0 starts, the message also names
-    the byte where the bad record starts.
-    """
+    """Raise WireFormatError naming the first record that breaks a rule, and
+    with `offset`, where record 0 starts, the byte where that record starts."""
     ok = np.array([rule(rec) for rule, _ in _RULES])
     if ok.all():
         return
@@ -73,21 +64,10 @@ def check_records(rec: np.ndarray, offset: int | None = None) -> None:
     raise WireFormatError(f"{where}: {reason}")
 
 
-class _Fields(NamedTuple):
-    t: float
-    id: int
-    lat: float
-    lon: float
-    alt: float
-    w: float
-    l: float
-    h: float
-    theta: float  # degrees clockwise from north, [0, 360)
-
-
-class PerceptionMessage(_Fields):
+class PerceptionMessage(namedtuple("PerceptionMessage", RECORD.names)):
     """One georeferenced object record crossing the wire: the Python view of
-    one `RECORD` row.
+    one `RECORD` row, its fields named and ordered as the dtype's. Heading
+    `theta` is in degrees clockwise from north, [0, 360).
 
     Construction quantizes dims and heading to float32 and wraps the heading
     into [0, 360), so encoded frames round-trip field-exactly, then checks

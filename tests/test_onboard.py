@@ -117,7 +117,7 @@ def test_classify_canonical_shapes():
     assert classify_by_size(0.6, 0.6, 1.7) == IconKind.PEDESTRIAN
     assert classify_by_size(1.9, 4.6, 1.6) == IconKind.VEHICLE
     # Columns classify row by row.
-    kinds = classify_by_size([0.6, 1.9], [0.6, 4.6], [1.7, 1.6])
+    kinds = classify_by_size(np.array([0.6, 1.9]), np.array([0.6, 4.6]), np.array([1.7, 1.6]))
     assert kinds.tolist() == [IconKind.PEDESTRIAN, IconKind.VEHICLE]
 
 
@@ -135,7 +135,7 @@ def test_classify_rejects_nonpositive():
     with pytest.raises(ValueError):
         classify_by_size(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
-        classify_by_size([1.0, 1.0], [1.0, 1.0], [1.0, -1.0])
+        classify_by_size(np.ones(2), np.ones(2), np.array([1.0, -1.0]))
 
 
 def test_classify_is_pure(rng):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from roadeye.geometry import ObjectClass, OrientedBox3D
+from roadeye.geometry import ObjectClass, OrientedBox3D, rotation_about_z
 from roadeye.scene import (
     AgentSpec,
     AgentState,
@@ -19,7 +19,6 @@ from roadeye.scene import (
     sample_box_surface,
     sample_point_cloud,
     step_scenario,
-    surface_distance,
     write_frames,
     write_ground_truth,
 )
@@ -128,11 +127,21 @@ def test_route_outside_square_rejected():
         AgentSpec(cls=ObjectClass.VEHICLE, route=[[0.0, 0.0], [60.0, 0.0]], speed=1.0)
 
 
+def _surface_distance(box: OrientedBox3D, pts: np.ndarray) -> np.ndarray:
+    """Distance of points to the box surface (0 when exactly on it)."""
+    local = (np.asarray(pts, dtype=float) - box.center) @ rotation_about_z(box.theta)
+    half = np.array([box.l / 2.0, box.w / 2.0, box.h / 2.0])
+    q = np.abs(local) - half
+    outside = np.linalg.norm(np.maximum(q, 0.0), axis=1)
+    inside = np.abs(np.max(np.minimum(q, 0.0), axis=1))
+    return np.where(np.all(q <= 0, axis=1), inside, outside)
+
+
 def test_surface_points_on_box():
     rng = np.random.default_rng(5)
     box = OrientedBox3D(3.0, -2.0, 0.8, 2.0, 4.5, 1.6, 0.7)
     pts = sample_box_surface(box, 2000, rng)
-    assert np.max(surface_distance(box, pts)) <= 1e-9
+    assert np.max(_surface_distance(box, pts)) <= 1e-9
 
 
 def test_empty_frame_without_agents_or_ground():
