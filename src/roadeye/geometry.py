@@ -40,13 +40,19 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
 
 def plan_distances(a_xy: np.ndarray, b_xy: np.ndarray, reach: float) -> np.ndarray:
     """(len(a), len(b)) plan-view `np.hypot` distances where both offsets lie
-    within `reach`, inf elsewhere. hypot, the costly part, is never below
-    either offset, so a gate at `reach` or below sees what a full matrix gives."""
-    dx = a_xy[:, None, 0] - b_xy[None, :, 0]
-    dy = a_xy[:, None, 1] - b_xy[None, :, 1]
+    within `reach`, inf elsewhere: a gate at `reach` or below sees what a full
+    matrix gives. Candidates come from an x-window search over b sorted by x."""
+    order = np.argsort(b_xy[:, 0])
+    b_x = b_xy[order, 0]
+    pad = 1.001 * reach + 1e-6  # the window ends may round; the exact test follows
+    lo = np.searchsorted(b_x, a_xy[:, 0] - pad)
+    counts = np.searchsorted(b_x, a_xy[:, 0] + pad, "right") - lo
+    i = np.repeat(np.arange(len(a_xy)), counts)
+    j = order[np.arange(len(i)) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
+    dx, dy = a_xy[i, 0] - b_xy[j, 0], a_xy[i, 1] - b_xy[j, 1]
     near = (np.abs(dx) <= reach) & (np.abs(dy) <= reach)
-    dist = np.full(dx.shape, np.inf)
-    dist[near] = np.hypot(dx[near], dy[near])
+    dist = np.full((len(a_xy), len(b_xy)), np.inf)
+    dist[i[near], j[near]] = np.hypot(dx[near], dy[near])
     return dist
 
 

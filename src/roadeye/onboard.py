@@ -75,11 +75,8 @@ class RenderFrame:
 
 
 def local_en_offset(origin: GeodeticPos, g, radius: float = WGS84.R):
-    """East/north meters of g relative to origin, equirectangular about origin.
-
-    `g` is a GeodeticPos, or anything with `lat` and `lon` arrays, such as
-    RECORD rows viewed as a recarray; the offsets are then arrays too.
-    """
+    """East/north meters of g relative to origin, equirectangular about origin;
+    `g` is a GeodeticPos, or RECORD rows as a recarray for arrays of offsets."""
     d_east = radius * math.cos(math.radians(origin.lat)) * np.radians(g.lon - origin.lon)
     d_north = radius * np.radians(g.lat - origin.lat)
     return d_east, d_north
@@ -158,8 +155,8 @@ def reconstruct_frame(msgs, ego: EgoState, pixel_map: PixelMap) -> RenderFrame:
     rest.heading_deg = shown.theta
     rest.dims_m = np.column_stack([shown.w, shown.l])
     rest.id = shown.id
-    size = pixel_map.viewport if pixel_map.viewport is not None else (800.0, 800.0)
-    return RenderFrame(t=float(rec.t[0]) if len(rec) else ego.t, icons=icons, size=size)
+    t = float(rec.t[0]) if len(rec) else ego.t
+    return RenderFrame(t=t, icons=icons, size=pixel_map.viewport or (800.0, 800.0))
 
 
 # ---------------------------------------------------------------------------

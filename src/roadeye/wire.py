@@ -66,12 +66,10 @@ def check_records(rec: np.ndarray, offset: int | None = None) -> None:
 
 class PerceptionMessage(namedtuple("PerceptionMessage", RECORD.names)):
     """One georeferenced object record crossing the wire: the Python view of
-    one `RECORD` row, its fields named and ordered as the dtype's. Heading
-    `theta` is in degrees clockwise from north, [0, 360).
-
-    Construction quantizes dims and heading to float32 and wraps the heading
-    into [0, 360), so encoded frames round-trip field-exactly, then checks
-    the record rules. `_make` builds a message from a row as it stands.
+    one `RECORD` row, fields as the dtype's; `theta` is degrees clockwise from
+    north. Construction quantizes dims and heading to float32 and wraps the
+    heading into [0, 360), so encoded frames round-trip field-exactly, then
+    checks the record rules. `_make` builds a message from a row as it stands.
     """
 
     __slots__ = ()

@@ -8,6 +8,7 @@ from roadeye.geometry import (
     OrientedBox3D,
     RigidTransform,
     normalize_angle,
+    plan_distances,
     rotation_about_z,
     rotation_aligning,
     wrap_angles,
@@ -106,3 +107,20 @@ def test_wrap_angles_matches_normalize_angle(rng):
     got = wrap_angles(theta)
     assert got.tolist() == [normalize_angle(t) for t in theta.tolist()]
     assert np.all((got > -math.pi) & (got <= math.pi))
+
+
+def test_plan_distances_match_the_full_hypot_matrix(rng):
+    for trial in range(200):
+        # Half the sets sit on a 0.5 m grid, so offsets land exactly on the reach.
+        shape_a, shape_b = (int(rng.integers(0, 30)), 2), (int(rng.integers(0, 30)), 2)
+        a, b = rng.uniform(-20, 20, shape_a), rng.uniform(-20, 20, shape_b)
+        if trial % 2:
+            a, b = np.round(a * 2) / 2, np.round(b * 2) / 2
+        reach = float(rng.choice([0.5, 2.0, 3.0]))
+        dx = a[:, None, 0] - b[None, :, 0]
+        dy = a[:, None, 1] - b[None, :, 1]
+        full = np.hypot(dx, dy)
+        expected = np.where((np.abs(dx) <= reach) & (np.abs(dy) <= reach), full, np.inf)
+        got = plan_distances(a, b, reach)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(got <= reach, full <= reach)
