@@ -120,10 +120,10 @@ def truth_boxes(agents: list[AgentState]) -> np.recarray:
     return np.array(rows, dtype=DETECTION).view(np.recarray)
 
 
-def _clutter(rng: np.random.Generator, bounds: GeofenceBounds, n: int) -> np.recarray:
+def _clutter(rng: np.random.Generator, bounds: GeofenceBounds, n: int) -> np.ndarray:
     """n clutter boxes inside `bounds`: the bottom is drawn, not the centre,
     so each box lies between the geofence floor and ceiling."""
-    out = np.recarray(n, DETECTION)
+    out = np.empty(n, DETECTION)
     box = out["box"]
     box["w"] = rng.uniform(0.4, 2.6, n)
     box["l"] = rng.uniform(0.4, 12.0, n)
@@ -155,8 +155,8 @@ def detect_oracle(
     rng = np.random.default_rng(seed)
     if bounds is None:
         bounds = GeofenceBounds()
-    if not isinstance(truth, np.ndarray):
-        truth = truth_boxes(truth)
+    # Plain field access inside, a recarray view out.
+    truth = (truth if isinstance(truth, np.ndarray) else truth_boxes(truth)).view(np.ndarray)
     dets = truth[rng.random(len(truth)) >= noise.p_miss] if noise.p_miss > 0 else truth.copy()
     box = dets["box"]
     if noise.sigma_pos > 0:

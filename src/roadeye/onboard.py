@@ -70,7 +70,7 @@ class RenderFrame:
     size: tuple[float, float] = (800.0, 800.0)
 
     def __post_init__(self):
-        if np.count_nonzero(self.icons.kind == IconKind.EGO) > 1:
+        if np.count_nonzero(self.icons["kind"] == IconKind.EGO) > 1:
             raise ValueError("at most one ego icon per frame")
 
 
@@ -146,16 +146,17 @@ def reconstruct_frame(msgs, ego: EgoState, pixel_map: PixelMap) -> RenderFrame:
     if pixel_map.viewport is not None:
         width, height = pixel_map.viewport
         keep &= (u >= 0.0) & (u <= width) & (v >= 0.0) & (v <= height)
-    shown = rec[keep]
-    icons = np.recarray(1 + len(shown), ICON)
+    shown = rec.view(np.ndarray)[keep]
+    icons = np.empty(1 + len(shown), ICON)
     icons[0] = (IconKind.EGO, gps_to_pixel(pixel_map, ego.gps), ego.heading, EGO_ICON_DIMS, -1)
     rest = icons[1:]
-    rest.kind = classify_by_size(shown.w, shown.l, shown.h)
-    rest.px = np.column_stack([u[keep], v[keep]])
-    rest.heading_deg = shown.theta
-    rest.dims_m = np.column_stack([shown.w, shown.l])
-    rest.id = shown.id
+    rest["kind"] = classify_by_size(shown["w"], shown["l"], shown["h"])
+    rest["px"] = np.column_stack([u[keep], v[keep]])
+    rest["heading_deg"] = shown["theta"]
+    rest["dims_m"] = np.column_stack([shown["w"], shown["l"]])
+    rest["id"] = shown["id"]
     t = float(rec.t[0]) if len(rec) else ego.t
+    icons = icons.view(np.recarray)
     return RenderFrame(t=t, icons=icons, size=pixel_map.viewport or (800.0, 800.0))
 
 
@@ -169,50 +170,51 @@ _ICON_FILL = {
     IconKind.PEDESTRIAN: "#3aa655",
 }
 PX_PER_M = 8.0
-
-
+_POLYGON = '<polygon points="{0:.2f},{1:.2f} {2:.2f},{3:.2f} {4:.2f},{5:.2f} {6:.2f},{7:.2f}" '
+_CIRCLE = '<circle cx="{8:.2f}" cy="{9:.2f}" r="{10:.2f}" '
+_LABEL = ('\n<text x="{8:.2f}" y="{11:.2f}" fill="#e6e6e6" font-size="11" '
+          'text-anchor="middle">{12}</text>')
+# Per (kind, labelled): the template over one icon's row of corners u0, v0,
+# ..., u3, v3, centre u, v, circle radius, label y, then its id.
+_ICON_SVG = {
+    (kind, labelled): (_CIRCLE if kind == IconKind.PEDESTRIAN else _POLYGON)
+    + f'fill="{fill}"/>' + (_LABEL if labelled else "")
+    for kind, fill in _ICON_FILL.items()
+    for labelled in (False, True)
+}
 # (along, across) signs of the four rectangle corners, in drawing order.
 _CORNERS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)])
 
 
-def _rect_corners(icons: np.recarray) -> np.ndarray:
+def _rect_corners(icons: np.ndarray) -> np.ndarray:
     """(n, 8) pixel corners u0, v0, ..., u3, v3 of each icon's rectangle."""
-    along = icons.dims_m[:, 1, None] / 2.0 * PX_PER_M * _CORNERS[:, 0]
-    across = icons.dims_m[:, 0, None] / 2.0 * PX_PER_M * _CORNERS[:, 1]
+    along = icons["dims_m"][:, 1, None] / 2.0 * PX_PER_M * _CORNERS[:, 0]
+    across = icons["dims_m"][:, 0, None] / 2.0 * PX_PER_M * _CORNERS[:, 1]
     # Screen heading: 0 deg points up (north), clockwise positive.
-    a = np.radians(icons.heading_deg)[:, None]
+    a = np.radians(icons["heading_deg"])[:, None]
     fx, fy = np.sin(a), -np.cos(a)  # forward in pixel axes (v grows down)
-    u = icons.px[:, 0, None] + fx * along - fy * across
-    v = icons.px[:, 1, None] + fy * along + fx * across
+    u = icons["px"][:, 0, None] + fx * along - fy * across
+    v = icons["px"][:, 1, None] + fy * along + fx * across
     return np.stack([u, v], axis=2).reshape(len(icons), 8)
 
 
 def render_svg(frame: RenderFrame) -> str:
     """Vector document for one frame; byte-stable for identical frames."""
     w, h = frame.size
-    icons = frame.icons
+    icons = frame.icons.view(np.ndarray)
+    u, v = icons["px"].T
+    radius = icons["dims_m"].max(axis=1) / 2.0 * PX_PER_M
+    rows = np.column_stack([_rect_corners(icons), u, v, radius, v - 8.0]).tolist()
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
         f'viewBox="0 0 {w:.0f} {h:.0f}">',
         f'<rect x="0" y="0" width="{w:.0f}" height="{h:.0f}" fill="#1b1f23"/>',
     ]
-    radius = np.maximum(icons.dims_m[:, 0], icons.dims_m[:, 1]) / 2.0 * PX_PER_M
-    for kind, (u, v), r, corners, tid in zip(
-        icons.kind.tolist(), icons.px.tolist(), radius.tolist(),
-        _rect_corners(icons).tolist(), icons.id.tolist(),
-    ):
-        fill = _ICON_FILL[kind]
-        if kind == IconKind.PEDESTRIAN:
-            lines.append(f'<circle cx="{u:.2f}" cy="{v:.2f}" r="{r:.2f}" fill="{fill}"/>')
-        else:
-            pts = "{:.2f},{:.2f} {:.2f},{:.2f} {:.2f},{:.2f} {:.2f},{:.2f}".format(*corners)
-            lines.append(f'<polygon points="{pts}" fill="{fill}"/>')
-        if tid >= 0:
-            lines.append(
-                f'<text x="{u:.2f}" y="{v - 8.0:.2f}" '
-                f'fill="#e6e6e6" font-size="11" text-anchor="middle">{tid}</text>'
-            )
+    lines += [
+        _ICON_SVG[kind, tid >= 0].format(*row, tid)
+        for kind, row, tid in zip(icons["kind"].tolist(), rows, icons["id"].tolist())
+    ]
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

@@ -119,8 +119,8 @@ class EdgePipeline:
         """The agents' boxes in H-Coor, where the oracle draws clutter inside
         the geofence and the detections are reported."""
         truth = truth_boxes(gt_agents)
-        box = truth.box
-        xyz = self.world_to_h.apply_points(np.column_stack([box.x, box.y, box.z]))
-        box.x, box.y, box.z = xyz.T
-        box.theta = wrap_angles(box.theta + self.world_to_h.yaw)
+        box = truth.view(np.ndarray)["box"]
+        xyz = self.world_to_h.apply_points(np.column_stack([box["x"], box["y"], box["z"]]))
+        box["x"], box["y"], box["z"] = xyz.T
+        box["theta"] = wrap_angles(box["theta"] + self.world_to_h.yaw)
         return truth
