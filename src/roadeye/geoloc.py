@@ -236,7 +236,7 @@ def georeference_tracks(
     Heading is re-expressed clockwise from north: 90 deg minus the box
     heading plus the transform's z-yaw, wrapped into [0, 360).
     """
-    box = tracks["box"]
+    box = np.asarray(tracks)["box"]
     out = np.empty(len(tracks), RECORD)
     out["t"] = t
     out["id"] = tracks["id"]

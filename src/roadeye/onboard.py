@@ -156,8 +156,8 @@ def reconstruct_frame(msgs, ego: EgoState, pixel_map: PixelMap) -> RenderFrame:
     rest["dims_m"] = np.column_stack([shown["w"], shown["l"]])
     rest["id"] = shown["id"]
     t = float(rec.t[0]) if len(rec) else ego.t
-    icons = icons.view(np.recarray)
-    return RenderFrame(t=t, icons=icons, size=pixel_map.viewport or (800.0, 800.0))
+    size = pixel_map.viewport or (800.0, 800.0)
+    return RenderFrame(t=t, icons=icons.view(np.recarray), size=size)
 
 
 # ---------------------------------------------------------------------------

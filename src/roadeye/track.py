@@ -162,7 +162,7 @@ class Tracker2D:
 def project_to_2d(dets: np.ndarray) -> np.ndarray:
     """(n, 4) plan-view boxes x, y, w, l of DETECTION rows; drops z, h,
     theta and class."""
-    box = dets["box"]
+    box = np.asarray(dets)["box"]  # plain-array field access, also for a recarray
     return np.column_stack([box["x"], box["y"], box["w"], box["l"]])
 
 
