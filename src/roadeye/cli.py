@@ -262,13 +262,10 @@ def cmd_bench(cfg: PipelineConfig, args) -> int:
 
     bench_cfg = PipelineConfig(data=copy.deepcopy(cfg.data))
     bench_cfg.data["detector"]["backend"] = "cluster"
-    # Frame 0 pays the lazy scipy import and the ground calibration once per
-    # run: process it untimed, then time every frame on that calibration.
-    warm = EdgePipeline(bench_cfg)
-    warm.process(frames[0])
-    pipeline = EdgePipeline(bench_cfg, p_cali=warm.p_cali, wall_stamps=True)
+    pipeline = EdgePipeline(bench_cfg, wall_stamps=True)
+    pipeline.process(frames[0])  # untimed: the lazy scipy import and the ground calibration
     stamps_out, stage_seconds = [], {}
-    for frame in frames:
+    for frame in frames[1:]:
         result = pipeline.process(frame)
         stamps_out.append(replace(result.stamps, t_onboard=time.time()))
         for name, seconds in result.stage_seconds.items():

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RigidTransform
-from .wire import RECORD, quantize_heading
+from .wire import RECORD, check_ids, quantize_heading
 
 BOWRING_TOL = 1e-12  # rad
 BOWRING_MAX_ITER = 10
-# Latitude evaluations of the array form: from the reduced-latitude start the
-# iteration converges cubically, and three steps agree with the converged
+# Latitude evaluations of the array form: three agree with the converged
 # scalar to ~1e-14 deg and ~2e-9 m from -100 m to 9 km altitude.
 BOWRING_STEPS = 3
 POLAR_S_EPS = 1e-9  # m, below this X-Y radius the longitude is undefined
@@ -239,6 +238,7 @@ def georeference_tracks(
     box = np.asarray(tracks)["box"]
     out = np.empty(len(tracks), RECORD)
     out["t"] = t
+    check_ids(tracks["id"])
     out["id"] = tracks["id"]
     ecef = h_to_ecef.apply_points(np.column_stack([box["x"], box["y"], box["z"]]))
     out["lat"], out["lon"], out["alt"] = ecef_to_geodetic_points(ecef, wgs)

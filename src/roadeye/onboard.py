@@ -35,10 +35,8 @@ class IconKind(enum.IntEnum):
 
 
 # One top-view icon per row; `id` -1 draws no label.
-ICON = np.dtype([
-    ("kind", "u1"), ("px", "<f8", (2,)), ("heading_deg", "<f8"), ("dims_m", "<f8", (2,)),
-    ("id", "<i8"),
-])
+ICON = np.dtype([("kind", "u1"), ("px", "<f8", (2,)), ("heading_deg", "<f8"),
+                 ("dims_m", "<f8", (2,)), ("id", "<i8")])
 
 
 @dataclass
@@ -179,8 +177,7 @@ _LABEL = ('\n<text x="{8:.2f}" y="{11:.2f}" fill="#e6e6e6" font-size="11" '
 _ICON_SVG = {
     (kind, labelled): (_CIRCLE if kind == IconKind.PEDESTRIAN else _POLYGON)
     + f'fill="{fill}"/>' + (_LABEL if labelled else "")
-    for kind, fill in _ICON_FILL.items()
-    for labelled in (False, True)
+    for kind, fill in _ICON_FILL.items() for labelled in (False, True)
 }
 # (along, across) signs of the four rectangle corners, in drawing order.
 _CORNERS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)])

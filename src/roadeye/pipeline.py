@@ -116,8 +116,7 @@ class EdgePipeline:
         return FrameResult(encoded=encoded, stamps=stamps, stage_seconds=seconds)
 
     def _truth_in_h(self, gt_agents: list[AgentState]) -> np.recarray:
-        """The agents' boxes in H-Coor, where the oracle draws clutter inside
-        the geofence and the detections are reported."""
+        """The agents' boxes in H-Coor, where the oracle's geofence and output live."""
         truth = truth_boxes(gt_agents)
         box = truth.view(np.ndarray)["box"]
         xyz = self.world_to_h.apply_points(np.column_stack([box["x"], box["y"], box["z"]]))

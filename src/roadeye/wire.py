@@ -64,6 +64,14 @@ def check_records(rec: np.ndarray, offset: int | None = None) -> None:
     raise WireFormatError(f"{where}: {reason}")
 
 
+def check_ids(ids) -> None:
+    """Raise WireFormatError unless every id fits the i32 `id` column; the
+    one rule a RECORD row cannot check on itself."""
+    ids = np.asarray(ids)
+    if ids.size and not (-(2 ** 31) <= ids.min() and ids.max() < 2 ** 31):
+        raise WireFormatError(f"id range [{ids.min()}, {ids.max()}] does not fit in i32")
+
+
 class PerceptionMessage(namedtuple("PerceptionMessage", RECORD.names)):
     """One georeferenced object record crossing the wire: the Python view of
     one `RECORD` row, fields as the dtype's; `theta` is degrees clockwise from
@@ -75,8 +83,7 @@ class PerceptionMessage(namedtuple("PerceptionMessage", RECORD.names)):
     __slots__ = ()
 
     def __new__(cls, t, id, lat, lon, alt, w, l, h, theta):
-        if not -(2 ** 31) <= id < 2 ** 31:
-            raise WireFormatError(f"id {id} does not fit in i32")
+        check_ids(id)
         rec = np.array([(t, id, lat, lon, alt, w, l, h, quantize_heading(theta))], RECORD)
         check_records(rec)
         return cls._make(rec.item())

@@ -20,6 +20,7 @@ from roadeye.geoloc import (
     load_gcp_file,
 )
 from roadeye.geometry import RigidTransform
+from roadeye.wire import WireFormatError
 
 from conftest import detections, random_rigid
 
@@ -257,6 +258,13 @@ def test_georeference_matches_composed_calls(rng):
         yaw = (p_ecef @ p_cali.inverse()).yaw
         expected_heading = (90.0 - math.degrees(box.theta + yaw)) % 360.0
         assert float(msgs[0]["theta"]) == pytest.approx(expected_heading, abs=1e-3)
+
+
+def test_georeference_rejects_ids_beyond_i32():
+    p_ecef = RigidTransform.from_translation([WGS84.R, 0.0, 0.0])
+    assert georeference_tracks(_track(0.0, 0.0, 0.0, tid=2 ** 31 - 1), p_ecef)["id"] == 2 ** 31 - 1
+    with pytest.raises(WireFormatError, match="i32"):
+        georeference_tracks(_track(0.0, 0.0, 0.0, tid=2 ** 31), p_ecef)
 
 
 def test_georeference_heading_convention():
