@@ -115,8 +115,8 @@ def cmd_relay(cfg: PipelineConfig, args) -> int:
     bind = args.bind or cfg["relay.bind"]
     server = relay_serve(
         bind,
-        max_subscribers=int(cfg["relay.max_subscribers"]),
-        queue_size=int(cfg["relay.queue_frames"]),
+        max_subscribers=cfg["relay.max_subscribers"],
+        queue_size=cfg["relay.queue_frames"],
     )
     print(f"relay listening on {server.host}:{server.port}", flush=True)
     try:
@@ -190,7 +190,7 @@ def _messages_to_world_detections(msgs, inv_transform) -> np.recarray:
 def cmd_eval(cfg: PipelineConfig, args) -> int:
     threshold = args.dist_threshold
     if threshold is None:
-        threshold = float(cfg["eval.dist_threshold"])
+        threshold = cfg["eval.dist_threshold"]
     if args.counts:
         with open(args.counts) as f:
             raw = json.load(f)
@@ -232,7 +232,7 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_bench(cfg: PipelineConfig, args) -> int:
-    from .scene import AgentSpec, ScenarioConfig
+    from .scene import AREA_HALF_EXTENT, AgentSpec, ScenarioConfig
 
     # Dense synthetic load: a ring of circulating vehicles over a ground
     # plane sized to the requested point budget.
@@ -244,13 +244,13 @@ def cmd_bench(cfg: PipelineConfig, args) -> int:
         end = (-start[0], -start[1])
         agents.append(AgentSpec(cls=ObjectClass.VEHICLE, route=[start, end], speed=8.0))
     # Ground density carries the full budget; agent surface points ride on top.
-    area = (2 * 51.2) ** 2
+    area = (2 * AREA_HALF_EXTENT) ** 2
     density = max(0.0, args.points / area)
     scenario = ScenarioConfig(
         agents=agents,
         duration=args.frames * 0.1,
         tick=0.1,
-        mount_height=float(cfg["scene.mount_height"]),
+        mount_height=cfg["scene.mount_height"],
         points_per_agent=400,
         ground_point_density=density,
         rng_seed=cfg.seed,

@@ -1,8 +1,15 @@
 """Pipeline configuration: one JSON file, one defaults tree, strict keys.
 
-DEFAULTS below is the single reference for every key and its default value;
-config.sample.json in the repository root mirrors it (enforced by a test).
-Unknown keys are rejected with their full dotted path.
+Each setting has one home, the dataclass or module constant the pipeline runs
+on. DEFAULTS reads the geofence, detector noise and cluster, tracker, numeric
+scene and eval values from GeofenceBounds, DetectorNoise, ClusterParams,
+TrackerConfig, ScenarioConfig and evaluate.DEFAULT_MATCH_THRESHOLD, and the
+accessors build those dataclasses from their sections by field name. The
+other keys (seed, sensor angles, agents, geoloc, relay, onboard) have their
+defaults here. config.sample.json in the repository root mirrors DEFAULTS
+(enforced by a test). Unknown keys are rejected with their full dotted path,
+and a value must have its default's type: a key whose default is an integer
+takes only integers, one whose default is null a string or null.
 """
 
 from __future__ import annotations
@@ -10,9 +17,10 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .detect import ClusterParams, DetectorNoise
+from .evaluate import DEFAULT_MATCH_THRESHOLD
 from .geoloc import GeodeticPos
 from .geometry import ObjectClass, RigidTransform, rotation_about_z
 from .onboard import PixelMap, build_pixel_map
@@ -25,19 +33,25 @@ class ConfigError(ValueError):
     """Invalid configuration; the message carries the dotted key path."""
 
 
+# The numeric scene keys, each the ScenarioConfig field of the same name.
+_SCENE_FIELDS = ("duration", "tick", "mount_height", "points_per_agent", "ground_point_density")
+
+
+def _fields(settings, *derived: str) -> dict:
+    """A settings dataclass's values by field name, less the fields that
+    come from another section."""
+    return {k: v for k, v in asdict(settings).items() if k not in derived}
+
+
 # The default scenario: three vehicles on separate lanes plus one crossing
 # pedestrian, 10 s at 10 Hz. Reference points span the surveillance square
 # corners at +-51.2 m around the default sensor location (40 N, 105 W).
 DEFAULTS = {
     "seed": 0,
     "scene": {
-        "duration": 10.0,
-        "tick": 0.1,
-        "mount_height": 4.74,
+        **{k: getattr(ScenarioConfig, k) for k in _SCENE_FIELDS},
         "sensor_pitch_deg": 0.0,
         "sensor_yaw_deg": 0.0,
-        "points_per_agent": 400,
-        "ground_point_density": 0.2,
         "agents": [
             {"class": "vehicle", "route": [[-45.0, -3.5], [45.0, -3.5]], "speed": 8.0},
             {"class": "vehicle", "route": [[45.0, 3.5], [-45.0, 3.5]], "speed": 7.0},
@@ -45,34 +59,13 @@ DEFAULTS = {
             {"class": "pedestrian", "route": [[10.0, -8.0], [10.0, 8.0]], "speed": 1.2},
         ],
     },
-    "geofence": {
-        "x_min": -51.2, "x_max": 51.2,
-        "y_min": -51.2, "y_max": 51.2,
-        "z_min": -5.0, "z_max": 0.0,
-    },
+    "geofence": _fields(GeofenceBounds()),
     "detector": {
         "backend": "oracle",
-        "oracle": {
-            "sigma_pos": 0.0,
-            "sigma_dim": 0.0,
-            "sigma_theta": 0.0,
-            "p_miss": 0.0,
-            "fp_rate": 0.0,
-        },
-        "cluster": {
-            "voxel": 0.3,
-            "min_points": 10,
-        },
+        "oracle": _fields(DetectorNoise()),
+        "cluster": _fields(ClusterParams(), "ground_z"),
     },
-    "tracker": {
-        "d_o": 2.0,
-        "gate_assoc": 3.0,
-        "n_init": 3,
-        "max_age": 5,
-        "process_noise": 0.1,
-        "measurement_noise": 0.1,
-        "lift": "first",
-    },
+    "tracker": _fields(TrackerConfig()),
     "geoloc": {
         "gcp_file": None,
         "sensor_lat": 40.0,
@@ -99,7 +92,7 @@ DEFAULTS = {
         },
     },
     "eval": {
-        "dist_threshold": 2.0,
+        "dist_threshold": DEFAULT_MATCH_THRESHOLD,
     },
 }
 
@@ -119,15 +112,18 @@ def _check_keys(user: dict, defaults: dict, path: str = ""):
             if not isinstance(value, dict):
                 raise ConfigError(f"{dotted}: expected an object")
             _check_keys(value, d, dotted)
-        elif isinstance(d, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{dotted}: expected a boolean")
-        elif isinstance(d, (int, float)) and d is not None:
+        elif isinstance(d, int):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{dotted}: expected an integer")
+        elif isinstance(d, float):
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"{dotted}: expected a number")
         elif isinstance(d, str):
             if not isinstance(value, str):
                 raise ConfigError(f"{dotted}: expected a string")
+        elif d is None:
+            if value is not None and not isinstance(value, str):
+                raise ConfigError(f"{dotted}: expected a string or null")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -154,7 +150,7 @@ class PipelineConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.data["seed"])
+        return self.data["seed"]
 
     def scenario(self) -> ScenarioConfig:
         s = self.data["scene"]
@@ -172,52 +168,34 @@ class PipelineConfig:
                 )
             except (KeyError, ValueError) as e:
                 raise ConfigError(f"scene.agents[{k}]: {e}") from None
-        pitch = math.radians(float(s["sensor_pitch_deg"]))
-        yaw = math.radians(float(s["sensor_yaw_deg"]))
+        pitch = math.radians(s["sensor_pitch_deg"])
+        yaw = math.radians(s["sensor_yaw_deg"])
         cp, sp = math.cos(pitch), math.sin(pitch)
         pitch_rot = [[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]]
         rot = rotation_about_z(yaw) @ pitch_rot
         pose = RigidTransform.from_rotation_translation(
-            rot, rot @ [0.0, 0.0, -float(s["mount_height"])]
+            rot, rot @ [0.0, 0.0, -s["mount_height"]]
         )
         return ScenarioConfig(
             agents=agents,
-            duration=float(s["duration"]),
-            tick=float(s["tick"]),
             sensor_pose=pose,
-            mount_height=float(s["mount_height"]),
-            points_per_agent=int(s["points_per_agent"]),
-            ground_point_density=float(s["ground_point_density"]),
             rng_seed=self.seed,
+            **{k: s[k] for k in _SCENE_FIELDS},
         )
 
     def geofence_bounds(self) -> GeofenceBounds:
-        g = self.data["geofence"]
-        return GeofenceBounds(**{k: float(v) for k, v in g.items()})
+        return GeofenceBounds(**self.data["geofence"])
 
     def detector_noise(self) -> DetectorNoise:
-        o = self.data["detector"]["oracle"]
-        return DetectorNoise(**{k: float(v) for k, v in o.items()})
+        return DetectorNoise(**self.data["detector"]["oracle"])
 
     def cluster_params(self) -> ClusterParams:
-        c = self.data["detector"]["cluster"]
         return ClusterParams(
-            voxel=float(c["voxel"]),
-            min_points=int(c["min_points"]),
-            ground_z=-float(self.data["scene"]["mount_height"]),
+            **self.data["detector"]["cluster"], ground_z=-self.data["scene"]["mount_height"]
         )
 
     def tracker_config(self) -> TrackerConfig:
-        t = self.data["tracker"]
-        return TrackerConfig(
-            d_o=float(t["d_o"]),
-            gate_assoc=float(t["gate_assoc"]),
-            n_init=int(t["n_init"]),
-            max_age=int(t["max_age"]),
-            process_noise=float(t["process_noise"]),
-            measurement_noise=float(t["measurement_noise"]),
-            lift=str(t["lift"]),
-        )
+        return TrackerConfig(**self.data["tracker"])
 
     def sensor_geodetic(self) -> GeodeticPos:
         g = self.data["geoloc"]

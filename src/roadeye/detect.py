@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import CLASSES, ObjectClass, OrientedBox3D, normalize_angle, wrap_angles
 from .preproc import GeofenceBounds
-from .scene import AgentState
+from .scene import AgentState, ScenarioConfig
 
 # Footprint threshold separating vehicles from pedestrians among cluster and
 # clutter boxes.
@@ -30,7 +30,9 @@ DETECTION = np.dtype([("box", BOX), ("cls", "u1"), ("score", "<f8"), ("id", "<i8
 
 def _footprint_class(box) -> np.ndarray:
     """Class codes for BOX rows: vehicle iff the footprint reaches
-    CLUSTER_VEHICLE_FOOTPRINT, matching the onboard size split."""
+    CLUSTER_VEHICLE_FOOTPRINT. The onboard split differs (pedestrian below
+    a 1.2 m footprint and 2.2 m height, see onboard.classify_by_size); the
+    class never reaches the wire, so the two need not agree."""
     return np.where(np.maximum(box["w"], box["l"]) >= CLUSTER_VEHICLE_FOOTPRINT, 0, 1)
 
 
@@ -68,7 +70,7 @@ class DetectorNoise:
 class ClusterParams:
     voxel: float = 0.3  # m
     min_points: int = 10
-    ground_z: float = -4.74  # m, ground height in H-Coor
+    ground_z: float = -ScenarioConfig.mount_height  # m, ground height in H-Coor
 
     def __post_init__(self):
         if self.voxel <= 0:

@@ -42,9 +42,7 @@ ICON = np.dtype([("kind", "u1"), ("px", "<f8", (2,)), ("heading_deg", "<f8"),
 @dataclass
 class PixelMap:
     ref_a_gps: GeodeticPos
-    ref_b_gps: GeodeticPos
     ref_a_px: tuple[float, float]
-    ref_b_px: tuple[float, float]
     meters_per_pixel_x: float
     meters_per_pixel_y: float
     viewport: tuple[float, float] | None = None  # (width, height) px
@@ -104,9 +102,7 @@ def build_pixel_map(
     d_east, d_north = local_en_offset(ref_a_gps, ref_b_gps)
     return PixelMap(
         ref_a_gps=ref_a_gps,
-        ref_b_gps=ref_b_gps,
         ref_a_px=tuple(ref_a_px),
-        ref_b_px=tuple(ref_b_px),
         meters_per_pixel_x=d_east / du,
         meters_per_pixel_y=d_north / dv,
         viewport=viewport,

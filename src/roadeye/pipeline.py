@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import PipelineConfig
+from .config import ConfigError, PipelineConfig
 from .detect import detect_cluster, detect_oracle, truth_boxes
 from .geoloc import enu_to_ecef_transform, estimate_ecef_transform, georeference_tracks, load_gcp_file
 from .geometry import RigidTransform, wrap_angles
@@ -48,8 +48,7 @@ def _timed(seconds: dict[str, float], name: str, fn, *args):
 
 
 class EdgePipeline:
-    def __init__(self, config: PipelineConfig, p_cali: RigidTransform | None = None,
-                 wall_stamps: bool = False):
+    def __init__(self, config: PipelineConfig, wall_stamps: bool = False):
         self.config = config
         self.bounds = config.geofence_bounds()
         self.backend = config["detector.backend"]
@@ -58,26 +57,23 @@ class EdgePipeline:
         self.noise = config.detector_noise()
         self.cluster_params = config.cluster_params()
         self.tracker = Tracker2D(config.tracker_config())
-        self.mount_height = float(config["scene.mount_height"])
+        self.mount_height = config["scene.mount_height"]
         self.wall_stamps = wall_stamps
         self.sensor_pose = config.scenario().sensor_pose
         self.p_ecef = self._build_p_ecef()
         self.p_cali = self.world_to_h = self.h_to_ecef = None
-        if p_cali is not None:
-            self._set_calibration(p_cali)
         self.frame_index = 0
 
     def _build_p_ecef(self) -> RigidTransform:
         gcp_file = self.config["geoloc.gcp_file"]
         if gcp_file:
             return estimate_ecef_transform(load_gcp_file(gcp_file)).transform
+        # Without GCPs the sensor x axis is taken to point east; leveling
+        # recovers pitch from the ground, but nothing here observes yaw.
+        if self.config["scene.sensor_yaw_deg"]:
+            raise ConfigError("scene.sensor_yaw_deg must be 0 when geoloc.gcp_file is null: "
+                              "without ground control points the sensor yaw is unknown")
         return enu_to_ecef_transform(self.config.sensor_geodetic())
-
-    def _set_calibration(self, p_cali: RigidTransform):
-        """Fix the L→H calibration and the two transforms that follow from it."""
-        self.p_cali = p_cali
-        self.world_to_h = p_cali @ self.sensor_pose
-        self.h_to_ecef = self.p_ecef @ p_cali.inverse()
 
     def _now(self, frame_t: float) -> float:
         return time.time() if self.wall_stamps else frame_t
@@ -89,10 +85,14 @@ class EdgePipeline:
 
         fenced = _timed(seconds, "preprocess", geofence, frame, self.bounds)
         if self.p_cali is None:
-            self._set_calibration(_timed(
+            # The first frame fixes the L→H calibration and the two transforms
+            # that follow from it.
+            self.p_cali = _timed(
                 seconds, "preprocess", estimate_ground_calibration, fenced, self.mount_height,
                 self.config.seed,
-            ))
+            )
+            self.world_to_h = self.p_cali @ self.sensor_pose
+            self.h_to_ecef = self.p_ecef @ self.p_cali.inverse()
         leveled = _timed(seconds, "preprocess", apply_transform, fenced, self.p_cali)
 
         if self.backend == "oracle":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RigidTransform, rotation_aligning
-from .scene import PointCloudFrame
+from .scene import AREA_HALF_EXTENT, PointCloudFrame
 
 RANSAC_ITERATIONS = 200
 RANSAC_INLIER_THRESHOLD = 0.1  # m
@@ -27,10 +27,10 @@ class CalibrationError(RuntimeError):
 
 @dataclass
 class GeofenceBounds:
-    x_min: float = -51.2
-    x_max: float = 51.2
-    y_min: float = -51.2
-    y_max: float = 51.2
+    x_min: float = -AREA_HALF_EXTENT
+    x_max: float = AREA_HALF_EXTENT
+    y_min: float = -AREA_HALF_EXTENT
+    y_max: float = AREA_HALF_EXTENT
     z_min: float = -5.0
     z_max: float = 0.0
 

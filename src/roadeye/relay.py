@@ -187,9 +187,7 @@ class RelayServer:
             return len(self._subscribers)
 
 
-def relay_serve(
-    bind_endpoint: str, max_subscribers: int = 16, queue_size: int = 64
-) -> RelayServer:
+def relay_serve(bind_endpoint: str, max_subscribers: int, queue_size: int) -> RelayServer:
     """Bind a relay at "host:port" and return the running service."""
     host, _, port = bind_endpoint.rpartition(":")
     server = RelayServer(

@@ -89,6 +89,7 @@ class PerceptionMessage(namedtuple("PerceptionMessage", RECORD.names)):
         return cls._make(rec.item())
 
     def validate(self):
+        check_ids(self.id)
         check_records(np.array([self], RECORD))
 
 
@@ -108,6 +109,8 @@ class PhaseStamps:
 def encode_frame(msgs, stamps: PhaseStamps, t_frame: float = 0.0) -> bytes:
     """Serialize one frame of messages, or of `RECORD` rows; refuses records
     that break a rule."""
+    if not isinstance(msgs, np.ndarray):
+        check_ids([m[1] for m in msgs])  # field 1 is the id
     rec = np.asarray(msgs, RECORD)
     check_records(rec)
     stamp_vals = [math.nan if s is None else s for s in stamps.as_tuple()]

@@ -59,9 +59,77 @@ def test_overrides_win_over_file(tmp_path):
     assert cfg.seed == 9
 
 
+def _nested(dotted, value):
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return value
+
+
+@pytest.mark.parametrize("dotted, value", [
+    ("seed", 1.5),
+    ("scene.points_per_agent", 400.5),
+    ("detector.cluster.min_points", 10.9),
+    ("tracker.n_init", 2.5),
+    ("tracker.max_age", 4.9),
+    ("relay.max_subscribers", 16.0),
+    ("relay.queue_frames", True),
+])
+def test_integer_key_takes_only_integers(dotted, value):
+    # A cast would silently truncate: n_init 2.5 would need 2 hits.
+    with pytest.raises(ConfigError, match=dotted.replace(".", r"\.") + ": expected an integer"):
+        load_config(overrides=_nested(dotted, value))
+
+
+@pytest.mark.parametrize("value", [7, 0, ["gcps.txt"]])
+def test_gcp_file_takes_string_or_null(value):
+    with pytest.raises(ConfigError, match=r"geoloc\.gcp_file: expected a string or null"):
+        load_config(overrides={"geoloc": {"gcp_file": value}})
+    for ok in (None, "gcps.txt"):
+        assert load_config(overrides={"geoloc": {"gcp_file": ok}})["geoloc.gcp_file"] == ok
+
+
 def test_sample_config_matches_defaults():
     sample = json.loads((REPO_ROOT / "config.sample.json").read_text())
     assert sample == DEFAULTS
+
+
+def test_settings_defaults_do_not_drift():
+    # Each settings object the config builds equals its no-argument form.
+    from roadeye.detect import ClusterParams, DetectorNoise
+    from roadeye.geoloc import GeodeticPos
+    from roadeye.onboard import EgoSimulator
+    from roadeye.preproc import GeofenceBounds
+    from roadeye.relay import RelayServer
+    from roadeye.track import TrackerConfig
+
+    cfg = load_config()
+    assert cfg.geofence_bounds() == GeofenceBounds()
+    assert cfg.detector_noise() == DetectorNoise()
+    assert cfg.cluster_params() == ClusterParams()
+    assert cfg.tracker_config() == TrackerConfig()
+
+    # The two constructors that keep defaults of their own, for callers
+    # without a config, agree with the config's values.
+    server = RelayServer()
+    assert server.max_subscribers == cfg["relay.max_subscribers"]
+    assert server.queue_size == cfg["relay.queue_frames"]
+    ego = EgoSimulator(start=GeodeticPos(0.0, 0.0, 0.0))
+    for key in ("heading", "speed", "rate_hz", "noise_std"):
+        assert getattr(ego, key) == cfg[f"onboard.ego.{key}"], key
+
+    # The sample loads, and its leaves have the defaults' types: dict
+    # equality takes 0 == 0.0, but the integer rule follows the default's type.
+    sample_path = REPO_ROOT / "config.sample.json"
+    load_config(sample_path)
+
+    def leaf_types(node):
+        if isinstance(node, dict):
+            return {k: leaf_types(v) for k, v in node.items()}
+        if isinstance(node, list):
+            return [leaf_types(v) for v in node]
+        return type(node).__name__
+
+    assert leaf_types(json.loads(sample_path.read_text())) == leaf_types(DEFAULTS)
 
 
 def test_typed_accessors():
@@ -245,6 +313,19 @@ def test_perceive_with_gcp_file(tmp_path):
     main(["--config", str(cfg), "eval", "--gt", str(frames) + ".gt",
           "--results", str(results), "--json", str(report)])
     assert json.loads(report.read_text())["recall"] == 1.0
+
+
+def test_perceive_rejects_sensor_yaw_without_gcps(tmp_path, capsys):
+    # Without GCPs the pipeline takes the sensor x axis to point east, so a
+    # yawed sensor would georeference every object 2 r sin(yaw / 2) off.
+    cfg = _write_cfg(tmp_path, {"scene": {"duration": 0.2, "sensor_yaw_deg": 30.0}})
+    frames = tmp_path / "f.bin"
+    main(["--config", str(cfg), "simulate", "--out", str(frames)])
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "perceive", "--frames", str(frames),
+                 "--gt", str(frames) + ".gt", "--out", str(tmp_path / "r.bin")]) == 2
+    err = capsys.readouterr().err
+    assert "scene.sensor_yaw_deg" in err and "geoloc.gcp_file" in err
 
 
 def test_perceive_oracle_requires_gt(tmp_path):

@@ -28,11 +28,13 @@ GOLDEN = Path(__file__).parent / "data" / "render_golden.svg"
 ORIGIN = GeodeticPos(40.0, -105.0, 0.0)
 
 
+# 100 m and 100 px apart on each axis: 1 px/m, v inverted (north up).
+REF_A, PX_A = offset_geodetic(ORIGIN, -50.0, -50.0), (350.0, 450.0)
+REF_B, PX_B = offset_geodetic(ORIGIN, 50.0, 50.0), (450.0, 350.0)
+
+
 def _map(viewport=(800.0, 800.0)):
-    # 100 m and 100 px apart on each axis: 1 px/m, v inverted (north up).
-    ref_a = offset_geodetic(ORIGIN, -50.0, -50.0)
-    ref_b = offset_geodetic(ORIGIN, 50.0, 50.0)
-    return build_pixel_map(ref_a, (350.0, 450.0), ref_b, (450.0, 350.0), viewport=viewport)
+    return build_pixel_map(REF_A, PX_A, REF_B, PX_B, viewport=viewport)
 
 
 def _msg(east, north, w=2.0, l=4.5, h=1.6, theta=0.0, mid=1):
@@ -58,19 +60,14 @@ def test_unit_ratio_map():
 
 def test_anchor_fidelity():
     m = _map()
-    ua, va = gps_to_pixel(m, m.ref_a_gps)
-    ub, vb = gps_to_pixel(m, m.ref_b_gps)
-    assert math.hypot(ua - m.ref_a_px[0], va - m.ref_a_px[1]) <= 1.0
-    assert math.hypot(ub - m.ref_b_px[0], vb - m.ref_b_px[1]) <= 1.0
+    for gps, (u0, v0) in ((REF_A, PX_A), (REF_B, PX_B)):
+        u, v = gps_to_pixel(m, gps)
+        assert math.hypot(u - u0, v - v0) <= 1.0
 
 
 def test_midpoint_maps_to_pixel_midpoint():
     m = _map()
-    mid_gps = GeodeticPos(
-        (m.ref_a_gps.lat + m.ref_b_gps.lat) / 2.0,
-        (m.ref_a_gps.lon + m.ref_b_gps.lon) / 2.0,
-        0.0,
-    )
+    mid_gps = GeodeticPos((REF_A.lat + REF_B.lat) / 2.0, (REF_A.lon + REF_B.lon) / 2.0, 0.0)
     u, v = gps_to_pixel(m, mid_gps)
     assert math.hypot(u - 400.0, v - 400.0) <= 1.0
 

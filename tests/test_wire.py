@@ -134,6 +134,15 @@ def test_encode_refuses_invalid_message(rng):
         encode_frame([msg], _stamps())
 
 
+@pytest.mark.parametrize("bad_id", [2 ** 31, -(2 ** 31) - 1])
+def test_out_of_range_id_past_construction_rejected(bad_id):
+    msg = _msg()._replace(id=bad_id)
+    with pytest.raises(WireFormatError, match="i32"):
+        msg.validate()
+    with pytest.raises(WireFormatError, match="i32"):
+        encode_frame([msg], _stamps())
+
+
 def test_decode_rejects_invalid_payload_values():
     data = bytearray(encode_frame([_msg()], _stamps(), t_frame=1.0))
     # Overwrite lat (offset: header 52 + t 8 + id 4 = 64) with 200 degrees.
