@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import replace
@@ -28,7 +29,7 @@ from .evaluate import (
     match_detections,
 )
 from .detect import DETECTION
-from .geoloc import geodetic_to_ecef, GeodeticPos, enu_to_ecef_transform
+from .geoloc import GeodeticPos, geodetic_to_ecef
 from .geometry import ObjectClass
 from .pipeline import EdgePipeline, PipelineStageError
 from .relay import connect_publisher, connect_subscriber, relay_serve
@@ -134,15 +135,7 @@ def cmd_onboard(cfg: PipelineConfig, args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     pixel_map = cfg.pixel_map()
-    ego_cfg = cfg["onboard.ego"]
-    ego_sim = onboard_mod.EgoSimulator(
-        start=GeodeticPos(lat=float(ego_cfg["lat"]), lon=float(ego_cfg["lon"]), alt=0.0),
-        heading=float(ego_cfg["heading"]),
-        speed=float(ego_cfg["speed"]),
-        rate_hz=float(ego_cfg["rate_hz"]),
-        noise_std=float(ego_cfg["noise_std"]),
-        seed=cfg.seed,
-    )
+    ego_sim = cfg.ego_simulator()
     deadline = time.monotonic() + args.connect_timeout
     sock = None
     while sock is None:
@@ -178,12 +171,21 @@ def cmd_onboard(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
-def _messages_to_world_detections(msgs, inv_transform) -> np.recarray:
-    """Decoded messages mapped back to world-frame DETECTION rows for
-    evaluation; only the box centres are filled in, all matching reads."""
+def _messages_to_world_detections(msgs, cfg: PipelineConfig) -> np.recarray:
+    """Decoded messages as world-frame DETECTION rows for evaluation; only the
+    box centres are filled in, all matching reads. The closed form shares no
+    transform with the pipeline: ECEF offsets from the surveyed sensor
+    location rotated into east, north and up, plus the mount height on up,
+    since the world origin lies on the ground below the sensor."""
+    sensor = cfg.sensor_geodetic()
+    o = geodetic_to_ecef(sensor).as_array()
+    sp, cp = math.sin(math.radians(sensor.lat)), math.cos(math.radians(sensor.lat))
+    sl, cl = math.sin(math.radians(sensor.lon)), math.cos(math.radians(sensor.lon))
+    ecef_to_enu = np.array([[-sl, cl, 0.0], [-sp * cl, -sp * sl, cp], [cp * cl, cp * sl, sp]])
     ecef = [geodetic_to_ecef(GeodeticPos(m.lat, m.lon, m.alt)).as_array() for m in msgs]
+    east, north, up = ((np.reshape(ecef, (-1, 3)) - o) @ ecef_to_enu.T).T
     dets = np.zeros(len(msgs), DETECTION).view(np.recarray)
-    dets.box.x, dets.box.y, dets.box.z = inv_transform.apply_points(np.reshape(ecef, (-1, 3))).T
+    dets.box.x, dets.box.y, dets.box.z = east, north, up + cfg["scene.mount_height"]
     return dets
 
 
@@ -203,14 +205,11 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
         if not (args.gt and args.results):
             raise ValueError("need --gt and --results, or --counts")
         gt_frames = read_ground_truth(args.gt)
-        sensor_pose = cfg.scenario().sensor_pose
-        p_ecef = enu_to_ecef_transform(cfg.sensor_geodetic())
-        inv = (p_ecef @ sensor_pose).inverse()
         counts = ConfusionCounts(tp=0, fp=0, fn=0)
         n_results = 0
         for raw in iter_frames_from_file(args.results):
             if n_results < len(gt_frames):
-                dets = _messages_to_world_detections(decode_frame(raw).messages, inv)
+                dets = _messages_to_world_detections(decode_frame(raw).messages, cfg)
                 boxes = [a.as_box() for a in gt_frames[n_results].agents]
                 counts = counts + match_detections(boxes, dets, threshold)
             n_results += 1
@@ -232,7 +231,7 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
 
 
 def cmd_bench(cfg: PipelineConfig, args) -> int:
-    from .scene import AREA_HALF_EXTENT, AgentSpec, ScenarioConfig
+    from .scene import AREA_HALF_EXTENT, AgentSpec
 
     # Dense synthetic load: a ring of circulating vehicles over a ground
     # plane sized to the requested point budget.
@@ -246,23 +245,13 @@ def cmd_bench(cfg: PipelineConfig, args) -> int:
     # Ground density carries the full budget; agent surface points ride on top.
     area = (2 * AREA_HALF_EXTENT) ** 2
     density = max(0.0, args.points / area)
-    scenario = ScenarioConfig(
-        agents=agents,
-        duration=args.frames * 0.1,
-        tick=0.1,
-        mount_height=cfg["scene.mount_height"],
-        points_per_agent=400,
-        ground_point_density=density,
-        rng_seed=cfg.seed,
-    )
+    scene = cfg.scenario()
+    scenario = replace(scene, agents=agents, duration=args.frames * scene.tick,
+                       ground_point_density=density)
     frames = [frame for _, frame in scenario_frames(scenario)]
     mean_points = sum(len(f) for f in frames) / max(1, len(frames))
 
-    import copy
-
-    bench_cfg = PipelineConfig(data=copy.deepcopy(cfg.data))
-    bench_cfg.data["detector"]["backend"] = "cluster"
-    pipeline = EdgePipeline(bench_cfg, wall_stamps=True)
+    pipeline = EdgePipeline(cfg.merged({"detector": {"backend": "cluster"}}), wall_stamps=True)
     pipeline.process(frames[0])  # untimed: the lazy scipy import and the ground calibration
     stamps_out, stage_seconds = [], {}
     for frame in frames[1:]:

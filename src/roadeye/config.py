@@ -2,28 +2,28 @@
 
 Each setting has one home, the dataclass or module constant the pipeline runs
 on. DEFAULTS reads the geofence, detector noise and cluster, tracker, numeric
-scene and eval values from GeofenceBounds, DetectorNoise, ClusterParams,
-TrackerConfig, ScenarioConfig and evaluate.DEFAULT_MATCH_THRESHOLD, and the
-accessors build those dataclasses from their sections by field name. The
-other keys (seed, sensor angles, agents, geoloc, relay, onboard) have their
-defaults here. config.sample.json in the repository root mirrors DEFAULTS
-(enforced by a test). Unknown keys are rejected with their full dotted path,
-and a value must have its default's type: a key whose default is an integer
-takes only integers, one whose default is null a string or null.
+scene (sensor angles included) and eval values from GeofenceBounds,
+DetectorNoise, ClusterParams, TrackerConfig, ScenarioConfig and
+evaluate.DEFAULT_MATCH_THRESHOLD, and the viewport from onboard.VIEWPORT; the
+accessors build those objects from their sections by field name. The other
+keys (seed, agents, geoloc, relay, the rest of onboard) have their defaults
+here. config.sample.json in the repository root mirrors DEFAULTS (enforced by
+a test). Unknown keys are rejected with their full dotted path, and a value
+must have its default's type: an integer default takes only integers, a null
+one a string or null, and a list one a list of its length, item by item.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import asdict, dataclass
 
 from .detect import ClusterParams, DetectorNoise
 from .evaluate import DEFAULT_MATCH_THRESHOLD
 from .geoloc import GeodeticPos
-from .geometry import ObjectClass, RigidTransform, rotation_about_z
-from .onboard import PixelMap, build_pixel_map
+from .geometry import ObjectClass
+from .onboard import VIEWPORT, EgoSimulator, PixelMap, build_pixel_map
 from .preproc import GeofenceBounds
 from .scene import AgentSpec, ScenarioConfig
 from .track import TrackerConfig
@@ -34,7 +34,8 @@ class ConfigError(ValueError):
 
 
 # The numeric scene keys, each the ScenarioConfig field of the same name.
-_SCENE_FIELDS = ("duration", "tick", "mount_height", "points_per_agent", "ground_point_density")
+_SCENE_FIELDS = ("duration", "tick", "mount_height", "points_per_agent", "ground_point_density",
+                 "sensor_pitch_deg", "sensor_yaw_deg")
 
 
 def _fields(settings, *derived: str) -> dict:
@@ -50,8 +51,6 @@ DEFAULTS = {
     "seed": 0,
     "scene": {
         **{k: getattr(ScenarioConfig, k) for k in _SCENE_FIELDS},
-        "sensor_pitch_deg": 0.0,
-        "sensor_yaw_deg": 0.0,
         "agents": [
             {"class": "vehicle", "route": [[-45.0, -3.5], [45.0, -3.5]], "speed": 8.0},
             {"class": "vehicle", "route": [[45.0, 3.5], [-45.0, 3.5]], "speed": 7.0},
@@ -81,7 +80,7 @@ DEFAULTS = {
         "connect": "127.0.0.1:7700",
         "ref_a": {"lat": 39.99954006257453, "lon": -105.00060040566784, "u": 0.0, "v": 800.0},
         "ref_b": {"lat": 40.00045993742547, "lon": -104.99939959433216, "u": 800.0, "v": 0.0},
-        "viewport": [800.0, 800.0],
+        "viewport": list(VIEWPORT),
         "ego": {
             "lat": 39.99975,
             "lon": -105.0,
@@ -105,25 +104,32 @@ def _check_keys(user: dict, defaults: dict, path: str = ""):
         dotted = f"{path}.{key}" if path else key
         if key not in defaults:
             raise ConfigError(f"unknown config key: {dotted}")
-        if dotted in _OPEN_KEYS:
-            continue
-        d = defaults[key]
-        if isinstance(d, dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{dotted}: expected an object")
-            _check_keys(value, d, dotted)
-        elif isinstance(d, int):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{dotted}: expected an integer")
-        elif isinstance(d, float):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{dotted}: expected a number")
-        elif isinstance(d, str):
-            if not isinstance(value, str):
-                raise ConfigError(f"{dotted}: expected a string")
-        elif d is None:
-            if value is not None and not isinstance(value, str):
-                raise ConfigError(f"{dotted}: expected a string or null")
+        if dotted not in _OPEN_KEYS:
+            _check_value(value, defaults[key], dotted)
+
+
+def _check_value(value, d, dotted: str):
+    if isinstance(d, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{dotted}: expected an object")
+        _check_keys(value, d, dotted)
+    elif isinstance(d, list):
+        if not isinstance(value, list) or len(value) != len(d):
+            raise ConfigError(f"{dotted}: expected a list of {len(d)} items")
+        for k, (item, d_item) in enumerate(zip(value, d)):
+            _check_value(item, d_item, f"{dotted}[{k}]")
+    elif isinstance(d, int):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{dotted}: expected an integer")
+    elif isinstance(d, float):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{dotted}: expected a number")
+    elif isinstance(d, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"{dotted}: expected a string")
+    elif d is None:
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{dotted}: expected a string or null")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -152,6 +158,11 @@ class PipelineConfig:
     def seed(self) -> int:
         return self.data["seed"]
 
+    def merged(self, overrides: dict) -> PipelineConfig:
+        """A copy with `overrides` merged in, checked as a config file is."""
+        _check_keys(overrides, DEFAULTS)
+        return PipelineConfig(data=_merge(self.data, overrides))
+
     def scenario(self) -> ScenarioConfig:
         s = self.data["scene"]
         agents = []
@@ -168,20 +179,7 @@ class PipelineConfig:
                 )
             except (KeyError, ValueError) as e:
                 raise ConfigError(f"scene.agents[{k}]: {e}") from None
-        pitch = math.radians(s["sensor_pitch_deg"])
-        yaw = math.radians(s["sensor_yaw_deg"])
-        cp, sp = math.cos(pitch), math.sin(pitch)
-        pitch_rot = [[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]]
-        rot = rotation_about_z(yaw) @ pitch_rot
-        pose = RigidTransform.from_rotation_translation(
-            rot, rot @ [0.0, 0.0, -s["mount_height"]]
-        )
-        return ScenarioConfig(
-            agents=agents,
-            sensor_pose=pose,
-            rng_seed=self.seed,
-            **{k: s[k] for k in _SCENE_FIELDS},
-        )
+        return ScenarioConfig(agents=agents, rng_seed=self.seed, **{k: s[k] for k in _SCENE_FIELDS})
 
     def geofence_bounds(self) -> GeofenceBounds:
         return GeofenceBounds(**self.data["geofence"])
@@ -199,24 +197,29 @@ class PipelineConfig:
 
     def sensor_geodetic(self) -> GeodeticPos:
         g = self.data["geoloc"]
-        return GeodeticPos(lat=float(g["sensor_lat"]), lon=float(g["sensor_lon"]),
-                           alt=float(g["sensor_alt"]))
+        return GeodeticPos(lat=g["sensor_lat"], lon=g["sensor_lon"], alt=g["sensor_alt"])
 
     def pixel_map(self) -> PixelMap:
         o = self.data["onboard"]
         a, b = o["ref_a"], o["ref_b"]
         return build_pixel_map(
-            ref_a_gps=GeodeticPos(lat=float(a["lat"]), lon=float(a["lon"]), alt=0.0),
-            ref_a_px=(float(a["u"]), float(a["v"])),
-            ref_b_gps=GeodeticPos(lat=float(b["lat"]), lon=float(b["lon"]), alt=0.0),
-            ref_b_px=(float(b["u"]), float(b["v"])),
-            viewport=tuple(float(v) for v in o["viewport"]),
+            ref_a_gps=GeodeticPos(lat=a["lat"], lon=a["lon"], alt=0.0),
+            ref_a_px=(a["u"], a["v"]),
+            ref_b_gps=GeodeticPos(lat=b["lat"], lon=b["lon"], alt=0.0),
+            ref_b_px=(b["u"], b["v"]),
+            viewport=tuple(o["viewport"]),
         )
+
+    def ego_simulator(self) -> EgoSimulator:
+        """The ego GPS feed: `onboard.ego` by name, its lat/lon as the start."""
+        ego = dict(self.data["onboard"]["ego"])
+        start = GeodeticPos(lat=ego.pop("lat"), lon=ego.pop("lon"), alt=0.0)
+        return EgoSimulator(start=start, seed=self.seed, **ego)
 
 
 def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
     """Merge defaults <- file <- overrides, rejecting unknown keys."""
-    data = copy.deepcopy(DEFAULTS)
+    cfg = PipelineConfig(data=copy.deepcopy(DEFAULTS))
     if path is not None:
         try:
             with open(path) as f:
@@ -225,9 +228,7 @@ def load_config(path=None, overrides: dict | None = None) -> PipelineConfig:
             raise ConfigError(f"{path}: invalid JSON: {e}") from None
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: top level must be an object")
-        _check_keys(user, DEFAULTS)
-        data = _merge(data, user)
+        cfg = cfg.merged(user)
     if overrides:
-        _check_keys(overrides, DEFAULTS)
-        data = _merge(data, overrides)
-    return PipelineConfig(data=data)
+        cfg = cfg.merged(overrides)
+    return cfg

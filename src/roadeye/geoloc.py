@@ -231,7 +231,7 @@ def georeference_tracks(
 ) -> np.ndarray:
     """Package tracked H-Coor DETECTION rows as wire `RECORD` rows.
 
-    `h_to_ecef` is p_ecef . inverse(p_cali), built once per calibration.
+    `h_to_ecef` maps H-Coor to ECEF and is built once per calibration.
     Heading is re-expressed clockwise from north: 90 deg minus the box
     heading plus the transform's z-yaw, wrapped into [0, 360).
     """

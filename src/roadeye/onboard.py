@@ -22,6 +22,7 @@ EGO_SUPPRESS_RADIUS = 2.0  # m, roadside echo of the ego vehicle is dropped
 PEDESTRIAN_MAX_FOOTPRINT = 1.2  # m
 PEDESTRIAN_MAX_HEIGHT = 2.2  # m
 EGO_ICON_DIMS = (1.9, 4.6)  # (w, l) m
+VIEWPORT = (800.0, 800.0)  # (width, height) px
 
 
 class DegenerateMapError(ValueError):
@@ -45,7 +46,7 @@ class PixelMap:
     ref_a_px: tuple[float, float]
     meters_per_pixel_x: float
     meters_per_pixel_y: float
-    viewport: tuple[float, float] | None = None  # (width, height) px
+    viewport: tuple[float, float]  # (width, height) px
 
 
 @dataclass
@@ -63,7 +64,7 @@ class EgoState:
 class RenderFrame:
     t: float
     icons: np.recarray  # ICON rows
-    size: tuple[float, float] = (800.0, 800.0)
+    size: tuple[float, float] = VIEWPORT
 
     def __post_init__(self):
         if np.count_nonzero(self.icons["kind"] == IconKind.EGO) > 1:
@@ -90,7 +91,7 @@ def build_pixel_map(
     ref_a_px: tuple[float, float],
     ref_b_gps: GeodeticPos,
     ref_b_px: tuple[float, float],
-    viewport: tuple[float, float] | None = None,
+    viewport: tuple[float, float] = VIEWPORT,
 ) -> PixelMap:
     """Derive the per-axis transfer ratios from two cross-referenced points."""
     if ref_a_gps.lat == ref_b_gps.lat or ref_a_gps.lon == ref_b_gps.lon:
@@ -137,9 +138,8 @@ def reconstruct_frame(msgs, ego: EgoState, pixel_map: PixelMap) -> RenderFrame:
     d_east, d_north = local_en_offset(ego.gps, rec)
     u, v = gps_to_pixel(pixel_map, rec)
     keep = np.hypot(d_east, d_north) > EGO_SUPPRESS_RADIUS
-    if pixel_map.viewport is not None:
-        width, height = pixel_map.viewport
-        keep &= (u >= 0.0) & (u <= width) & (v >= 0.0) & (v <= height)
+    width, height = pixel_map.viewport
+    keep &= (u >= 0.0) & (u <= width) & (v >= 0.0) & (v <= height)
     shown = rec.view(np.ndarray)[keep]
     icons = np.empty(1 + len(shown), ICON)
     icons[0] = (IconKind.EGO, gps_to_pixel(pixel_map, ego.gps), ego.heading, EGO_ICON_DIMS, -1)
@@ -150,8 +150,7 @@ def reconstruct_frame(msgs, ego: EgoState, pixel_map: PixelMap) -> RenderFrame:
     rest["dims_m"] = np.column_stack([shown["w"], shown["l"]])
     rest["id"] = shown["id"]
     t = float(rec.t[0]) if len(rec) else ego.t
-    size = pixel_map.viewport or (800.0, 800.0)
-    return RenderFrame(t=t, icons=icons.view(np.recarray), size=size)
+    return RenderFrame(t=t, icons=icons.view(np.recarray), size=pixel_map.viewport)
 
 
 # ---------------------------------------------------------------------------

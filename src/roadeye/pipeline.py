@@ -59,21 +59,26 @@ class EdgePipeline:
         self.tracker = Tracker2D(config.tracker_config())
         self.mount_height = config["scene.mount_height"]
         self.wall_stamps = wall_stamps
-        self.sensor_pose = config.scenario().sensor_pose
-        self.p_ecef = self._build_p_ecef()
+        self.sensor_pose = config.scenario().sensor_pose  # the oracle's view of the truth
+        gcp_file = config["geoloc.gcp_file"]
+        if not gcp_file and config["scene.sensor_yaw_deg"]:
+            # Without GCPs H-Coor is taken as ENU about the sensor: leveling
+            # recovers pitch from the ground, but nothing here observes yaw.
+            raise ConfigError("scene.sensor_yaw_deg must be 0 when geoloc.gcp_file is null: "
+                              "without ground control points the sensor yaw is unknown")
+        # The GCP fit maps L-Coor, where the surveyed lidar points are, to ECEF.
+        self.l_to_ecef = (estimate_ecef_transform(load_gcp_file(gcp_file)).transform
+                          if gcp_file else None)
         self.p_cali = self.world_to_h = self.h_to_ecef = None
         self.frame_index = 0
 
-    def _build_p_ecef(self) -> RigidTransform:
-        gcp_file = self.config["geoloc.gcp_file"]
-        if gcp_file:
-            return estimate_ecef_transform(load_gcp_file(gcp_file)).transform
-        # Without GCPs the sensor x axis is taken to point east; leveling
-        # recovers pitch from the ground, but nothing here observes yaw.
-        if self.config["scene.sensor_yaw_deg"]:
-            raise ConfigError("scene.sensor_yaw_deg must be 0 when geoloc.gcp_file is null: "
-                              "without ground control points the sensor yaw is unknown")
-        return enu_to_ecef_transform(self.config.sensor_geodetic())
+    def _build_h_to_ecef(self) -> RigidTransform:
+        if self.l_to_ecef is not None:
+            return self.l_to_ecef @ self.p_cali.inverse()
+        # H-Coor is level and east-aligned, and the sensor sits at p_cali's
+        # translation, so H-Coor less that offset is ENU about the sensor.
+        sensor_enu_to_ecef = enu_to_ecef_transform(self.config.sensor_geodetic())
+        return sensor_enu_to_ecef @ RigidTransform.from_translation(-self.p_cali.translation)
 
     def _now(self, frame_t: float) -> float:
         return time.time() if self.wall_stamps else frame_t
@@ -92,7 +97,7 @@ class EdgePipeline:
                 self.config.seed,
             )
             self.world_to_h = self.p_cali @ self.sensor_pose
-            self.h_to_ecef = self.p_ecef @ self.p_cali.inverse()
+            self.h_to_ecef = self._build_h_to_ecef()
         leveled = _timed(seconds, "preprocess", apply_transform, fenced, self.p_cali)
 
         if self.backend == "oracle":

@@ -52,7 +52,6 @@ class RelayServer:
         self._publisher_connected = False
         self._lock = threading.Lock()
         self._stopping = threading.Event()
-        self._threads: list[threading.Thread] = []
 
     def start(self):
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -61,9 +60,7 @@ class RelayServer:
         listener.listen(16)
         self._listener = listener
         self.port = listener.getsockname()[1]
-        t = threading.Thread(target=self._accept_loop, name="relay-accept", daemon=True)
-        t.start()
-        self._threads.append(t)
+        threading.Thread(target=self._accept_loop, name="relay-accept", daemon=True).start()
         log.info("relay listening on %s:%d", self.host, self.port)
         return self
 
@@ -118,9 +115,7 @@ class RelayServer:
                 sub = _Subscriber(sock, peer, self.queue_size)
                 self._subscribers.append(sub)
             log.info("subscriber %s connected", peer)
-            threading.Thread(
-                target=self._subscriber_loop, args=(sub,), daemon=True
-            ).start()
+            self._subscriber_loop(sub)
         else:
             log.warning("unknown role %r from %s", role, peer)
             sock.close()

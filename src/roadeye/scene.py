@@ -7,6 +7,7 @@ ground plane and expressed in the sensor (L-Coor) frame.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -81,22 +82,31 @@ class AgentSpec:
 
 @dataclass
 class ScenarioConfig:
+    """The simulated scene. World x points east, y north, and the origin lies
+    on the ground below the sensor, which is pitched about y, then yawed."""
+
     agents: list[AgentSpec] = field(default_factory=list)
     duration: float = 10.0
     tick: float = 0.1
-    sensor_pose: RigidTransform | None = None  # world -> L-Coor; None = pure -z shift
     mount_height: float = 4.74
     points_per_agent: int = 400
     ground_point_density: float = 0.2  # points / m^2
+    sensor_pitch_deg: float = 0.0
+    sensor_yaw_deg: float = 0.0
     rng_seed: int = 0
+    sensor_pose: RigidTransform = field(init=False)  # world -> L-Coor
 
     def __post_init__(self):
         if self.tick <= 0:
             raise ValueError("tick must be positive")
         if self.duration < 0:
             raise ValueError("duration must be nonnegative")
-        if self.sensor_pose is None:
-            self.sensor_pose = RigidTransform.from_translation([0.0, 0.0, -self.mount_height])
+        pitch = math.radians(self.sensor_pitch_deg)
+        cp, sp = math.cos(pitch), math.sin(pitch)
+        pitch_rot = [[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]]
+        rot = rotation_about_z(math.radians(self.sensor_yaw_deg)) @ pitch_rot
+        self.sensor_pose = RigidTransform.from_rotation_translation(
+            rot, rot @ [0.0, 0.0, -self.mount_height])
 
     def frame_times(self) -> np.ndarray:
         n = int(round(self.duration / self.tick))

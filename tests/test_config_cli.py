@@ -88,6 +88,16 @@ def test_gcp_file_takes_string_or_null(value):
         assert load_config(overrides={"geoloc": {"gcp_file": ok}})["geoloc.gcp_file"] == ok
 
 
+@pytest.mark.parametrize("value", [[800.0], [1, 2, 3], ["a", "b"], [800.0, None], "800x800"])
+def test_list_key_takes_a_list_of_its_defaults_items(value):
+    # A list default takes a list of its length, each item checked against
+    # the default's item; [800.0] used to load and map to a 1-item viewport.
+    with pytest.raises(ConfigError, match=r"onboard\.viewport"):
+        load_config(overrides={"onboard": {"viewport": value}})
+    viewport = load_config(overrides={"onboard": {"viewport": [640, 480.0]}}).pixel_map().viewport
+    assert viewport == (640, 480.0)
+
+
 def test_sample_config_matches_defaults():
     sample = json.loads((REPO_ROOT / "config.sample.json").read_text())
     assert sample == DEFAULTS
@@ -140,7 +150,11 @@ def test_typed_accessors():
     assert cfg.cluster_params().ground_z == -4.74
     scenario = cfg.scenario()
     assert len(scenario.agents) == 4
+    assert scenario.sensor_pose.apply_point([0.0, 0.0, 4.74]) == pytest.approx([0.0, 0.0, 0.0])
     assert cfg.pixel_map().viewport == (800.0, 800.0)
+    ego = cfg.ego_simulator()
+    assert (ego.start.lat, ego.start.lon, ego.start.alt) == (39.99975, -105.0, 0.0)
+    assert (ego.heading, ego.speed, ego.rate_hz, ego.noise_std, ego.seed) == (0.0, 0.0, 8.0, 0.0, 0)
 
 
 def test_bad_agent_spec_diagnosed(tmp_path):
@@ -313,6 +327,40 @@ def test_perceive_with_gcp_file(tmp_path):
     main(["--config", str(cfg), "eval", "--gt", str(frames) + ".gt",
           "--results", str(results), "--json", str(report)])
     assert json.loads(report.read_text())["recall"] == 1.0
+
+
+def test_eval_scores_yawed_sensor_georeferenced_by_gcps(tmp_path):
+    # GCPs surveyed for a 30 deg yawed sensor: lidar points through the
+    # simulator's pose, ECEF from the world frame, which is ENU about the
+    # ground below the sensor. The decoded positions are exact; eval used to
+    # map them back through the pipeline's unyawed chain and matched nothing.
+    import numpy as np
+
+    from roadeye.geoloc import enu_to_ecef_transform
+    from roadeye.geometry import RigidTransform
+
+    scene = {"duration": 1.0, "sensor_yaw_deg": 30.0}
+    cfg_obj = load_config(overrides={"scene": scene})
+    scenario = cfg_obj.scenario()
+    ground_to_sensor = RigidTransform.from_translation([0.0, 0.0, -scenario.mount_height])
+    world_to_ecef = enu_to_ecef_transform(cfg_obj.sensor_geodetic()) @ ground_to_sensor
+    world = np.array([(0.0, 0.0, 0.0), (30.0, 0.0, 1.0), (0.0, 25.0, 2.0), (-20.0, 15.0, 0.5)])
+    rows = np.column_stack([scenario.sensor_pose.apply_points(world),
+                            world_to_ecef.apply_points(world)])
+    gcp_path = tmp_path / "gcps.txt"
+    gcp_path.write_text("".join(" ".join(f"{v:.6f}" for v in row) + "\n" for row in rows))
+    cfg = _write_cfg(tmp_path, {"scene": scene, "geoloc": {"gcp_file": str(gcp_path)}})
+    frames = tmp_path / "f.bin"
+    results = tmp_path / "r.bin"
+    main(["--config", str(cfg), "simulate", "--out", str(frames)])
+    assert main(["--config", str(cfg), "perceive", "--frames", str(frames),
+                 "--gt", str(frames) + ".gt", "--out", str(results)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["--config", str(cfg), "eval", "--gt", str(frames) + ".gt",
+                 "--results", str(results), "--json", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["recall"] == 1.0
+    assert data["precision"] == 1.0
 
 
 def test_perceive_rejects_sensor_yaw_without_gcps(tmp_path, capsys):

@@ -7,8 +7,10 @@ import pytest
 
 from roadeye import pipeline as pipeline_mod
 from roadeye.config import load_config
+from roadeye.geoloc import GeodeticPos, enu_to_ecef_transform, geodetic_to_ecef
 from roadeye.pipeline import EdgePipeline
 from roadeye.scene import scenario_frames
+from roadeye.wire import decode_frame
 
 STAGES = {"preprocess", "detection", "tracking", "geolocalization", "encoding"}
 
@@ -70,3 +72,25 @@ def test_oracle_clutter_lies_inside_the_geofence(monkeypatch):
     assert len(clutter) > 200 and agent_bottoms
     assert cfg.geofence_bounds().contains(clutter).all()
     assert agent_bottoms == pytest.approx([-cfg["scene.mount_height"]] * len(agent_bottoms))
+
+
+def test_pitched_sensor_without_gcps_georeferences_in_true_enu():
+    # Leveling removes the 5 deg pitch, so H-Coor less the sensor offset is
+    # ENU about the sensor. Reading L-Coor as ENU instead put the decoded
+    # centres 0.40 m off in plan and 3.93 m off vertically.
+    cfg = load_config(overrides={"scene": {"duration": 2.0, "sensor_pitch_deg": 5.0}})
+    pipeline = EdgePipeline(cfg)
+    ecef_to_enu = enu_to_ecef_transform(cfg.sensor_geodetic()).inverse()
+    n = 0
+    for agents, frame in scenario_frames(cfg.scenario()):
+        # True ENU about the sensor: the world frame less the mount height.
+        truth = np.array([a.center for a in agents]) - [0.0, 0.0, cfg["scene.mount_height"]]
+        for m in decode_frame(pipeline.process(frame, agents).encoded).messages:
+            ecef = geodetic_to_ecef(GeodeticPos(m.lat, m.lon, m.alt)).as_array()
+            enu = ecef_to_enu.apply_point(ecef)
+            plan = np.hypot(*(truth[:, :2] - enu[:2]).T)
+            k = int(np.argmin(plan))
+            assert plan[k] <= 0.05
+            assert abs(truth[k, 2] - enu[2]) <= 0.1
+            n += 1
+    assert n == 4 * 20

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 
@@ -187,6 +188,18 @@ def test_sensor_pose_applied():
     frame = sample_point_cloud([], cfg)
     # Untilted default pose puts the ground plane at z = -mount_height.
     assert np.allclose(frame.xyz[:, 2], -4.74, atol=1e-5)
+
+
+def test_sensor_pose_built_from_angles():
+    # Pitch about the sensor's y axis, then yaw about z, with the sensor at
+    # mount height above the world origin.
+    cfg = ScenarioConfig(mount_height=4.74, sensor_pitch_deg=5.0, sensor_yaw_deg=30.0)
+    assert np.allclose(cfg.sensor_pose.apply_point([0.0, 0.0, 4.74]), 0.0)
+    up = cfg.sensor_pose.rotation @ [0.0, 0.0, 1.0]
+    assert math.degrees(math.acos(up[2])) == pytest.approx(5.0)
+    assert math.degrees(cfg.sensor_pose.yaw) == pytest.approx(30.0)
+    level = dataclasses.replace(cfg, sensor_pitch_deg=0.0)  # replace rebuilds the pose
+    assert np.allclose(level.sensor_pose.rotation, rotation_about_z(math.radians(30.0)))
 
 
 def _random_frames(rng, n=3):
