@@ -88,17 +88,18 @@ class EdgePipeline:
         seconds: dict[str, float] = {}
         t_in = self._now(frame.t)
 
-        fenced = _timed(seconds, "preprocess", geofence, frame, self.bounds)
         if self.p_cali is None:
-            # The first frame fixes the L→H calibration and the two transforms
-            # that follow from it.
+            # The first frame, as read, fixes the L→H calibration and the two
+            # transforms that follow from it.
             self.p_cali = _timed(
-                seconds, "preprocess", estimate_ground_calibration, fenced, self.mount_height,
+                seconds, "preprocess", estimate_ground_calibration, frame, self.mount_height,
                 self.config.seed,
             )
             self.world_to_h = self.p_cali @ self.sensor_pose
             self.h_to_ecef = self._build_h_to_ecef()
-        leveled = _timed(seconds, "preprocess", apply_transform, fenced, self.p_cali)
+        # The geofence bounds hold in H-Coor, as for the oracle's clutter.
+        leveled = _timed(seconds, "preprocess", apply_transform, frame, self.p_cali)
+        fenced = _timed(seconds, "preprocess", geofence, leveled, self.bounds)
 
         if self.backend == "oracle":
             if gt_agents is None:
@@ -109,7 +110,7 @@ class EdgePipeline:
             truth = _timed(seconds, "detection", self._truth_in_h, gt_agents)
             dets = _timed(seconds, "detection", detect_oracle, truth, self.noise, seed, self.bounds)
         else:
-            dets = _timed(seconds, "detection", detect_cluster, leveled, self.cluster_params)
+            dets = _timed(seconds, "detection", detect_cluster, fenced, self.cluster_params)
 
         tracks = _timed(seconds, "tracking", track_frame, self.tracker, dets, frame.t)
         records = _timed(

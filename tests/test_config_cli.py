@@ -363,6 +363,44 @@ def test_eval_scores_yawed_sensor_georeferenced_by_gcps(tmp_path):
     assert data["precision"] == 1.0
 
 
+def _cluster_eval_kept_shares(tmp_path, monkeypatch, pitch_deg):
+    """Simulate, perceive and eval the default 2 s scene with the cluster
+    backend at voxel 1.2; return the eval recall and the share of points the
+    geofence keeps in each frame."""
+    from roadeye import pipeline as pipeline_mod
+    from roadeye.preproc import geofence
+
+    shares = []
+
+    def counting_geofence(frame, bounds):
+        out = geofence(frame, bounds)
+        shares.append(len(out) / len(frame))
+        return out
+
+    monkeypatch.setattr(pipeline_mod, "geofence", counting_geofence)
+    run = tmp_path / f"pitch{pitch_deg}"
+    run.mkdir()
+    cfg = _write_cfg(run, {"scene": {"duration": 2.0, "sensor_pitch_deg": pitch_deg},
+                           "detector": {"backend": "cluster", "cluster": {"voxel": 1.2}}})
+    frames, results, report = run / "f.bin", run / "r.bin", run / "report.json"
+    assert main(["--config", str(cfg), "simulate", "--out", str(frames)]) == 0
+    assert main(["--config", str(cfg), "perceive", "--frames", str(frames),
+                 "--out", str(results)]) == 0
+    assert main(["--config", str(cfg), "eval", "--gt", str(frames) + ".gt",
+                 "--results", str(results), "--json", str(report)]) == 0
+    return json.loads(report.read_text())["recall"], shares
+
+
+def test_geofence_bounds_hold_for_a_pitched_sensor(tmp_path, monkeypatch):
+    # The bounds hold in H-Coor. Cropping the L-Coor frame before leveling
+    # kept 53 % of the points at a 5 deg pitch and cut recall 0.84 -> 0.54.
+    level_recall, _ = _cluster_eval_kept_shares(tmp_path, monkeypatch, 0.0)
+    pitched_recall, shares = _cluster_eval_kept_shares(tmp_path, monkeypatch, 5.0)
+    assert len(shares) == 20
+    assert min(shares) >= 0.99
+    assert abs(pitched_recall - level_recall) <= 0.02
+
+
 def test_perceive_rejects_sensor_yaw_without_gcps(tmp_path, capsys):
     # Without GCPs the pipeline takes the sensor x axis to point east, so a
     # yawed sensor would georeference every object 2 r sin(yaw / 2) off.
@@ -595,3 +633,14 @@ def test_bench_times_no_set_up(tmp_path, monkeypatch):
     assert data["stage_preprocess_p95_ms"] < 100.0
     assert data["phase2_p95_ms"] < 100.0
     assert data["frames"] == 5  # frame 0 runs once, untimed
+
+
+def test_bench_json_keys_pinned(tmp_path):
+    report = tmp_path / "bench.json"
+    assert main(["bench", "--frames", "3", "--points", "2000", "--json", str(report)]) == 0
+    stages = ("preprocess", "detection", "tracking", "geolocalization", "encoding")
+    assert list(json.loads(report.read_text())) == [
+        "frames", "phase1_ms", "phase2_ms", "phase3_ms", "total_ms",
+        "phase1_p95_ms", "phase2_p95_ms", "phase3_p95_ms", "total_p95_ms", "throughput_hz",
+        *(key for name in stages for key in (f"stage_{name}_ms", f"stage_{name}_p95_ms")),
+    ]
