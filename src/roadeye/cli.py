@@ -264,7 +264,7 @@ def cmd_bench(cfg: PipelineConfig, args) -> int:
     print(format_latency_report(report), end="")
     if args.json:
         with open(args.json, "w") as f:
-            json.dump(report.to_dict(), f, indent=2)
+            json.dump(report, f, indent=2)
             f.write("\n")
     return EXIT_OK
 

@@ -8,7 +8,7 @@ stamps taken on one clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,48 +126,8 @@ def format_metric_report(c: ConfusionCounts, report: MetricReport) -> str:
     )
 
 
-@dataclass
-class StageStat:
-    median_ms: float
-    p95_ms: float
-
-
-@dataclass
-class LatencyReport:
-    """Median/p95 phase durations in milliseconds plus throughput."""
-
-    phase1_ms: float
-    phase2_ms: float
-    phase3_ms: float
-    total_ms: float
-    phase1_p95_ms: float
-    phase2_p95_ms: float
-    phase3_p95_ms: float
-    total_p95_ms: float
-    throughput_hz: float
-    frames: int
-    stage_breakdown: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        d = {
-            "frames": self.frames,
-            "phase1_ms": self.phase1_ms,
-            "phase2_ms": self.phase2_ms,
-            "phase3_ms": self.phase3_ms,
-            "total_ms": self.total_ms,
-            "phase1_p95_ms": self.phase1_p95_ms,
-            "phase2_p95_ms": self.phase2_p95_ms,
-            "phase3_p95_ms": self.phase3_p95_ms,
-            "total_p95_ms": self.total_p95_ms,
-            "throughput_hz": self.throughput_hz,
-        }
-        for name, stat in self.stage_breakdown.items():
-            d[f"stage_{name}_ms"] = stat.median_ms
-            d[f"stage_{name}_p95_ms"] = stat.p95_ms
-        return d
-
-
-def _stat(durations_s: list[float]) -> tuple[float, float]:
+def _ms(durations_s: list[float]) -> tuple[float, float]:
+    """Median and p95 in milliseconds."""
     arr = np.asarray(durations_s) * 1000.0
     return float(np.median(arr)), float(np.percentile(arr, 95))
 
@@ -175,12 +135,14 @@ def _stat(durations_s: list[float]) -> tuple[float, float]:
 def latency_report(
     stamps: list[PhaseStamps],
     stage_seconds: dict[str, list[float]] | None = None,
-) -> LatencyReport:
+) -> dict:
     """Aggregate per-frame phase durations, all stamps on one clock.
 
     Phase 1 spans sensor to edge ingest, phase 2 the edge processing, and
     phase 3 edge egress to onboard display. `stage_seconds` maps a stage
-    name to its per-frame wall seconds.
+    name to its per-frame wall seconds. Returns the flat dict `roadeye
+    bench --json` writes: median and p95 milliseconds per phase and per
+    stage with samples, throughput and the frame count.
     """
     if not stamps:
         raise ValueError("no stamped frames to report on")
@@ -204,47 +166,30 @@ def latency_report(
             tot.append(s.t_edge_out - s.t_sensor)
     sensors = [s.t_sensor for s in stamps]
     span = max(sensors) - min(sensors)
-    throughput = (len(stamps) - 1) / span if len(stamps) > 1 and span > 0 else 0.0
 
-    p1_med, p1_p95 = _stat(p1)
-    p2_med, p2_p95 = _stat(p2)
-    p3_med, p3_p95 = _stat(p3) if p3 else (0.0, 0.0)
-    tot_med, tot_p95 = _stat(tot)
-    breakdown = {}
-    if stage_seconds:
-        for name, durations in stage_seconds.items():
-            if durations:
-                med, p95 = _stat(list(durations))
-                breakdown[name] = StageStat(median_ms=med, p95_ms=p95)
-    return LatencyReport(
-        phase1_ms=p1_med,
-        phase2_ms=p2_med,
-        phase3_ms=p3_med,
-        total_ms=tot_med,
-        phase1_p95_ms=p1_p95,
-        phase2_p95_ms=p2_p95,
-        phase3_p95_ms=p3_p95,
-        total_p95_ms=tot_p95,
-        throughput_hz=throughput,
-        frames=len(stamps),
-        stage_breakdown=breakdown,
-    )
+    phases = {"phase1": _ms(p1), "phase2": _ms(p2),
+              "phase3": _ms(p3) if p3 else (0.0, 0.0), "total": _ms(tot)}
+    report = {"frames": len(stamps)}
+    report.update((f"{name}_ms", med) for name, (med, _) in phases.items())
+    report.update((f"{name}_p95_ms", p95) for name, (_, p95) in phases.items())
+    report["throughput_hz"] = (len(stamps) - 1) / span if len(stamps) > 1 and span > 0 else 0.0
+    for name, durations in (stage_seconds or {}).items():
+        if durations:
+            report[f"stage_{name}_ms"], report[f"stage_{name}_p95_ms"] = _ms(durations)
+    return report
 
 
-def format_latency_report(report: LatencyReport) -> str:
-    lines = [
-        f"frames: {report.frames}   throughput: {report.throughput_hz:.2f} Hz",
-        f"phase 1 (sensor side):        median {report.phase1_ms:8.3f} ms   p95 {report.phase1_p95_ms:8.3f} ms",
-        f"phase 2 (edge-server side):   median {report.phase2_ms:8.3f} ms   p95 {report.phase2_p95_ms:8.3f} ms",
-    ]
-    lines.append(
-        f"phase 3 (cloud/onboard side): median {report.phase3_ms:8.3f} ms   p95 {report.phase3_p95_ms:8.3f} ms"
-    )
-    lines.append(
-        f"total:                        median {report.total_ms:8.3f} ms   p95 {report.total_p95_ms:8.3f} ms"
-    )
-    if report.stage_breakdown:
+def format_latency_report(report: dict) -> str:
+    def row(label: str, key: str) -> str:
+        return f"{label}median {report[key + '_ms']:8.3f} ms   p95 {report[key + '_p95_ms']:8.3f} ms"
+
+    lines = [f"frames: {report['frames']}   throughput: {report['throughput_hz']:.2f} Hz"]
+    for label, key in (("phase 1 (sensor side):", "phase1"), ("phase 2 (edge-server side):", "phase2"),
+                       ("phase 3 (cloud/onboard side):", "phase3"), ("total:", "total")):
+        lines.append(row(f"{label:<30}", key))
+    stages = [key[len("stage_"):-len("_p95_ms")] for key in report
+              if key.startswith("stage_") and key.endswith("_p95_ms")]
+    if stages:
         lines.append("phase 2 breakdown:")
-        for name, stat in report.stage_breakdown.items():
-            lines.append(f"  {name:<16} median {stat.median_ms:8.3f} ms   p95 {stat.p95_ms:8.3f} ms")
+        lines.extend(row(f"  {name:<16} ", f"stage_{name}") for name in stages)
     return "\n".join(lines) + "\n"
