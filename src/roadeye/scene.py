@@ -182,33 +182,24 @@ def step_scenario(config: ScenarioConfig, t: float) -> list[AgentState]:
     return states
 
 
+# Face 2k and 2k+1 are normal to local axis k (x length, y lateral, z up),
+# on its + and - side; the other two axes, in order, take u and v.
+_FACE_SPAN = np.array([[1, 2], [0, 2], [0, 1]])
+
+
 def sample_box_surface(box: OrientedBox3D, n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniformly sample n points on the box surface (exact, float64)."""
-    w, l, h = box.w, box.l, box.h
-    # Face pairs: normal +-length (area w*h), +-lateral (l*h), +-up (l*w).
-    areas = np.array([w * h, w * h, l * h, l * h, l * w, l * w])
+    dims = np.array([box.l, box.w, box.h])
+    areas = np.repeat(dims[_FACE_SPAN].prod(axis=1), 2)
     faces = rng.choice(6, size=n, p=areas / areas.sum())
     u = rng.uniform(-0.5, 0.5, size=n)
     v = rng.uniform(-0.5, 0.5, size=n)
+    axis, side = np.divmod(faces, 2)
+    (a, b), rows = _FACE_SPAN[axis].T, np.arange(n)
     local = np.empty((n, 3))
-    for f in range(6):
-        m = faces == f
-        if not np.any(m):
-            continue
-        axis, sign = divmod(f, 2)
-        s = 1.0 if sign == 0 else -1.0
-        if axis == 0:  # +-x (length) faces, spanned by (y, z)
-            local[m, 0] = s * l / 2.0
-            local[m, 1] = u[m] * w
-            local[m, 2] = v[m] * h
-        elif axis == 1:  # +-y (lateral) faces, spanned by (x, z)
-            local[m, 0] = u[m] * l
-            local[m, 1] = s * w / 2.0
-            local[m, 2] = v[m] * h
-        else:  # +-z faces, spanned by (x, y)
-            local[m, 0] = u[m] * l
-            local[m, 1] = v[m] * w
-            local[m, 2] = s * h / 2.0
+    local[rows, axis] = np.where(side == 0, 1.0, -1.0) * dims[axis] / 2.0
+    local[rows, a] = u * dims[a]
+    local[rows, b] = v * dims[b]
     return local @ rotation_about_z(box.theta).T + box.center
 
 
