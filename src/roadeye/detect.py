@@ -15,12 +15,15 @@ import numpy as np
 
 from .geometry import CLASSES, ObjectClass, OrientedBox3D, normalize_angle, wrap_angles
 from .preproc import GeofenceBounds
-from .scene import AgentState, ScenarioConfig
+from .scene import PEDESTRIAN_DIM_RANGE, VEHICLE_DIM_RANGE, AgentState, ScenarioConfig
 
 # Footprint threshold separating vehicles from pedestrians among cluster and
 # clutter boxes.
 CLUSTER_VEHICLE_FOOTPRINT = 2.5  # m
 MIN_CLUSTER_EXTENT = 0.05  # m, keeps degenerate clusters within box invariants
+# Oracle clutter (w, l, h) ranges: the hull of every simulated class's ranges.
+CLUTTER_DIM_RANGE = tuple((min(v[0], p[0]), max(v[1], p[1]))
+                          for v, p in zip(VEHICLE_DIM_RANGE, PEDESTRIAN_DIM_RANGE))
 
 # One detected object per row: the box as `OrientedBox3D` names it, the class
 # as an index into CLASSES, the score, and the track id (-1 until tracked).
@@ -127,9 +130,9 @@ def _clutter(rng: np.random.Generator, bounds: GeofenceBounds, n: int) -> np.nda
     so each box lies between the geofence floor and ceiling."""
     out = np.empty(n, DETECTION)
     box = out["box"]
-    box["w"] = rng.uniform(0.4, 2.6, n)
-    box["l"] = rng.uniform(0.4, 12.0, n)
-    box["h"] = np.minimum(rng.uniform(1.3, 4.5, n), bounds.z_max - bounds.z_min)
+    for name, (lo, hi) in zip("wlh", CLUTTER_DIM_RANGE):
+        box[name] = rng.uniform(lo, hi, n)
+    box["h"] = np.minimum(box["h"], bounds.z_max - bounds.z_min)
     box["x"] = rng.uniform(bounds.x_min, bounds.x_max, n)
     box["y"] = rng.uniform(bounds.y_min, bounds.y_max, n)
     box["z"] = rng.uniform(bounds.z_min, bounds.z_max - box["h"]) + box["h"] / 2.0
@@ -150,7 +153,9 @@ def detect_oracle(
 
     `truth` is a list of agents or their `truth_boxes` rows. Boxes come out
     in the frame of `truth`, survivors first and in order; clutter lies
-    inside `bounds`, which must be given in that same frame. Deterministic
+    inside `bounds`, which must be given in that same frame. The pipeline
+    passes H-Coor truth and the geofence, whose bounds hold in H-Coor
+    (level, sensor at the origin, ground at -mount_height). Deterministic
     under `seed`. With all-zero noise the survivors equal the truth boxes
     exactly.
     """

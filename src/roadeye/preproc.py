@@ -1,8 +1,10 @@
 """Geofencing and sensor self-calibration (L-Coor to H-Coor).
 
 Calibration fits the ground plane with seeded RANSAC over the lowest-z
-stratum, then builds the rigid transform that levels the ground at
-z = -mount_height with the minimal normal-to-up rotation (no yaw injected).
+stratum of a frame as the sensor delivers it, then builds the rigid transform
+that levels the ground at z = -mount_height with the minimal normal-to-up
+rotation (no yaw injected). The geofence crops leveled frames, so its bounds
+hold in H-Coor.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ class CalibrationError(RuntimeError):
 
 @dataclass
 class GeofenceBounds:
+    """Crop bounds in H-Coor: level, sensor at the origin, ground at -mount_height."""
+
     x_min: float = -AREA_HALF_EXTENT
     x_max: float = AREA_HALF_EXTENT
     y_min: float = -AREA_HALF_EXTENT
