@@ -128,7 +128,6 @@ class RelayServer:
                 if frame is None:
                     break
                 self.sequence += 1
-                log.info("frame %d: %d bytes", self.sequence, len(frame))
                 self._broadcast(frame)
         except (OSError, ValueError) as e:
             log.warning("publisher %s error: %s", peer, e)
@@ -136,7 +135,8 @@ class RelayServer:
             sock.close()
             with self._lock:
                 self._publisher_connected = False
-            log.info("publisher %s disconnected, awaiting reconnect", peer)
+            log.info("publisher %s disconnected after relay frame %d, awaiting reconnect",
+                     peer, self.sequence)
 
     def _broadcast(self, frame: bytes):
         with self._lock:

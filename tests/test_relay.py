@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import socket
 import time
 
@@ -128,6 +129,39 @@ def test_publisher_reconnect():
         sub.close()
     finally:
         server.stop()
+
+
+def _relay_records(caplog, n):
+    """Relay n frames to one subscriber; return the relay's log records up
+    to the publisher's disconnect line."""
+    caplog.clear()
+    server = RelayServer().start()
+    try:
+        sub = connect_subscriber(_endpoint(server))
+        time.sleep(0.2)
+        pub = connect_publisher(_endpoint(server))
+        frames = _frames(n)
+        for f in frames:
+            pub.sendall(f)
+        assert _collect(sub, n) == frames
+        pub.close()
+        deadline = time.monotonic() + 5.0
+        while not any("disconnected" in r.getMessage() for r in caplog.records):
+            assert time.monotonic() < deadline, "no publisher disconnect logged"
+            time.sleep(0.01)
+        records = [r for r in caplog.records if r.name == "roadeye.relay"]
+        sub.close()
+    finally:
+        server.stop()
+    return records
+
+
+def test_relay_logs_no_line_per_frame(caplog):
+    caplog.set_level(logging.INFO, logger="roadeye.relay")
+    few = _relay_records(caplog, 5)
+    many = _relay_records(caplog, 50)
+    assert len(many) == len(few)
+    assert any("after relay frame 50" in r.getMessage() for r in many)
 
 
 def test_second_concurrent_publisher_rejected():
