@@ -1,5 +1,6 @@
 import hashlib
 import logging
+import re
 import socket
 import time
 
@@ -133,23 +134,28 @@ def test_publisher_reconnect():
 
 def _relay_records(caplog, n):
     """Relay n frames to one subscriber; return the relay's log records up
-    to the publisher's disconnect line."""
+    to the publisher's disconnect line, less those naming another server's
+    peers (a thread an earlier test left behind may still log)."""
     caplog.clear()
     server = RelayServer().start()
     try:
         sub = connect_subscriber(_endpoint(server))
         time.sleep(0.2)
         pub = connect_publisher(_endpoint(server))
+        sub_peer, pub_peer = ("%s:%d" % s.getsockname() for s in (sub, pub))
+        ours = {_endpoint(server), sub_peer, pub_peer}
         frames = _frames(n)
         for f in frames:
             pub.sendall(f)
         assert _collect(sub, n) == frames
         pub.close()
         deadline = time.monotonic() + 5.0
-        while not any("disconnected" in r.getMessage() for r in caplog.records):
+        while not any(f"publisher {pub_peer} disconnected" in r.getMessage()
+                      for r in caplog.records):
             assert time.monotonic() < deadline, "no publisher disconnect logged"
             time.sleep(0.01)
-        records = [r for r in caplog.records if r.name == "roadeye.relay"]
+        records = [r for r in caplog.records if r.name == "roadeye.relay"
+                   and set(re.findall(r"\d+\.\d+\.\d+\.\d+:\d+", r.getMessage())) <= ours]
         sub.close()
     finally:
         server.stop()
