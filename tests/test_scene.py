@@ -145,6 +145,37 @@ def test_surface_points_on_box():
     assert np.max(_surface_distance(box, pts)) <= 1e-9
 
 
+def _sample_box_surface_reference(box, n, rng):
+    """Face by face, one branch per axis: the form the face table replaced."""
+    w, l, h = box.w, box.l, box.h
+    areas = np.array([w * h, w * h, l * h, l * h, l * w, l * w])
+    faces = rng.choice(6, size=n, p=areas / areas.sum())
+    u = rng.uniform(-0.5, 0.5, size=n)
+    v = rng.uniform(-0.5, 0.5, size=n)
+    local = np.empty((n, 3))
+    for f in range(6):
+        m = faces == f
+        axis, sign = divmod(f, 2)
+        s = 1.0 if sign == 0 else -1.0
+        if axis == 0:
+            local[m] = np.column_stack([np.full(m.sum(), s * l / 2.0), u[m] * w, v[m] * h])
+        elif axis == 1:
+            local[m] = np.column_stack([u[m] * l, np.full(m.sum(), s * w / 2.0), v[m] * h])
+        else:
+            local[m] = np.column_stack([u[m] * l, v[m] * w, np.full(m.sum(), s * h / 2.0)])
+    return local @ rotation_about_z(box.theta).T + box.center
+
+
+def test_surface_sampling_matches_per_axis_reference():
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        box = OrientedBox3D(*rng.uniform(-40, 40, 3), *rng.uniform(0.4, 12.0, 3),
+                            rng.uniform(-math.pi, math.pi))
+        n = int(rng.integers(0, 500))
+        got = sample_box_surface(box, n, np.random.default_rng(seed))
+        assert np.array_equal(got, _sample_box_surface_reference(box, n, np.random.default_rng(seed)))
+
+
 def test_empty_frame_without_agents_or_ground():
     cfg = ScenarioConfig(agents=[], duration=1.0, ground_point_density=0.0)
     frame = sample_point_cloud([], cfg)
