@@ -82,12 +82,12 @@ class TransformFit:
     rms: float  # m, residual of the fitted correspondences
 
 
-def geodetic_latitude(z: float, s: float, wgs: Wgs84Params = WGS84) -> tuple[float, int]:
+def geodetic_latitude(z: float, s: float) -> tuple[float, int]:
     """Iterate the reduced-latitude update until |dphi| < 1e-12 rad.
 
     Returns (phi radians, number of phi evaluations).
     """
-    f, e2, r = wgs.f, wgs.e2, wgs.R
+    f, e2, r = WGS84.f, WGS84.e2, WGS84.R
     beta = math.atan2(z, (1.0 - f) * s)
     phi_prev = None
     iterations = 0
@@ -105,7 +105,7 @@ def geodetic_latitude(z: float, s: float, wgs: Wgs84Params = WGS84) -> tuple[flo
     return phi, iterations
 
 
-def ecef_to_geodetic(p: EcefPos, wgs: Wgs84Params = WGS84) -> GeodeticPos:
+def ecef_to_geodetic(p: EcefPos) -> GeodeticPos:
     """Geodetic position from ECEF via the iterated reduced latitude."""
     x, y, z = p.X, p.Y, p.Z
     if math.sqrt(x * x + y * y + z * z) < 1.0:
@@ -113,21 +113,21 @@ def ecef_to_geodetic(p: EcefPos, wgs: Wgs84Params = WGS84) -> GeodeticPos:
     s = math.hypot(x, y)
     if s < POLAR_S_EPS:
         lat = math.copysign(90.0, z)
-        return GeodeticPos(lat=lat, lon=0.0, alt=abs(z) - wgs.R * (1.0 - wgs.f))
+        return GeodeticPos(lat=lat, lon=0.0, alt=abs(z) - WGS84.R * (1.0 - WGS84.f))
     lon = math.atan2(y, x)
-    phi, _ = geodetic_latitude(z, s, wgs)
-    n = wgs.R / math.sqrt(1.0 - wgs.e2 * math.sin(phi) ** 2)
-    alt = s * math.cos(phi) + (z + wgs.e2 * n * math.sin(phi)) * math.sin(phi) - n
+    phi, _ = geodetic_latitude(z, s)
+    n = WGS84.R / math.sqrt(1.0 - WGS84.e2 * math.sin(phi) ** 2)
+    alt = s * math.cos(phi) + (z + WGS84.e2 * n * math.sin(phi)) * math.sin(phi) - n
     return GeodeticPos(lat=math.degrees(phi), lon=math.degrees(lon), alt=alt)
 
 
-def ecef_to_geodetic_points(xyz: np.ndarray, wgs: Wgs84Params = WGS84):
+def ecef_to_geodetic_points(xyz: np.ndarray):
     """(lat deg, lon deg, alt m) arrays for (n, 3) ECEF points: the scalar
     conversion's rules, with BOWRING_STEPS latitude evaluations per point."""
     x, y, z = np.asarray(xyz, dtype=float).reshape(-1, 3).T
     if np.any(x * x + y * y + z * z < 1.0):
         raise ValueError("point within 1 m of Earth's center")
-    f, e2, r = wgs.f, wgs.e2, wgs.R
+    f, e2, r = WGS84.f, WGS84.e2, WGS84.R
     s = np.hypot(x, y)
     beta = np.arctan2(z, (1.0 - f) * s)
     for _ in range(BOWRING_STEPS):
@@ -146,20 +146,20 @@ def ecef_to_geodetic_points(xyz: np.ndarray, wgs: Wgs84Params = WGS84):
     return lat, lon, alt
 
 
-def geodetic_to_ecef(g: GeodeticPos, wgs: Wgs84Params = WGS84) -> EcefPos:
+def geodetic_to_ecef(g: GeodeticPos) -> EcefPos:
     """Closed-form forward transform (oracle for the iterative inverse)."""
     phi = math.radians(g.lat)
     lam = math.radians(g.lon)
-    n = wgs.R / math.sqrt(1.0 - wgs.e2 * math.sin(phi) ** 2)
+    n = WGS84.R / math.sqrt(1.0 - WGS84.e2 * math.sin(phi) ** 2)
     cp = math.cos(phi)
     return EcefPos(
         X=(n + g.alt) * cp * math.cos(lam),
         Y=(n + g.alt) * cp * math.sin(lam),
-        Z=(n * (1.0 - wgs.e2) + g.alt) * math.sin(phi),
+        Z=(n * (1.0 - WGS84.e2) + g.alt) * math.sin(phi),
     )
 
 
-def enu_to_ecef_transform(origin: GeodeticPos, wgs: Wgs84Params = WGS84) -> RigidTransform:
+def enu_to_ecef_transform(origin: GeodeticPos) -> RigidTransform:
     """Rigid transform from a local east-north-up frame at `origin` to ECEF."""
     phi = math.radians(origin.lat)
     lam = math.radians(origin.lon)
@@ -169,7 +169,7 @@ def enu_to_ecef_transform(origin: GeodeticPos, wgs: Wgs84Params = WGS84) -> Rigi
     north = np.array([-sp * cl, -sp * sl, cp])
     up = np.array([cp * cl, cp * sl, sp])
     r = np.column_stack([east, north, up])
-    t = geodetic_to_ecef(origin, wgs).as_array()
+    t = geodetic_to_ecef(origin).as_array()
     return RigidTransform.from_rotation_translation(r, t)
 
 
@@ -227,7 +227,6 @@ def georeference_tracks(
     tracks: np.ndarray,
     h_to_ecef: RigidTransform,
     t: float = 0.0,
-    wgs: Wgs84Params = WGS84,
 ) -> np.ndarray:
     """Package tracked H-Coor DETECTION rows as wire `RECORD` rows.
 
@@ -241,7 +240,7 @@ def georeference_tracks(
     check_ids(tracks["id"])
     out["id"] = tracks["id"]
     ecef = h_to_ecef.apply_points(np.column_stack([box["x"], box["y"], box["z"]]))
-    out["lat"], out["lon"], out["alt"] = ecef_to_geodetic_points(ecef, wgs)
+    out["lat"], out["lon"], out["alt"] = ecef_to_geodetic_points(ecef)
     for name in ("w", "l", "h"):
         out[name] = box[name]
     out["theta"] = quantize_heading(90.0 - np.degrees(box["theta"] + h_to_ecef.yaw))

@@ -71,11 +71,11 @@ class RenderFrame:
             raise ValueError("at most one ego icon per frame")
 
 
-def local_en_offset(origin: GeodeticPos, g, radius: float = WGS84.R):
+def local_en_offset(origin: GeodeticPos, g):
     """East/north meters of g relative to origin, equirectangular about origin;
     `g` is a GeodeticPos, or RECORD rows as a recarray for arrays of offsets."""
-    d_east = radius * math.cos(math.radians(origin.lat)) * np.radians(g.lon - origin.lon)
-    d_north = radius * np.radians(g.lat - origin.lat)
+    d_east = WGS84.R * math.cos(math.radians(origin.lat)) * np.radians(g.lon - origin.lon)
+    d_north = WGS84.R * np.radians(g.lat - origin.lat)
     return d_east, d_north
 
 

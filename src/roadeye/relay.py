@@ -8,9 +8,11 @@ overflows is dropped so slow consumers cannot stall the rest.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import queue
 import socket
+import socketserver
 import threading
 
 from .wire import WireFormatError, _read_exact, read_frame_bytes
@@ -20,6 +22,7 @@ log = logging.getLogger(__name__)
 ROLE_PUBLISHER = b"PUB0"
 ROLE_SUBSCRIBER = b"SUB0"
 HANDSHAKE_TIMEOUT = 5.0
+POLL_INTERVAL = 0.05  # s, how often the serving thread looks for shutdown()
 
 
 class _Subscriber:
@@ -28,6 +31,20 @@ class _Subscriber:
         self.peer = peer
         self.queue: queue.Queue[bytes | None] = queue.Queue(maxsize=queue_size)
         self.alive = True
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True
+    request_queue_size = 16
+    handlers: list[threading.Thread] = []  # replaced, never appended to
+
+    def process_request(self, request, client_address):
+        # Daemon threads, so a process that never calls stop() can exit; the
+        # mixin's server_close() would join only non-daemon ones.
+        t = threading.Thread(target=self.process_request_thread,
+                             args=(request, client_address), daemon=True)
+        self.handlers = [h for h in self.handlers if h.is_alive()] + [t]
+        t.start()
 
 
 class RelayServer:
@@ -47,68 +64,63 @@ class RelayServer:
         self.queue_size = queue_size
         self.so_sndbuf = so_sndbuf
         self.sequence = 0
-        self._listener: socket.socket | None = None
+        self._server: _Server | None = None
+        self._serving: threading.Thread | None = None
         self._subscribers: list[_Subscriber] = []
-        self._publisher_connected = False
+        self._publisher: socket.socket | None = None
         self._lock = threading.Lock()
-        self._stopping = threading.Event()
 
     def start(self):
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(16)
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        threading.Thread(target=self._accept_loop, name="relay-accept", daemon=True).start()
+        self._server = _Server((self.host, self.port), self._handshake)
+        self.port = self._server.server_address[1]
+        self._serving = threading.Thread(target=self._server.serve_forever, args=(POLL_INTERVAL,),
+                                         name="relay-serve", daemon=True)
+        self._serving.start()
         log.info("relay listening on %s:%d", self.host, self.port)
         return self
 
     def stop(self):
-        self._stopping.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            subs = list(self._subscribers)
-        for sub in subs:
+        """Close every connection, join every relay thread and free the port; a
+        no-op unless started. A client yet to send its role holds it up to HANDSHAKE_TIMEOUT."""
+        with self._lock:  # from here on, _handshake admits no one
+            server, self._server = self._server, None
+        if server is None:
+            return
+        server.shutdown()
+        self._serving.join()
+        for sub in list(self._subscribers):
             self._drop_subscriber(sub)
+        if (pub := self._publisher) is not None:
+            _shut(pub)
+        server.server_close()
+        for t in server.handlers:
+            t.join()
 
-    def _accept_loop(self):
-        while not self._stopping.is_set():
-            try:
-                sock, addr = self._listener.accept()
-            except OSError:
-                return
-            _no_delay(sock)
-            peer = f"{addr[0]}:{addr[1]}"
-            threading.Thread(
-                target=self._handshake, args=(sock, peer), daemon=True
-            ).start()
-
-    def _handshake(self, sock: socket.socket, peer: str):
+    def _handshake(self, sock: socket.socket, addr: tuple, _server: _Server):
+        """The server's request handler: serves one connection in its thread."""
+        _no_delay(sock)
+        peer = "%s:%d" % addr
         sock.settimeout(HANDSHAKE_TIMEOUT)
         try:
             role = _read_exact(sock.recv, len(ROLE_PUBLISHER))
         except (OSError, WireFormatError):
-            sock.close()
             return
         sock.settimeout(None)
         if role == ROLE_PUBLISHER:
             with self._lock:
-                if self._publisher_connected:
-                    log.warning("rejecting second publisher from %s", peer)
-                    sock.close()
+                if self._server is None:
                     return
-                self._publisher_connected = True
+                if self._publisher is not None:
+                    log.warning("rejecting second publisher from %s", peer)
+                    return
+                self._publisher = sock
             self._publisher_loop(sock, peer)
         elif role == ROLE_SUBSCRIBER:
             with self._lock:
+                if self._server is None:
+                    return
                 if len(self._subscribers) >= self.max_subscribers:
                     log.warning("subscriber limit reached, rejecting %s", peer)
-                    sock.close()
                     return
                 if self.so_sndbuf is not None:
                     sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, self.so_sndbuf)
@@ -118,23 +130,18 @@ class RelayServer:
             self._subscriber_loop(sub)
         else:
             log.warning("unknown role %r from %s", role, peer)
-            sock.close()
 
     def _publisher_loop(self, sock: socket.socket, peer: str):
         log.info("publisher %s connected", peer)
         try:
-            while not self._stopping.is_set():
-                frame = read_frame_bytes(sock)
-                if frame is None:
-                    break
+            while (frame := read_frame_bytes(sock)) is not None:
                 self.sequence += 1
                 self._broadcast(frame)
         except (OSError, ValueError) as e:
             log.warning("publisher %s error: %s", peer, e)
         finally:
-            sock.close()
             with self._lock:
-                self._publisher_connected = False
+                self._publisher = None
             log.info("publisher %s disconnected after relay frame %d, awaiting reconnect",
                      peer, self.sequence)
 
@@ -151,10 +158,7 @@ class RelayServer:
 
     def _subscriber_loop(self, sub: _Subscriber):
         try:
-            while sub.alive:
-                frame = sub.queue.get()
-                if frame is None:
-                    break
+            while sub.alive and (frame := sub.queue.get()) is not None:
                 sub.sock.sendall(frame)
         except OSError as e:
             log.info("subscriber %s send failed: %s", sub.peer, e)
@@ -167,14 +171,9 @@ class RelayServer:
                 self._subscribers.remove(sub)
         if sub.alive:
             sub.alive = False
-            try:
+            with contextlib.suppress(queue.Full):
                 sub.queue.put_nowait(None)
-            except queue.Full:
-                pass
-            try:
-                sub.sock.close()
-            except OSError:
-                pass
+            _shut(sub.sock)
 
     @property
     def subscriber_count(self) -> int:
@@ -185,13 +184,7 @@ class RelayServer:
 def relay_serve(bind_endpoint: str, max_subscribers: int, queue_size: int) -> RelayServer:
     """Bind a relay at "host:port" and return the running service."""
     host, _, port = bind_endpoint.rpartition(":")
-    server = RelayServer(
-        host=host or "127.0.0.1",
-        port=int(port),
-        max_subscribers=max_subscribers,
-        queue_size=queue_size,
-    )
-    return server.start()
+    return RelayServer(host or "127.0.0.1", int(port), max_subscribers, queue_size).start()
 
 
 def connect_publisher(endpoint: str, timeout: float = 5.0) -> socket.socket:
@@ -219,3 +212,9 @@ def _no_delay(sock: socket.socket) -> None:
     Nagle's algorithm can only hold a frame back until the peer's delayed
     ACK for the previous one arrives, up to 40 ms on Linux."""
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
+def _shut(sock: socket.socket) -> None:
+    """Wake a thread blocked in recv or sendall; on Linux, close() does not."""
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_RDWR)

@@ -53,15 +53,12 @@ class TrackerConfig:
     max_age: int = 5
     process_noise: float = 0.1
     measurement_noise: float = 0.1
-    lift: str = "first"  # or "nearest"
 
     def __post_init__(self):
         if self.d_o <= 0:
             raise ValueError("d_o must be positive")
         if self.n_init < 1 or self.max_age < 1:
             raise ValueError("n_init and max_age must be >= 1")
-        if self.lift not in ("first", "nearest"):
-            raise ValueError(f"unknown lift mode {self.lift!r}")
 
 
 # Constant-velocity model over (x, y, w, l, vx, vy); dt is one frame.
@@ -171,13 +168,9 @@ def lift_to_3d(
     track_ids: np.ndarray,
     track_xy: np.ndarray,
     d_o: float,
-    mode: str = "first",
 ) -> np.ndarray:
-    """Track id per DETECTION row, through a plan-distance gate.
-
-    "first" takes the first track, in row order, strictly inside d_o;
-    "nearest" the closest one inside the gate. Unmatched rows get -1.
-    """
+    """Track id per DETECTION row: the first track, in row order, strictly
+    inside the plan-distance gate d_o. Unmatched rows get -1."""
     if d_o <= 0:
         raise ValueError("d_o must be positive")
     track_ids = np.asarray(track_ids)
@@ -187,8 +180,7 @@ def lift_to_3d(
     hit = inside.any(axis=1)
     chosen = np.full(len(dets), -1, dtype=np.int64)
     if hit.any():
-        pick = np.argmax(inside[hit], axis=1) if mode == "first" else np.argmin(dist[hit], axis=1)
-        chosen[hit] = track_ids[pick]
+        chosen[hit] = track_ids[np.argmax(inside[hit], axis=1)]
     return chosen
 
 
@@ -202,5 +194,5 @@ def track_frame(tracker: Tracker2D, dets: np.ndarray, t: float | None = None) ->
     tracker.associate(project_to_2d(dets))
     out = dets.copy()
     cfg = tracker.config
-    out["id"] = lift_to_3d(dets, tracker.ids, tracker.mean[:, :2], cfg.d_o, cfg.lift)
+    out["id"] = lift_to_3d(dets, tracker.ids, tracker.mean[:, :2], cfg.d_o)
     return out

@@ -481,19 +481,6 @@ def test_perceive_wall_stamps(tmp_path):
         assert s.t_sensor > 1e9  # epoch seconds, not simulated time
 
 
-def test_nearest_lift_mode_plumbed(tmp_path):
-    cfg = _write_cfg(tmp_path, {"tracker": {"lift": "nearest"}})
-    frames = tmp_path / "f.bin"
-    out = tmp_path / "r.bin"
-    main(["--config", str(cfg), "simulate", "--out", str(frames)])
-    assert main(["--config", str(cfg), "perceive", "--frames", str(frames),
-                 "--gt", str(frames) + ".gt", "--out", str(out)]) == 0
-    report = tmp_path / "report.json"
-    main(["--config", str(cfg), "eval", "--gt", str(frames) + ".gt",
-          "--results", str(out), "--json", str(report)])
-    assert json.loads(report.read_text())["recall"] == 1.0
-
-
 def test_eval_zero_dist_threshold_rejected(tmp_path):
     cfg = _write_cfg(tmp_path)
     frames = tmp_path / "f.bin"

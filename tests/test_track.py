@@ -152,38 +152,24 @@ def test_lift_outside_gate_gives_sentinel():
     assert out.tolist() == [-1]
 
 
-def test_lift_first_vs_nearest():
-    ids, xy = [1, 2], [[1.5, 0.0], [0.2, 0.0]]
-    first = lift_to_3d(detections([_det(0.0, 0.0)]), ids, xy, d_o=2.0, mode="first")
-    nearest = lift_to_3d(detections([_det(0.0, 0.0)]), ids, xy, d_o=2.0, mode="nearest")
-    assert first.tolist() == [1]
-    assert nearest.tolist() == [2]
-
-
 def test_lift_matches_bruteforce_scan(rng):
     for _ in range(25):
         dets = detections(_det(*rng.uniform(-20, 20, 2)) for _ in range(20))
         ids = rng.permutation(100)[:20]
         xy = rng.uniform(-20, 20, (20, 2))
-        first = lift_to_3d(dets, ids, xy, d_o=3.0)
-        nearest = lift_to_3d(dets, ids, xy, d_o=3.0, mode="nearest")
-        for det, lifted, closest in zip(dets, first, nearest):
-            expected_first, expected_nearest, best = -1, -1, math.inf
+        for det, lifted in zip(dets, lift_to_3d(dets, ids, xy, d_o=3.0)):
+            expected = -1
             for tid, (x, y) in zip(ids, xy):
-                dist = math.hypot(det.box.x - x, det.box.y - y)
-                if dist < 3.0 and expected_first == -1:
-                    expected_first = tid
-                if dist < 3.0 and dist < best:
-                    expected_nearest, best = tid, dist
-            assert lifted == expected_first
-            assert closest == expected_nearest
+                if math.hypot(det.box.x - x, det.box.y - y) < 3.0:
+                    expected = tid
+                    break
+            assert lifted == expected
 
 
 def test_lift_preserves_cardinality_and_payload(rng):
     dets = detections(_det(*rng.uniform(-20, 20, 2)) for _ in range(9))
-    for mode in ("first", "nearest"):
-        out = lift_to_3d(dets, np.empty(0, dtype=int), np.empty((0, 2)), d_o=2.0, mode=mode)
-        assert out.tolist() == [-1] * len(dets)
+    out = lift_to_3d(dets, np.empty(0, dtype=int), np.empty((0, 2)), d_o=2.0)
+    assert out.tolist() == [-1] * len(dets)
     assert lift_to_3d(detections([]), [3], [[0.0, 0.0]], d_o=2.0).tolist() == []
     # A tracking step fills in the id column and leaves every other field as it was.
     tracked = track_frame(Tracker2D(TrackerConfig()), dets, 0.0)
@@ -337,5 +323,3 @@ def test_tracker_config_validation():
         TrackerConfig(d_o=0.0)
     with pytest.raises(ValueError):
         TrackerConfig(n_init=0)
-    with pytest.raises(ValueError):
-        TrackerConfig(lift="middle")
