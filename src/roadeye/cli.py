@@ -100,7 +100,14 @@ def cmd_perceive(cfg: PipelineConfig, args) -> int:
         pub = stack.enter_context(connect_publisher(args.relay)) if args.relay else None
         out_f = stack.enter_context(open(args.out, "wb")) if args.out else None
         tap = _open_tap(stack, args.tap)
+        skipped = 0
         for k, frame in enumerate(frames):
+            # The reader lets no timestamp decrease, so a frame the tracker
+            # refuses repeats the last one's; its ground truth, paired by
+            # index, is skipped with it.
+            if not pipeline.tracker.follows(frame.t):
+                skipped += 1
+                continue
             result = pipeline.process(frame, gt[k].agents if gt else None)
             if out_f is not None:
                 out_f.write(result.encoded)
@@ -108,7 +115,8 @@ def cmd_perceive(cfg: PipelineConfig, args) -> int:
                 pub.sendall(result.encoded)
             if tap is not None:
                 _tap_messages(tap, decode_frame(result.encoded).messages)
-    print(f"perceived {len(frames)} frames", file=sys.stderr)
+    print(f"perceived {len(frames) - skipped} frames, skipped {skipped} with a repeated timestamp",
+          file=sys.stderr)
     return EXIT_OK
 
 

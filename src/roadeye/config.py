@@ -11,6 +11,9 @@ here. config.sample.json in the repository root mirrors DEFAULTS (enforced by
 a test). Unknown keys are rejected with their full dotted path, and a value
 must have its default's type: an integer default takes only integers, a null
 one a string or null, and a list one a list of its length, item by item.
+Each scene.agents entry is checked when the scenario is built: it takes only
+class, route, speed (a number) and dims (null, or three numbers inside the
+class's ranges).
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ DEFAULTS = {
 
 # Keys whose values are free-form (not validated against the default shape).
 _OPEN_KEYS = {"scene.agents"}
+_AGENT_KEYS = ("class", "route", "speed", "dims")
 
 
 def _check_keys(user: dict, defaults: dict, path: str = ""):
@@ -165,20 +169,22 @@ class PipelineConfig:
 
     def scenario(self) -> ScenarioConfig:
         s = self.data["scene"]
+        if not isinstance(s["agents"], list):
+            raise ConfigError("scene.agents: expected a list")
         agents = []
         for k, a in enumerate(s["agents"]):
+            path = f"scene.agents[{k}]"
+            if not isinstance(a, dict):
+                raise ConfigError(f"{path}: expected an object")
+            for key in a:
+                if key not in _AGENT_KEYS:
+                    raise ConfigError(f"unknown config key: {path}.{key}")
+            _check_value(a.get("speed"), 0.0, f"{path}.speed")
             try:
-                cls = ObjectClass(a["class"])
-                agents.append(
-                    AgentSpec(
-                        cls=cls,
-                        route=a["route"],
-                        speed=float(a["speed"]),
-                        dims=tuple(a["dims"]) if a.get("dims") else None,
-                    )
-                )
+                agents.append(AgentSpec(cls=ObjectClass(a["class"]), route=a["route"],
+                                        speed=float(a["speed"]), dims=a.get("dims")))
             except (KeyError, ValueError) as e:
-                raise ConfigError(f"scene.agents[{k}]: {e}") from None
+                raise ConfigError(f"{path}: {e}") from None
         return ScenarioConfig(agents=agents, rng_seed=self.seed, **{k: s[k] for k in _SCENE_FIELDS})
 
     def geofence_bounds(self) -> GeofenceBounds:

@@ -24,16 +24,15 @@ class ConfusionCounts:
     fp: int
     fn: int
     tn: int = 0
-    ground_truth_total: int = 0
 
     def __post_init__(self):
         for name in ("tp", "fp", "fn", "tn"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.ground_truth_total == 0:
-            self.ground_truth_total = self.tp + self.fn
-        if self.tp + self.fn != self.ground_truth_total:
-            raise ValueError("tp + fn must equal ground_truth_total")
+
+    @property
+    def ground_truth_total(self) -> int:
+        return self.tp + self.fn
 
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(

@@ -3,9 +3,12 @@
 The ECEF-to-geodetic direction runs the iterated reduced-latitude scheme
 (Bowring): per point to convergence in `ecef_to_geodetic`, the oracle, and
 a fixed number of steps over whole arrays in `ecef_to_geodetic_points`,
-which georeferencing uses. The forward closed form is kept alongside as
-their test oracle. The sensor-to-ECEF transform comes either from
-ground-control-point correspondences or from a surveyed sensor location.
+which georeferencing uses. The forward closed form, `geodetic_to_ecef`, is
+their test oracle; it also places the surveyed sensor in
+`enu_to_ecef_transform`, the pipeline's path without GCPs, and carries
+decoded positions to ENU in `roadeye eval`. The sensor-to-ECEF transform
+comes either from ground-control-point correspondences or from a surveyed
+sensor location.
 """
 
 from __future__ import annotations

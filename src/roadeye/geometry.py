@@ -113,10 +113,6 @@ class RigidTransform:
             raise NonRigidTransformError("rotation block determinant is not +1 within 1e-9")
 
     @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(4))
-
-    @classmethod
     def from_rotation_translation(cls, rotation: np.ndarray, translation) -> "RigidTransform":
         m = np.eye(4)
         m[:3, :3] = np.asarray(rotation, dtype=float)
@@ -144,12 +140,9 @@ class RigidTransform:
         r = self.rotation.T
         return RigidTransform.from_rotation_translation(r, -r @ self.translation)
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
+    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
         """self @ other: apply `other` first, then self."""
         return RigidTransform(self.matrix @ other.matrix)
-
-    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
-        return self.compose(other)
 
     def apply_point(self, p) -> np.ndarray:
         p = np.asarray(p, dtype=float)

@@ -88,7 +88,7 @@ def estimate_ground_calibration(
     order = np.argsort(xyz[:, 2], kind="stable")
     cand = xyz[order[:k]]
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed & 0xFFFFFFFF)
     best_count = -1
     best_mask = None
     for _ in range(RANSAC_ITERATIONS):

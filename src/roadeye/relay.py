@@ -22,6 +22,7 @@ log = logging.getLogger(__name__)
 ROLE_PUBLISHER = b"PUB0"
 ROLE_SUBSCRIBER = b"SUB0"
 HANDSHAKE_TIMEOUT = 5.0
+CONNECT_TIMEOUT = 5.0  # s, for a client's TCP connect
 POLL_INTERVAL = 0.05  # s, how often the serving thread looks for shutdown()
 
 
@@ -56,13 +57,11 @@ class RelayServer:
         port: int = 0,
         max_subscribers: int = 16,
         queue_size: int = 64,
-        so_sndbuf: int | None = None,
     ):
         self.host = host
         self.port = port
         self.max_subscribers = max_subscribers
         self.queue_size = queue_size
-        self.so_sndbuf = so_sndbuf
         self.sequence = 0
         self._server: _Server | None = None
         self._serving: threading.Thread | None = None
@@ -122,8 +121,6 @@ class RelayServer:
                 if len(self._subscribers) >= self.max_subscribers:
                     log.warning("subscriber limit reached, rejecting %s", peer)
                     return
-                if self.so_sndbuf is not None:
-                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, self.so_sndbuf)
                 sub = _Subscriber(sock, peer, self.queue_size)
                 self._subscribers.append(sub)
             log.info("subscriber %s connected", peer)
@@ -187,21 +184,21 @@ def relay_serve(bind_endpoint: str, max_subscribers: int, queue_size: int) -> Re
     return RelayServer(host or "127.0.0.1", int(port), max_subscribers, queue_size).start()
 
 
-def connect_publisher(endpoint: str, timeout: float = 5.0) -> socket.socket:
-    sock = _connect(endpoint, timeout)
+def connect_publisher(endpoint: str) -> socket.socket:
+    sock = _connect(endpoint)
     sock.sendall(ROLE_PUBLISHER)
     return sock
 
 
-def connect_subscriber(endpoint: str, timeout: float = 5.0) -> socket.socket:
-    sock = _connect(endpoint, timeout)
+def connect_subscriber(endpoint: str) -> socket.socket:
+    sock = _connect(endpoint)
     sock.sendall(ROLE_SUBSCRIBER)
     return sock
 
 
-def _connect(endpoint: str, timeout: float) -> socket.socket:
+def _connect(endpoint: str) -> socket.socket:
     host, _, port = endpoint.rpartition(":")
-    sock = socket.create_connection((host or "127.0.0.1", int(port)), timeout=timeout)
+    sock = socket.create_connection((host or "127.0.0.1", int(port)), timeout=CONNECT_TIMEOUT)
     sock.settimeout(None)
     _no_delay(sock)
     return sock

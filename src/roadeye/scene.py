@@ -34,6 +34,19 @@ def dim_range(cls: ObjectClass):
     return VEHICLE_DIM_RANGE if cls is ObjectClass.VEHICLE else PEDESTRIAN_DIM_RANGE
 
 
+def check_dims(cls: ObjectClass, dims) -> tuple:
+    """`dims` as a tuple; ValueError unless it is three numbers (w, l, h)
+    inside the class's closed ranges."""
+    if not isinstance(dims, (tuple, list)) or len(dims) != 3:
+        raise ValueError(f"dims must be 3 numbers (w, l, h), got {dims!r}")
+    for name, v, (lo, hi) in zip("wlh", dims, dim_range(cls)):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValueError(f"dim {name} must be a number, got {v!r}")
+        if not (lo <= v <= hi):
+            raise ValueError(f"{cls.value} dim {name}={v} outside [{lo}, {hi}]")
+    return tuple(dims)
+
+
 @dataclass
 class AgentState:
     """Pose snapshot of one simulated traffic agent."""
@@ -47,13 +60,7 @@ class AgentState:
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
-        w, l, h = self.dims
-        lo_hi = dim_range(self.cls)
-        for name, v, (lo, hi) in zip("wlh", (w, l, h), lo_hi):
-            if not (lo <= v <= hi):
-                raise ValueError(
-                    f"{self.cls.value} dim {name}={v} outside [{lo}, {hi}]"
-                )
+        self.dims = check_dims(self.cls, self.dims)
         self.heading = normalize_angle(self.heading)
 
     def as_box(self) -> OrientedBox3D:
@@ -78,6 +85,8 @@ class AgentSpec:
             raise ValueError(f"route leaves the {2 * AREA_HALF_EXTENT} m square")
         if self.speed < 0:
             raise ValueError("speed must be nonnegative")
+        if self.dims is not None:
+            self.dims = check_dims(self.cls, self.dims)
 
 
 @dataclass
@@ -203,9 +212,7 @@ def sample_box_surface(box: OrientedBox3D, n: int, rng: np.random.Generator) -> 
     return local @ rotation_about_z(box.theta).T + box.center
 
 
-def _agent_point_count(base: int, range_m: float, attenuate: bool = True) -> int:
-    if not attenuate:
-        return base
+def _agent_point_count(base: int, range_m: float) -> int:
     return int(round(base / max(1.0, range_m * range_m / 100.0)))
 
 
@@ -214,7 +221,6 @@ def sample_point_cloud(
     config: ScenarioConfig,
     frame_index: int = 0,
     t: float = 0.0,
-    attenuate: bool = True,
 ) -> PointCloudFrame:
     """Sample one frame in L-Coor: agent surfaces plus ground plane points.
 
@@ -227,7 +233,7 @@ def sample_point_cloud(
     chunks = []
     for agent in agents:
         r = float(np.linalg.norm(agent.center - sensor_world))
-        n = _agent_point_count(config.points_per_agent, r, attenuate)
+        n = _agent_point_count(config.points_per_agent, r)
         if n > 0:
             chunks.append(sample_box_surface(agent.as_box(), n, rng))
     n_ground = int(round(config.ground_point_density * (2 * AREA_HALF_EXTENT) ** 2))

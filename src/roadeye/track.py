@@ -109,6 +109,11 @@ class Tracker2D:
             )
         ]
 
+    def follows(self, t: float) -> bool:
+        """Whether a frame at time `t` may be tracked next: it must be later
+        than the last tracked frame."""
+        return self.last_t is None or t > self.last_t
+
     def associate(self, boxes: np.ndarray) -> None:
         """Predict, match `boxes` (n, 4: x, y, w, l), update, and manage the
         track lifecycle."""
@@ -184,13 +189,12 @@ def lift_to_3d(
     return chosen
 
 
-def track_frame(tracker: Tracker2D, dets: np.ndarray, t: float | None = None) -> np.ndarray:
-    """One tracking step: project to 2D, associate, lift IDs back to 3D;
-    returns a copy of the DETECTION rows with `id` filled in."""
-    if t is not None:
-        if tracker.last_t is not None and t <= tracker.last_t:
-            raise ValueError(f"out-of-order timestamp {t} after {tracker.last_t}")
-        tracker.last_t = t
+def track_frame(tracker: Tracker2D, dets: np.ndarray, t: float) -> np.ndarray:
+    """One tracking step at frame time `t`: project to 2D, associate, lift
+    IDs back to 3D; returns a copy of the DETECTION rows with `id` filled in."""
+    if not tracker.follows(t):
+        raise ValueError(f"out-of-order timestamp {t} after {tracker.last_t}")
+    tracker.last_t = t
     tracker.associate(project_to_2d(dets))
     out = dets.copy()
     cfg = tracker.config

@@ -166,6 +166,24 @@ def test_bad_agent_spec_diagnosed(tmp_path):
         load_config(path).scenario()
 
 
+_VEHICLE = {"class": "vehicle", "route": [[0.0, 0.0]], "speed": 1.0}
+
+
+@pytest.mark.parametrize("agents, match", [
+    ([{**_VEHICLE, "dim": [2.0, 4.0, 1.5]}], r"scene\.agents\[0\]\.dim$"),
+    ([{**_VEHICLE, "speed": True}], r"scene\.agents\[0\]\.speed: expected a number"),
+    ([{**_VEHICLE, "dims": [2.0, 4.0]}], r"scene\.agents\[0\]: dims must be 3 numbers"),
+    ([{**_VEHICLE, "dims": [2.0, 20.0, 1.5]}], r"scene\.agents\[0\]: vehicle dim l=20.0 outside"),
+    ({"x": 1}, r"scene\.agents: expected a list"),
+    ([5], r"scene\.agents\[0\]: expected an object"),
+], ids=["unknown-key", "bool-speed", "two-dims", "dims-out-of-range", "not-a-list", "not-an-object"])
+def test_agent_entry_checked_at_load(tmp_path, agents, match):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scene": {"agents": agents}}))
+    with pytest.raises(ConfigError, match=match):
+        load_config(path).scenario()
+
+
 # --- CLI ---------------------------------------------------------------------
 
 def _run(*argv):
@@ -286,6 +304,35 @@ def test_perceive_deterministic_bytes(tmp_path):
               "--gt", str(frames) + ".gt", "--out", str(out)])
         outs.append(hashlib.sha256(out.read_bytes()).hexdigest())
     assert outs[0] == outs[1]
+
+
+def test_negative_seed_runs_end_to_end(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    frames, results = tmp_path / "f.bin", tmp_path / "r.bin"
+    assert main(["--config", str(cfg), "--seed", "-1", "simulate", "--out", str(frames)]) == 0
+    assert main(["--config", str(cfg), "--seed", "-1", "perceive", "--frames", str(frames),
+                 "--gt", str(frames) + ".gt", "--out", str(results)]) == 0
+    assert len(results.read_bytes()) > 0
+
+
+def test_perceive_skips_a_repeated_frame(tmp_path, capsys):
+    from roadeye.scene import write_frames, write_ground_truth
+
+    cfg = _write_cfg(tmp_path)
+    frames = tmp_path / "f.bin"
+    main(["--config", str(cfg), "simulate", "--out", str(frames)])
+    fr, gt = read_frames(frames), read_ground_truth(str(frames) + ".gt")
+    repeated = tmp_path / "repeated.bin"
+    write_frames(fr[:5] + fr[4:], repeated)
+    write_ground_truth(gt[:5] + gt[4:], str(repeated) + ".gt")
+    outs = []
+    for src in (frames, repeated):
+        out = tmp_path / f"{src.stem}.out"
+        assert main(["--config", str(cfg), "perceive", "--frames", str(src),
+                     "--gt", str(src) + ".gt", "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[1] == outs[0]
+    assert "perceived 10 frames, skipped 1" in capsys.readouterr().err
 
 
 def test_perceive_empty_frame_file(tmp_path):

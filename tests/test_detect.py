@@ -27,7 +27,7 @@ from roadeye.detect import (
 )
 from roadeye.geometry import ObjectClass, OrientedBox3D, normalize_angle
 from roadeye.preproc import GeofenceBounds
-from roadeye.scene import AgentState, PointCloudFrame, ScenarioConfig, sample_point_cloud
+from roadeye.scene import AgentState, PointCloudFrame, ScenarioConfig, sample_box_surface
 
 from conftest import detections
 
@@ -137,10 +137,12 @@ def test_noise_validation():
 
 # --- cluster backend --------------------------------------------------------
 
-def _surface_frame(agents, seed=0, density=0.0):
-    cfg = ScenarioConfig(agents=[], duration=1.0, ground_point_density=density,
-                         rng_seed=seed, points_per_agent=500)
-    return sample_point_cloud(agents, cfg, frame_index=0, t=0.0, attenuate=False)
+def _surface_frame(agents):
+    """500 surface points per agent at any range, in L-Coor, with no ground."""
+    rng = np.random.default_rng(0)
+    xyz = np.vstack([sample_box_surface(a.as_box(), 500, rng) for a in agents])
+    xyz[:, 2] -= ScenarioConfig().mount_height
+    return PointCloudFrame(t=0.0, points=np.column_stack([xyz, rng.uniform(0.0, 1.0, len(xyz))]))
 
 
 def test_cluster_two_separated_boxes():

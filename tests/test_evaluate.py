@@ -158,8 +158,6 @@ def test_perfect_detector():
 def test_counts_validation():
     with pytest.raises(ValueError):
         ConfusionCounts(tp=-1, fp=0, fn=0)
-    with pytest.raises(ValueError):
-        ConfusionCounts(tp=1, fp=0, fn=0, ground_truth_total=5)
 
 
 def test_id_switch_counter():

@@ -77,7 +77,7 @@ def test_geofence_idempotent(rng):
 
 def test_apply_identity():
     frame = _frame(np.random.default_rng(0).uniform(-10, 10, (100, 4)))
-    out = apply_transform(frame, RigidTransform.identity())
+    out = apply_transform(frame, RigidTransform())
     assert np.array_equal(out.points, frame.points)
 
 

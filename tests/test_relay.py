@@ -38,6 +38,13 @@ def _collect(sock, n, timeout=10.0):
     return out
 
 
+def _shrink_send_buffers(server):
+    """Give the relay's socket to each registered subscriber a 4 KiB send
+    buffer, so the sender to one that never reads blocks after a few KB."""
+    for sub in server._subscribers:
+        sub.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+
 def test_broadcast_order_and_bytes():
     server = RelayServer().start()
     try:
@@ -85,12 +92,13 @@ def test_late_joiner_gets_no_replay():
 
 def test_stalled_subscriber_dropped_others_unaffected():
     # Tiny queue and send buffer so a non-reading subscriber overflows fast.
-    server = RelayServer(queue_size=2, so_sndbuf=4096).start()
+    server = RelayServer(queue_size=2).start()
     try:
         stalled = connect_subscriber(_endpoint(server))
         healthy = connect_subscriber(_endpoint(server))
         time.sleep(0.2)
         assert server.subscriber_count == 2
+        _shrink_send_buffers(server)
         pub = connect_publisher(_endpoint(server))
         frames = _frames(12, records=2000)  # ~100 KB each
         received = []
@@ -253,7 +261,7 @@ def test_bind_failure_raises():
 
 def test_stop_ends_every_thread_and_frees_the_port():
     before = set(threading.enumerate())
-    server = RelayServer(so_sndbuf=4096).start()
+    server = RelayServer().start()
     stalled = socket.socket()
     socks = [stalled]
     try:
@@ -266,6 +274,7 @@ def test_stop_ends_every_thread_and_frees_the_port():
         while server.subscriber_count < 2:
             assert time.monotonic() < deadline, "subscribers not registered"
             time.sleep(0.01)
+        _shrink_send_buffers(server)
         pub = connect_publisher(_endpoint(server))
         socks.append(pub)
         frames = _frames(10, records=2000)  # ~1 MB in all, fewer than the 64-frame queue
