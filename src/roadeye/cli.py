@@ -260,7 +260,7 @@ def cmd_bench(cfg: PipelineConfig, args) -> int:
     mean_points = sum(len(f) for f in frames) / max(1, len(frames))
 
     pipeline = EdgePipeline(cfg.merged({"detector": {"backend": "cluster"}}), wall_stamps=True)
-    pipeline.process(frames[0])  # untimed: the lazy scipy import and the ground calibration
+    pipeline.process(frames[0])  # untimed: the ground calibration
     stamps_out, stage_seconds = [], {}
     for frame in frames[1:]:
         result = pipeline.process(frame)

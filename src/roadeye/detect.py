@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CLASSES, ObjectClass, OrientedBox3D, normalize_angle, wrap_angles
+from .geometry import (
+    CLASSES, ObjectClass, OrientedBox3D, connected_components, normalize_angle, wrap_angles,
+)
 from .preproc import GeofenceBounds
 from .scene import PEDESTRIAN_DIM_RANGE, VEHICLE_DIM_RANGE, AgentState, ScenarioConfig
 
@@ -205,17 +207,7 @@ def _voxel_components(vox: np.ndarray) -> np.ndarray:
         ok = (pos < n) & (uniq[np.minimum(pos, n - 1)] == nk)
         rows.append(np.flatnonzero(ok))
         cols.append(pos[ok])
-    if rows:
-        r = np.concatenate(rows)
-        c = np.concatenate(cols)
-    else:
-        r = c = np.empty(0, dtype=int)
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
-    graph = sparse.coo_matrix((np.ones(len(r)), (r, c)), shape=(n, n))
-    _, labels = connected_components(graph, directed=False)
-    return labels[inverse]
+    return connected_components(n, np.concatenate(rows), np.concatenate(cols))[inverse]
 
 
 def detect_cluster(frame_h, params: ClusterParams) -> np.recarray:

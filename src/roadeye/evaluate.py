@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OrientedBox3D, plan_distances
+from .geometry import OrientedBox3D, plan_pairs
 from .wire import PhaseStamps
 
 DEFAULT_MATCH_THRESHOLD = 2.0  # m, plan-view center distance
@@ -70,9 +70,8 @@ def match_detections(
         raise ValueError("dist_threshold must be positive")
     gt_xy = np.array([(g.x, g.y) for g in gt], dtype=float).reshape(-1, 2)
     det_xy = np.array([(d.box.x, d.box.y) for d in dets], dtype=float).reshape(-1, 2)
-    dist = plan_distances(gt_xy, det_xy, dist_threshold)
-    i, j = np.nonzero(dist <= dist_threshold)
-    order = np.lexsort((j, i, dist[i, j]))
+    i, j, d = plan_pairs(gt_xy, det_xy, dist_threshold)
+    order = np.lexsort((j, i, d))
     used_gt, used_det = set(), set()
     for a, b in zip(i[order].tolist(), j[order].tolist()):
         if a not in used_gt and b not in used_det:

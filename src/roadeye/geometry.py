@@ -38,10 +38,12 @@ def wrap_angles(theta: np.ndarray) -> np.ndarray:
     return np.where(r <= -math.pi, r + TWO_PI, r)
 
 
-def plan_distances(a_xy: np.ndarray, b_xy: np.ndarray, reach: float) -> np.ndarray:
-    """(len(a), len(b)) plan-view `np.hypot` distances where both offsets lie
-    within `reach`, inf elsewhere: a gate at `reach` or below sees what a full
-    matrix gives. Candidates come from an x-window search over b sorted by x."""
+def plan_pairs(
+    a_xy: np.ndarray, b_xy: np.ndarray, reach: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair (i, j) whose plan-view `np.hypot` distance d between a[i]
+    and b[j] (first two columns) is at most `reach`, as arrays (i, j, d) in
+    ascending i. Candidates come from an x-window search over b sorted by x."""
     order = np.argsort(b_xy[:, 0])
     b_x = b_xy[order, 0]
     pad = 1.001 * reach + 1e-6  # the window ends may round; the exact test follows
@@ -49,11 +51,35 @@ def plan_distances(a_xy: np.ndarray, b_xy: np.ndarray, reach: float) -> np.ndarr
     counts = np.searchsorted(b_x, a_xy[:, 0] + pad, "right") - lo
     i = np.repeat(np.arange(len(a_xy)), counts)
     j = order[np.arange(len(i)) + np.repeat(lo - np.cumsum(counts) + counts, counts)]
-    dx, dy = a_xy[i, 0] - b_xy[j, 0], a_xy[i, 1] - b_xy[j, 1]
-    near = (np.abs(dx) <= reach) & (np.abs(dy) <= reach)
-    dist = np.full((len(a_xy), len(b_xy)), np.inf)
-    dist[i[near], j[near]] = np.hypot(dx[near], dy[near])
-    return dist
+    d = np.hypot(a_xy[i, 0] - b_xy[j, 0], a_xy[i, 1] - b_xy[j, 1])
+    near = d <= reach
+    return i[near], j[near], d[near]
+
+
+def connected_components(n: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Component label per node of the undirected graph on nodes 0..n-1 with
+    edges (r[k], c[k]). Labels count up from 0 in the order of each
+    component's smallest node, as `scipy.sparse.csgraph` numbers them.
+
+    Union-find in array passes: each edge whose ends have different roots
+    hooks the larger root onto the smaller, then pointer jumping flattens
+    every tree to depth one. Roots only ever point lower, so a component's
+    final root is its smallest node."""
+    parent = np.arange(n)
+    while True:
+        pr, pc = parent[r], parent[c]
+        split = pr != pc
+        if not split.any():
+            break
+        r, c, pr, pc = r[split], c[split], pr[split], pc[split]
+        np.minimum.at(parent, np.maximum(pr, pc), np.minimum(pr, pc))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    is_root = parent == np.arange(n)
+    return (np.cumsum(is_root) - 1)[parent]
 
 
 @dataclass

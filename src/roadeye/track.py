@@ -1,21 +1,22 @@
 """3D multi-object tracking: 2D motion association with ID lift to 3D.
 
 `DETECTION` rows are flattened to plan-view boxes, associated frame to frame
-by a constant-velocity Kalman filter plus Hungarian matching on center
-distance, and the resulting IDs are written back into the rows' `id` column
-through a Euclidean gate. Live tracks are held as stacked arrays, one row per
-track in creation order, so each frame is a handful of batched array
-operations.
+by a constant-velocity Kalman filter plus a minimum-cost assignment of
+center distances inside a gate, and the resulting IDs are written back into
+the rows' `id` column through a Euclidean gate. Live tracks are held as
+stacked arrays, one row per track in creation order, so each frame is a
+handful of batched array operations.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import plan_distances
+from .geometry import connected_components, plan_pairs
 
 GATE_COST = 1.0e9  # cost assigned to pairs outside the association gate
 MIN_BOX2D_EXTENT = 0.05
@@ -117,18 +118,15 @@ class Tracker2D:
     def associate(self, boxes: np.ndarray) -> None:
         """Predict, match `boxes` (n, 4: x, y, w, l), update, and manage the
         track lifecycle."""
-        from scipy.optimize import linear_sum_assignment
-
         cfg = self.config
         boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
         self.mean = self.mean @ _F.T
         self.cov = _F @ self.cov @ _F.T + _process_noise(cfg)
 
-        dist = plan_distances(self.mean[:, :2], boxes[:, :2], cfg.gate_assoc)
-        rows, cols = linear_sum_assignment(np.where(dist <= cfg.gate_assoc, dist, GATE_COST))
-        in_gate = dist[rows, cols] <= cfg.gate_assoc
-        rows, cols = rows[in_gate], cols[in_gate]
-        self.last_assignment_cost = float(dist[rows, cols].sum())
+        i, j, d = plan_pairs(self.mean[:, :2], boxes[:, :2], cfg.gate_assoc)
+        taken = gated_assignment(len(self.ids), i, j, d)
+        rows, cols = i[taken], j[taken]
+        self.last_assignment_cost = float(d[taken].sum())
 
         # Batched Kalman update; H selects the first four state components.
         r = cfg.measurement_noise
@@ -161,6 +159,109 @@ class Tracker2D:
         self.confirmed = np.concatenate([self.confirmed[live], np.full(n_new, cfg.n_init <= 1)])
 
 
+def gated_assignment(n_rows: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Indices, in ascending row, of the in-gate pairs (row i[k], column j[k],
+    cost d[k]) that a minimum-cost assignment over the dense matrix holding d
+    at the pairs and GATE_COST elsewhere keeps inside the gate: the largest
+    matching of pairs, and among those the cheapest.
+
+    Connected components of the pair graph are independent subproblems. One
+    whose pairs share a single row or a single column takes its cheapest
+    pair; any other runs the shortest-augmenting-path solver on its own
+    small dense matrix."""
+    if not len(i):
+        return np.empty(0, dtype=np.int64)
+    n_nodes = n_rows + int(j.max()) + 1
+    comp = connected_components(n_nodes, i, n_rows + j)[i]
+    order = np.lexsort((j, d, comp))  # by component, cheapest pair first
+    comp, i_s, j_s = comp[order], i[order], j[order]
+    starts = np.flatnonzero(np.diff(comp, prepend=-1))
+    single = (np.minimum.reduceat(i_s, starts) == np.maximum.reduceat(i_s, starts)) | (
+        np.minimum.reduceat(j_s, starts) == np.maximum.reduceat(j_s, starts)
+    )
+    taken = order[starts[single]].tolist()
+    if not single.all():
+        # Number each general component's rows and columns from 0, in order.
+        sizes = np.diff(starts, append=len(order))
+        keep = np.repeat(~single, sizes)
+        order, comp, i_s, j_s = order[keep], comp[keep], i_s[keep], j_s[keep]
+        sizes = sizes[~single]
+        first = np.cumsum(sizes) - sizes
+        local = []
+        for node in (i_s, j_s):
+            rank = np.unique(comp * n_nodes + node, return_inverse=True)[1]
+            base = np.minimum.reduceat(rank, first)
+            local.append(rank - np.repeat(base, sizes))
+        n_r = np.maximum.reduceat(local[0], first) + 1
+        n_c = np.maximum.reduceat(local[1], first) + 1
+        row_l, col_l = local[0].tolist(), local[1].tolist()
+        d_l, k_l = d[order].tolist(), order.tolist()
+        for s, e, nr, nc in zip(first.tolist(), (first + sizes).tolist(),
+                                n_r.tolist(), n_c.tolist()):
+            a_l, b_l = (col_l, row_l) if nr > nc else (row_l, col_l)
+            nr, nc = min(nr, nc), max(nr, nc)
+            cost = [[GATE_COST] * nc for _ in range(nr)]
+            pair = [[-1] * nc for _ in range(nr)]
+            for k in range(s, e):
+                cost[a_l[k]][b_l[k]] = d_l[k]
+                pair[a_l[k]][b_l[k]] = k_l[k]
+            for a, b in enumerate(_shortest_augmenting_paths(cost)):
+                if pair[a][b] >= 0:
+                    taken.append(pair[a][b])
+    taken = np.array(taken, dtype=np.int64)
+    return taken[np.argsort(i[taken], kind="stable")]
+
+
+def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:
+    """Column per row minimising the summed cost of a dense matrix given as
+    rows, with no more rows than columns: the shortest-augmenting-path
+    method (Crouse 2016), in the form and with the tie rules of scipy's
+    `linear_sum_assignment`."""
+    n_rows, n_cols = len(cost), len(cost[0])
+    u, v = [0.0] * n_rows, [0.0] * n_cols
+    path, col4row, row4col = [-1] * n_cols, [-1] * n_rows, [-1] * n_cols
+    for cur in range(n_rows):
+        # Grow a shortest-path tree from row `cur` over reduced costs until
+        # it reaches a free column (the sink).
+        short = [math.inf] * n_cols
+        remaining = list(range(n_cols - 1, -1, -1))
+        seen_rows, seen_cols = [], []
+        low, i, sink = 0.0, cur, -1
+        while sink < 0:
+            seen_rows.append(i)
+            row, u_i, lowest, index = cost[i], u[i], math.inf, -1
+            for it, j in enumerate(remaining):
+                r = low + row[j] - u_i - v[j]
+                if r < short[j]:
+                    path[j] = i
+                    short[j] = r
+                if short[j] < lowest or (short[j] == lowest and row4col[j] < 0):
+                    lowest, index = short[j], it
+            low = lowest
+            j = remaining[index]
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            seen_cols.append(j)
+            if row4col[j] < 0:
+                sink = j
+            else:
+                i = row4col[j]
+        # Update the duals, then flip the path's assignments.
+        u[cur] += low
+        for i in seen_rows[1:]:
+            u[i] += low - short[col4row[i]]
+        for j in seen_cols:
+            v[j] -= low - short[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
+
+
 def project_to_2d(dets: np.ndarray) -> np.ndarray:
     """(n, 4) plan-view boxes x, y, w, l of DETECTION rows; drops z, h,
     theta and class."""
@@ -180,13 +281,10 @@ def lift_to_3d(
         raise ValueError("d_o must be positive")
     track_ids = np.asarray(track_ids)
     track_xy = np.asarray(track_xy, dtype=float).reshape(-1, 2)
-    dist = plan_distances(project_to_2d(dets), track_xy, d_o)
-    inside = dist < d_o
-    hit = inside.any(axis=1)
-    chosen = np.full(len(dets), -1, dtype=np.int64)
-    if hit.any():
-        chosen[hit] = track_ids[np.argmax(inside[hit], axis=1)]
-    return chosen
+    i, j, d = plan_pairs(project_to_2d(dets), track_xy, d_o)
+    first = np.full(len(dets), len(track_ids))  # one past the last track: none
+    np.minimum.at(first, i[d < d_o], j[d < d_o])
+    return np.append(track_ids, -1)[first].astype(np.int64)
 
 
 def track_frame(tracker: Tracker2D, dets: np.ndarray, t: float) -> np.ndarray:

@@ -7,8 +7,9 @@ from roadeye.geometry import (
     NonRigidTransformError,
     OrientedBox3D,
     RigidTransform,
+    connected_components,
     normalize_angle,
-    plan_distances,
+    plan_pairs,
     rotation_about_z,
     rotation_aligning,
     wrap_angles,
@@ -109,7 +110,7 @@ def test_wrap_angles_matches_normalize_angle(rng):
     assert np.all((got > -math.pi) & (got <= math.pi))
 
 
-def test_plan_distances_match_the_full_hypot_matrix(rng):
+def test_plan_pairs_match_the_full_hypot_matrix(rng):
     for trial in range(200):
         # Half the sets sit on a 0.5 m grid, so offsets land exactly on the reach.
         shape_a, shape_b = (int(rng.integers(0, 30)), 2), (int(rng.integers(0, 30)), 2)
@@ -117,10 +118,49 @@ def test_plan_distances_match_the_full_hypot_matrix(rng):
         if trial % 2:
             a, b = np.round(a * 2) / 2, np.round(b * 2) / 2
         reach = float(rng.choice([0.5, 2.0, 3.0]))
-        dx = a[:, None, 0] - b[None, :, 0]
-        dy = a[:, None, 1] - b[None, :, 1]
-        full = np.hypot(dx, dy)
-        expected = np.where((np.abs(dx) <= reach) & (np.abs(dy) <= reach), full, np.inf)
-        got = plan_distances(a, b, reach)
-        assert np.array_equal(got, expected)
-        assert np.array_equal(got <= reach, full <= reach)
+        full = np.hypot(a[:, None, 0] - b[None, :, 0], a[:, None, 1] - b[None, :, 1])
+        i, j, d = plan_pairs(a, b, reach)
+        assert np.all(np.diff(i) >= 0)
+        got = np.full(full.shape, np.inf)
+        got[i, j] = d
+        assert len(set(zip(i.tolist(), j.tolist()))) == len(i)
+        assert np.array_equal(got, np.where(full <= reach, full, np.inf))
+
+
+def _scipy_components(n, r, c):
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components as scipy_connected_components
+
+    graph = sparse.coo_matrix((np.ones(len(r)), (r, c)), shape=(n, n))
+    return scipy_connected_components(graph, directed=False)[1]
+
+
+@pytest.mark.parametrize("n, r, c", [
+    (0, [], []),
+    (5, [], []),  # no edges: every node is its own component
+    (6, [4, 1], [5, 3]),  # isolated nodes 0 and 2 between the edges
+    (5, [3, 4, 3, 4, 2, 2], [4, 3, 4, 3, 2, 0]),  # duplicate, reversed and self edges
+], ids=["empty", "no-edges", "isolated", "duplicates"])
+def test_connected_components_match_scipy(n, r, c):
+    r, c = np.array(r, dtype=np.int64), np.array(c, dtype=np.int64)
+    assert connected_components(n, r, c).tolist() == _scipy_components(n, r, c).tolist()
+
+
+def test_connected_components_of_a_long_chain(rng):
+    # A 5,000-node path needs a deep chain of hooks before pointer jumping
+    # flattens it; in shuffled order the hooks interleave.
+    n = 5000
+    for perm in (np.arange(n), rng.permutation(n)):
+        labels = connected_components(n, perm[:-1], perm[1:])
+        assert labels.tolist() == [0] * n
+    split = np.delete(np.arange(n - 1), 2500)  # drop the edge 2500-2501
+    labels = connected_components(n, split, split + 1)
+    assert labels.tolist() == _scipy_components(n, split, split + 1).tolist()
+
+
+def test_connected_components_of_random_graphs_match_scipy(rng):
+    for _ in range(200):
+        n = int(rng.integers(1, 400))
+        m = int(rng.integers(0, 2 * n))
+        r, c = rng.integers(0, n, m), rng.integers(0, n, m)
+        assert connected_components(n, r, c).tolist() == _scipy_components(n, r, c).tolist()

@@ -8,9 +8,11 @@ from roadeye.detect import CLASSES, DetectorNoise, detect_oracle
 from roadeye.geometry import ObjectClass
 from roadeye.scene import AgentSpec, ScenarioConfig, step_scenario
 from roadeye.track import (
+    GATE_COST,
     Box2D,
     Tracker2D,
     TrackerConfig,
+    gated_assignment,
     lift_to_3d,
     project_to_2d,
     track_frame,
@@ -100,6 +102,69 @@ def test_assignment_matches_bruteforce_permutations(rng):
         assert tracker.last_assignment_cost == pytest.approx(
             _bruteforce_min_assignment(cost), abs=1e-9
         )
+
+
+def _gated_pairs(dist: np.ndarray, gate: float):
+    """The solver's and scipy's matched (row, col) pairs for a distance matrix
+    whose entries above `gate` lie outside the gate."""
+    from scipy.optimize import linear_sum_assignment
+
+    i, j = np.nonzero(dist <= gate)
+    taken = gated_assignment(dist.shape[0], i, j, dist[i, j])
+    rows, cols = linear_sum_assignment(np.where(dist <= gate, dist, GATE_COST))
+    keep = dist[rows, cols] <= gate
+    return (list(zip(i[taken].tolist(), j[taken].tolist())),
+            list(zip(rows[keep].tolist(), cols[keep].tolist())))
+
+
+def _star(n):
+    dist = np.full((n, n), np.inf)
+    dist[0, :] = np.linspace(2.0, 0.5, n)  # one row reaching every column
+    dist[1:, 0] = np.linspace(0.4, 2.0, n - 1)  # and one column reaching every row
+    return dist
+
+
+def _chain(n):
+    dist = np.full((n, n + 1), np.inf)
+    dist[np.arange(n), np.arange(n)] = 1.0
+    dist[np.arange(n), np.arange(n) + 1] = 0.9
+    return dist
+
+
+@pytest.mark.parametrize("dist", [
+    np.empty((0, 4)),
+    np.empty((3, 0)),
+    np.array([[0.5, 2.9, np.inf, 1.0], [np.inf, 0.7, 0.2, np.inf]]),  # fewer rows
+    np.array([[0.5, 2.9], [1.0, np.inf], [np.inf, 0.2], [0.3, 0.4]]),  # more rows
+    np.full((3, 3), np.inf),
+    _star(6),
+    _star(6).T,
+    _chain(7),
+    _chain(7).T,
+], ids=["0xm", "nx0", "n<m", "n>m", "none-in-gate", "star", "star-T", "chain", "chain-T"])
+def test_gated_assignment_matches_scipy(dist):
+    ours, scipy_pairs = _gated_pairs(dist, 3.0)
+    assert ours == scipy_pairs
+
+
+def test_gated_assignment_of_random_gated_matrices_matches_scipy(rng):
+    for _ in range(200):
+        n, m = rng.integers(1, 25, 2)
+        # From half the pairs inside the 3 m gate (one component) to one in
+        # twenty (many small ones, most a single row or column).
+        dist = rng.uniform(0.0, rng.choice([6.0, 20.0, 60.0]), (n, m))
+        ours, scipy_pairs = _gated_pairs(dist, 3.0)
+        assert ours == scipy_pairs
+    # One component with every pair in the gate.
+    ours, scipy_pairs = _gated_pairs(rng.uniform(0.0, 3.0, (40, 40)), 3.0)
+    assert ours == scipy_pairs and len(ours) == 40
+
+
+def test_gated_assignment_prefers_more_matches_over_cheaper_ones():
+    # Greedy takes A-1 at 0.1 and leaves B unmatched; two matches beat one.
+    dist = np.array([[0.1, 1.0], [1.0, np.inf]])  # rows A, B; columns 1, 2
+    ours, scipy_pairs = _gated_pairs(dist, 3.0)
+    assert ours == scipy_pairs == [(0, 1), (1, 0)]
 
 
 def test_track_lifecycle_confirmation_and_deletion():
