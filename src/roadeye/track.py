@@ -232,11 +232,12 @@ def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:
             row, u_i, lowest, index = cost[i], u[i], math.inf, -1
             for it, j in enumerate(remaining):
                 r = low + row[j] - u_i - v[j]
-                if r < short[j]:
+                s = short[j]
+                if r < s:
                     path[j] = i
-                    short[j] = r
-                if short[j] < lowest or (short[j] == lowest and row4col[j] < 0):
-                    lowest, index = short[j], it
+                    short[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] < 0):
+                    lowest, index = s, it
             low = lowest
             j = remaining[index]
             remaining[index] = remaining[-1]
