@@ -12,17 +12,23 @@ noise and clutter as arrays, which changes the random stream behind them.
 All three were re-recorded when georeferencing moved to the fixed-step array
 Bowring iteration: every decoded field is unchanged except lat, lon and alt,
 which move by at most 1.5e-14 deg and 1.9e-9 m.
+
+The id-masked digests hash the same streams with every record's `id` set
+to 0, so a tracker change that only renumbers records must keep them.
 """
 
+import functools
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from roadeye.cli import main
 from roadeye.config import load_config
 from roadeye.pipeline import EdgePipeline
 from roadeye.scene import scenario_frames
+from roadeye.wire import HEADER_BYTES, RECORD
 
 
 def _crowd_agents(n: int) -> list[dict]:
@@ -42,45 +48,57 @@ def _crowd_agents(n: int) -> list[dict]:
     return agents
 
 
-def _stream_sha256(overrides: dict) -> str:
-    cfg = load_config(overrides=overrides)
+PERCEIVE_SCENES = {
+    "noisy_oracle_crowd": {
+        "seed": 801,
+        "scene": {"duration": 4.0, "points_per_agent": 50, "agents": _crowd_agents(40)},
+        "detector": {"oracle": {"sigma_pos": 0.1, "p_miss": 0.05, "fp_rate": 2.0}},
+    },
+    "default_cluster": {"detector": {"backend": "cluster"}},
+    "cluster_crowd": {
+        "seed": 801,
+        "scene": {"duration": 4.0, "agents": _crowd_agents(40)},
+        "detector": {"backend": "cluster"},
+    },
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _stream_sha256(scene: str) -> tuple[str, str]:
+    """sha256 of a scene's perceive stream, and of the same stream with every
+    record's `id` set to 0."""
+    cfg = load_config(overrides=PERCEIVE_SCENES[scene])
     pipeline = EdgePipeline(cfg)
-    digest = hashlib.sha256()
+    digest, masked = hashlib.sha256(), hashlib.sha256()
     for agents, frame in scenario_frames(cfg.scenario()):
-        digest.update(pipeline.process(frame, agents).encoded)
-    return digest.hexdigest()
+        encoded = pipeline.process(frame, agents).encoded
+        digest.update(encoded)
+        rec = np.frombuffer(encoded, RECORD, offset=HEADER_BYTES).copy()
+        rec["id"] = 0
+        masked.update(encoded[:HEADER_BYTES] + rec.tobytes())
+    return digest.hexdigest(), masked.hexdigest()
 
 
-@pytest.mark.parametrize(
-    "overrides, expected",
-    [
-        pytest.param(
-            {
-                "seed": 801,
-                "scene": {"duration": 4.0, "points_per_agent": 50, "agents": _crowd_agents(40)},
-                "detector": {"oracle": {"sigma_pos": 0.1, "p_miss": 0.05, "fp_rate": 2.0}},
-            },
-            "a4d7efc9aa74615343a4a8d173760b6531a450405a8108a58ce4260956a39ab1",
-            id="noisy_oracle_crowd",
-        ),
-        pytest.param(
-            {"detector": {"backend": "cluster"}},
-            "15d137ecfafbead8e5b91a9ed68777fe453d96b628310beeca4707d7076b0f92",
-            id="default_cluster",
-        ),
-        pytest.param(
-            {
-                "seed": 801,
-                "scene": {"duration": 4.0, "agents": _crowd_agents(40)},
-                "detector": {"backend": "cluster"},
-            },
-            "91df297aebdc52c4e2d772808b11fff1b74a22b67abd83569b4691dcac4f3883",
-            id="cluster_crowd",
-        ),
-    ],
-)
-def test_perceive_stream_digest(overrides, expected):
-    assert _stream_sha256(overrides) == expected
+STREAM_SHA256 = {
+    "noisy_oracle_crowd": "a4d7efc9aa74615343a4a8d173760b6531a450405a8108a58ce4260956a39ab1",
+    "default_cluster": "15d137ecfafbead8e5b91a9ed68777fe453d96b628310beeca4707d7076b0f92",
+    "cluster_crowd": "91df297aebdc52c4e2d772808b11fff1b74a22b67abd83569b4691dcac4f3883",
+}
+STREAM_SHA256_WITHOUT_IDS = {
+    "noisy_oracle_crowd": "91b0a2a63c781399e65fa32a1263904f3428b45c4d672f3045835c7ccc9288ea",
+    "default_cluster": "9fa346580730569ddb98062e8e5db3eb7501a7dc9c7ef1dedb813d65d38a1e03",
+    "cluster_crowd": "4b0c5722593d1516b01fd5af9abb6a411ecae51c640c9883802a8dc1ee93f17e",
+}
+
+
+@pytest.mark.parametrize("scene", PERCEIVE_SCENES)
+def test_perceive_stream_digest(scene):
+    assert _stream_sha256(scene)[0] == STREAM_SHA256[scene]
+
+
+@pytest.mark.parametrize("scene", PERCEIVE_SCENES)
+def test_perceive_stream_digest_without_ids(scene):
+    assert _stream_sha256(scene)[1] == STREAM_SHA256_WITHOUT_IDS[scene]
 
 
 @pytest.mark.parametrize(
