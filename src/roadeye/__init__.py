@@ -2,8 +2,9 @@
 
 Synthetic intersection scenes, geofencing and self-calibration, pluggable
 3D detection with verified box-encoding/loss math, motion-model tracking
-with 3D ID lift, WGS84 georeferencing, a binary message relay, onboard
-scene reconstruction, and an evaluation harness.
+that gives each detection the id of its associated track, WGS84
+georeferencing, a binary message relay, onboard scene reconstruction, and an
+evaluation harness.
 """
 
 __version__ = "0.1.0"
@@ -12,7 +13,7 @@ from .geometry import ObjectClass, OrientedBox3D, RigidTransform
 from .scene import PointCloudFrame, ScenarioConfig, sample_point_cloud, step_scenario
 from .preproc import GeofenceBounds, apply_transform, estimate_ground_calibration, geofence
 from .detect import BoxResiduals, Detection, LossWeights, detect_cluster, detect_oracle
-from .track import Tracker2D, TrackerConfig, lift_to_3d, project_to_2d, track_frame
+from .track import Tracker2D, TrackerConfig, project_to_2d, track_frame
 from .geoloc import (
     EcefPos,
     GeodeticPos,

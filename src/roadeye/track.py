@@ -1,9 +1,10 @@
-"""3D multi-object tracking: 2D motion association with ID lift to 3D.
+"""3D multi-object tracking: 2D motion association with an id per detection.
 
 `DETECTION` rows are flattened to plan-view boxes, associated frame to frame
 by a constant-velocity Kalman filter plus a minimum-cost assignment of
-center distances inside a gate, and the resulting IDs are written back into
-the rows' `id` column through a Euclidean gate. Live tracks are held as
+center distances inside a gate. Each row's `id` is the id of the track the
+assignment gave it or the track it started, kept only while that track's
+updated center lies inside a Euclidean id gate. Live tracks are held as
 stacked arrays, one row per track in creation order, so each frame is a
 handful of batched array operations.
 """
@@ -36,9 +37,7 @@ class Track2D:
     id: int
     mean: np.ndarray  # (6,) x, y, w, l, vx, vy
     cov: np.ndarray  # (6, 6)
-    hits: int
     misses: int
-    confirmed: bool
 
     @property
     def box(self) -> Box2D:
@@ -48,9 +47,8 @@ class Track2D:
 
 @dataclass
 class TrackerConfig:
-    d_o: float = 2.0  # m, lift gate
+    d_o: float = 2.0  # m, id gate
     gate_assoc: float = 3.0  # m, association gate
-    n_init: int = 3
     max_age: int = 5
     process_noise: float = 0.1
     measurement_noise: float = 0.1
@@ -58,8 +56,8 @@ class TrackerConfig:
     def __post_init__(self):
         if self.d_o <= 0:
             raise ValueError("d_o must be positive")
-        if self.n_init < 1 or self.max_age < 1:
-            raise ValueError("n_init and max_age must be >= 1")
+        if self.max_age < 1:
+            raise ValueError("max_age must be >= 1")
 
 
 # Constant-velocity model over (x, y, w, l, vx, vy); dt is one frame.
@@ -84,8 +82,8 @@ def _process_noise(cfg: TrackerConfig) -> np.ndarray:
 class Tracker2D:
     """Single-owner association state; one instance per frame stream.
 
-    Row i of `mean`, `cov`, `ids`, `hits`, `misses` and `confirmed` is the
-    i-th live track in creation order.
+    Row i of `mean`, `cov`, `ids` and `misses` is the i-th live track in
+    creation order.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
@@ -93,9 +91,7 @@ class Tracker2D:
         self.mean = np.empty((0, 6))
         self.cov = np.empty((0, 6, 6))
         self.ids = np.empty(0, dtype=np.int64)
-        self.hits = np.empty(0, dtype=np.int64)
         self.misses = np.empty(0, dtype=np.int64)
-        self.confirmed = np.empty(0, dtype=bool)
         self.next_id = 0
         self.last_t: float | None = None
         self.last_assignment_cost = 0.0  # summed matched center distance
@@ -104,10 +100,8 @@ class Tracker2D:
     def tracks(self) -> list[Track2D]:
         """Snapshots of the live tracks, in creation order."""
         return [
-            Track2D(int(i), m.copy(), c.copy(), int(h), int(s), bool(k))
-            for i, m, c, h, s, k in zip(
-                self.ids, self.mean, self.cov, self.hits, self.misses, self.confirmed
-            )
+            Track2D(int(i), m.copy(), c.copy(), int(s))
+            for i, m, c, s in zip(self.ids, self.mean, self.cov, self.misses)
         ]
 
     def follows(self, t: float) -> bool:
@@ -115,9 +109,10 @@ class Tracker2D:
         than the last tracked frame."""
         return self.last_t is None or t > self.last_t
 
-    def associate(self, boxes: np.ndarray) -> None:
+    def associate(self, boxes: np.ndarray) -> np.ndarray:
         """Predict, match `boxes` (n, 4: x, y, w, l), update, and manage the
-        track lifecycle."""
+        track lifecycle; returns each box's row in the updated track arrays:
+        the track it updated, or the one it started."""
         cfg = self.config
         boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
         self.mean = self.mean @ _F.T
@@ -139,14 +134,15 @@ class Tracker2D:
 
         matched = np.zeros(len(self.ids), dtype=bool)
         matched[rows] = True
-        self.hits = np.where(matched, self.hits + 1, 0)
         self.misses = np.where(matched, 0, self.misses + 1)
-        self.confirmed |= self.hits >= cfg.n_init
-        live = self.misses < cfg.max_age
+        live = self.misses < cfg.max_age  # matched tracks always live
 
         born = np.ones(len(boxes), dtype=bool)
         born[cols] = False
         n_new = int(born.sum())
+        at = np.empty(len(boxes), dtype=np.int64)
+        at[cols] = np.cumsum(live)[rows] - 1
+        at[born] = np.count_nonzero(live) + np.arange(n_new)
         new_ids = np.arange(self.next_id, self.next_id + n_new)
         self.next_id += n_new
         self.mean = np.concatenate([self.mean[live], np.pad(boxes[born], ((0, 0), (0, 2)))])
@@ -154,9 +150,8 @@ class Tracker2D:
             [self.cov[live], np.broadcast_to(_initial_covariance(cfg), (n_new, 6, 6))]
         )
         self.ids = np.concatenate([self.ids[live], new_ids])
-        self.hits = np.concatenate([self.hits[live], np.ones(n_new, dtype=np.int64)])
         self.misses = np.concatenate([self.misses[live], np.zeros(n_new, dtype=np.int64)])
-        self.confirmed = np.concatenate([self.confirmed[live], np.full(n_new, cfg.n_init <= 1)])
+        return at
 
 
 def gated_assignment(n_rows: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -270,32 +265,16 @@ def project_to_2d(dets: np.ndarray) -> np.ndarray:
     return np.column_stack([box["x"], box["y"], box["w"], box["l"]])
 
 
-def lift_to_3d(
-    dets: np.ndarray,
-    track_ids: np.ndarray,
-    track_xy: np.ndarray,
-    d_o: float,
-) -> np.ndarray:
-    """Track id per DETECTION row: the first track, in row order, strictly
-    inside the plan-distance gate d_o. Unmatched rows get -1."""
-    if d_o <= 0:
-        raise ValueError("d_o must be positive")
-    track_ids = np.asarray(track_ids)
-    track_xy = np.asarray(track_xy, dtype=float).reshape(-1, 2)
-    i, j, d = plan_pairs(project_to_2d(dets), track_xy, d_o)
-    first = np.full(len(dets), len(track_ids))  # one past the last track: none
-    np.minimum.at(first, i[d < d_o], j[d < d_o])
-    return np.append(track_ids, -1)[first].astype(np.int64)
-
-
 def track_frame(tracker: Tracker2D, dets: np.ndarray, t: float) -> np.ndarray:
-    """One tracking step at frame time `t`: project to 2D, associate, lift
-    IDs back to 3D; returns a copy of the DETECTION rows with `id` filled in."""
+    """One tracking step at frame time `t`: project to 2D and associate;
+    returns a copy of the DETECTION rows with `id` filled in, -1 where the
+    row's updated track lies d_o or more from it."""
     if not tracker.follows(t):
         raise ValueError(f"out-of-order timestamp {t} after {tracker.last_t}")
     tracker.last_t = t
-    tracker.associate(project_to_2d(dets))
+    boxes = project_to_2d(dets)
+    at = tracker.associate(boxes)
+    off = tracker.mean[at, :2] - boxes[:, :2]
     out = dets.copy()
-    cfg = tracker.config
-    out["id"] = lift_to_3d(dets, tracker.ids, tracker.mean[:, :2], cfg.d_o)
+    out["id"] = np.where(np.hypot(off[:, 0], off[:, 1]) < tracker.config.d_o, tracker.ids[at], -1)
     return out

@@ -69,13 +69,12 @@ def _nested(dotted, value):
     ("seed", 1.5),
     ("scene.points_per_agent", 400.5),
     ("detector.cluster.min_points", 10.9),
-    ("tracker.n_init", 2.5),
     ("tracker.max_age", 4.9),
     ("relay.max_subscribers", 16.0),
     ("relay.queue_frames", True),
 ])
 def test_integer_key_takes_only_integers(dotted, value):
-    # A cast would silently truncate: n_init 2.5 would need 2 hits.
+    # A cast would silently truncate: max_age 4.9 would drop a track after 4 misses.
     with pytest.raises(ConfigError, match=dotted.replace(".", r"\.") + ": expected an integer"):
         load_config(overrides=_nested(dotted, value))
 
@@ -145,7 +144,7 @@ def test_settings_defaults_do_not_drift():
 def test_typed_accessors():
     cfg = load_config()
     assert cfg.geofence_bounds().x_min == -51.2
-    assert cfg.tracker_config().n_init == 3
+    assert cfg.tracker_config().max_age == 5
     assert cfg.detector_noise().p_miss == 0.0
     assert cfg.cluster_params().ground_z == -4.74
     scenario = cfg.scenario()

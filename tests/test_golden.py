@@ -12,6 +12,8 @@ noise and clutter as arrays, which changes the random stream behind them.
 All three were re-recorded when georeferencing moved to the fixed-step array
 Bowring iteration: every decoded field is unchanged except lat, lon and alt,
 which move by at most 1.5e-14 deg and 1.9e-9 m.
+All three were re-recorded when each record's id came from the assignment
+instead of a second nearest-track search: only `id` moved.
 
 The id-masked digests hash the same streams with every record's `id` set
 to 0, so a tracker change that only renumbers records must keep them.
@@ -25,7 +27,7 @@ import numpy as np
 import pytest
 
 from roadeye.cli import main
-from roadeye.config import load_config
+from roadeye.config import DEFAULTS, load_config
 from roadeye.pipeline import EdgePipeline
 from roadeye.scene import scenario_frames
 from roadeye.wire import HEADER_BYTES, RECORD
@@ -63,26 +65,34 @@ PERCEIVE_SCENES = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _stream_sha256(scene: str) -> tuple[str, str]:
-    """sha256 of a scene's perceive stream, and of the same stream with every
-    record's `id` set to 0."""
-    cfg = load_config(overrides=PERCEIVE_SCENES[scene])
+def _perceive(overrides: dict) -> tuple[str, str, int]:
+    """sha256 of a perceive stream, sha256 of the same stream with every
+    record's `id` set to 0, and the number of frames in which two records
+    share a non-negative id."""
+    cfg = load_config(overrides=overrides)
     pipeline = EdgePipeline(cfg)
     digest, masked = hashlib.sha256(), hashlib.sha256()
+    repeats = 0
     for agents, frame in scenario_frames(cfg.scenario()):
         encoded = pipeline.process(frame, agents).encoded
         digest.update(encoded)
         rec = np.frombuffer(encoded, RECORD, offset=HEADER_BYTES).copy()
+        ids = rec["id"][rec["id"] >= 0]
+        repeats += len(np.unique(ids)) < len(ids)
         rec["id"] = 0
         masked.update(encoded[:HEADER_BYTES] + rec.tobytes())
-    return digest.hexdigest(), masked.hexdigest()
+    return digest.hexdigest(), masked.hexdigest(), repeats
+
+
+@functools.lru_cache(maxsize=None)
+def _perceive_scene(scene: str) -> tuple[str, str, int]:
+    return _perceive(PERCEIVE_SCENES[scene])
 
 
 STREAM_SHA256 = {
-    "noisy_oracle_crowd": "a4d7efc9aa74615343a4a8d173760b6531a450405a8108a58ce4260956a39ab1",
-    "default_cluster": "15d137ecfafbead8e5b91a9ed68777fe453d96b628310beeca4707d7076b0f92",
-    "cluster_crowd": "91df297aebdc52c4e2d772808b11fff1b74a22b67abd83569b4691dcac4f3883",
+    "noisy_oracle_crowd": "2fa489c80f4e86d06a7355e1a1773a6ba7ec4fd19aa5f588ea847597b8bfb80c",
+    "default_cluster": "0f477774e49fd996691daf9d0336ba42d1da7344161806c4bf4e596e2e80297b",
+    "cluster_crowd": "de9cfb28605d560f7823f1122bc35beb0a124075db42979722be9b891ab515f0",
 }
 STREAM_SHA256_WITHOUT_IDS = {
     "noisy_oracle_crowd": "91b0a2a63c781399e65fa32a1263904f3428b45c4d672f3045835c7ccc9288ea",
@@ -93,12 +103,35 @@ STREAM_SHA256_WITHOUT_IDS = {
 
 @pytest.mark.parametrize("scene", PERCEIVE_SCENES)
 def test_perceive_stream_digest(scene):
-    assert _stream_sha256(scene)[0] == STREAM_SHA256[scene]
+    assert _perceive_scene(scene)[0] == STREAM_SHA256[scene]
 
 
 @pytest.mark.parametrize("scene", PERCEIVE_SCENES)
 def test_perceive_stream_digest_without_ids(scene):
-    assert _stream_sha256(scene)[1] == STREAM_SHA256_WITHOUT_IDS[scene]
+    assert _perceive_scene(scene)[1] == STREAM_SHA256_WITHOUT_IDS[scene]
+
+
+@pytest.mark.parametrize("scene", PERCEIVE_SCENES)
+def test_perceive_ids_unique_within_each_frame(scene):
+    assert _perceive_scene(scene)[2] == 0
+
+
+# A value per tracker setting that changes the noisy_oracle_crowd stream; a
+# setting with no entry here fails the test below until it gets one.
+TRACKER_CHANGES = {
+    "d_o": 0.05,
+    "gate_assoc": 0.5,
+    "max_age": 1,
+    "process_noise": 10.0,
+    "measurement_noise": 1.0,
+}
+
+
+@pytest.mark.parametrize("key", DEFAULTS["tracker"])
+def test_every_tracker_setting_changes_the_stream(key):
+    scene = "noisy_oracle_crowd"
+    overrides = {**PERCEIVE_SCENES[scene], "tracker": {key: TRACKER_CHANGES[key]}}
+    assert _perceive(overrides)[0] != STREAM_SHA256[scene]
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from roadeye.track import (
     Tracker2D,
     TrackerConfig,
     gated_assignment,
-    lift_to_3d,
     project_to_2d,
     track_frame,
 )
@@ -89,7 +88,7 @@ def _bruteforce_min_assignment(cost: np.ndarray) -> float:
 def test_assignment_matches_bruteforce_permutations(rng):
     for trial in range(20):
         n = 5
-        tracker = Tracker2D(TrackerConfig(gate_assoc=1e6, n_init=1))
+        tracker = Tracker2D(TrackerConfig(gate_assoc=1e6))
         first = [(*rng.uniform(-40, 40, 2), 2.0, 4.5) for _ in range(n)]
         tracker.associate(_boxes(*first))
         second = [(*rng.uniform(-40, 40, 2), 2.0, 4.5) for _ in range(n)]
@@ -167,26 +166,18 @@ def test_gated_assignment_prefers_more_matches_over_cheaper_ones():
     assert ours == scipy_pairs == [(0, 1), (1, 0)]
 
 
-def test_track_lifecycle_confirmation_and_deletion():
-    cfg = TrackerConfig(n_init=3, max_age=2)
-    tracker = Tracker2D(cfg)
-    det = _boxes(0.0, 0.0, 2.0, 4.5)
-    tracker.associate(det)
-    assert not tracker.confirmed[0]
-    tracker.associate(det)
-    assert not tracker.confirmed[0]
-    tracker.associate(det)
-    assert tracker.confirmed[0]
+def test_track_deleted_after_max_age_misses():
+    tracker = Tracker2D(TrackerConfig(max_age=2))
+    tracker.associate(_boxes(0.0, 0.0, 2.0, 4.5))
     tracker.associate(_boxes())
     assert tracker.misses[0] == 1
-    assert tracker.confirmed[0]  # a confirmed track stays confirmed through misses
     tracker.associate(_boxes())
     assert len(tracker.ids) == 0  # deleted after max_age consecutive misses
     assert tracker.tracks == []
 
 
 def test_ids_monotonic_never_reused():
-    tracker = Tracker2D(TrackerConfig(n_init=1, max_age=1))
+    tracker = Tracker2D(TrackerConfig(max_age=1))
     seen = []
     for k in range(5):
         tracker.associate(_boxes(float(100 * k), 0.0, 1.0, 1.0))
@@ -205,39 +196,43 @@ def test_covariance_stays_psd(rng):
             assert np.allclose(cov, cov.T, atol=1e-12)
 
 
-# --- lift -------------------------------------------------------------------
+# --- ids -------------------------------------------------------------------
 
-def test_lift_inside_gate():
-    out = lift_to_3d(detections([_det(0.0, 0.0)]), [7], [[0.5, 0.0]], d_o=2.0)
-    assert out.tolist() == [7]
-
-
-def test_lift_outside_gate_gives_sentinel():
-    out = lift_to_3d(detections([_det(0.0, 0.0)]), [7], [[3.0, 0.0]], d_o=2.0)
-    assert out.tolist() == [-1]
-
-
-def test_lift_matches_bruteforce_scan(rng):
-    for _ in range(25):
-        dets = detections(_det(*rng.uniform(-20, 20, 2)) for _ in range(20))
-        ids = rng.permutation(100)[:20]
-        xy = rng.uniform(-20, 20, (20, 2))
-        for det, lifted in zip(dets, lift_to_3d(dets, ids, xy, d_o=3.0)):
-            expected = -1
-            for tid, (x, y) in zip(ids, xy):
-                if math.hypot(det.box.x - x, det.box.y - y) < 3.0:
-                    expected = tid
-                    break
-            assert lifted == expected
+def test_box_gets_the_id_of_its_assigned_track_not_an_older_one():
+    tracker = Tracker2D(TrackerConfig())
+    first = track_frame(tracker, detections([_det(0.0, 0.0), _det(1.5, 0.0)]), 0.0)
+    assert first.id.tolist() == [0, 1]
+    # Both tracks lie inside d_o of the box; the assignment gives it track 1.
+    out = track_frame(tracker, detections([_det(1.4, 0.0)]), 0.1)
+    assert out.id.tolist() == [1]
 
 
-def test_lift_preserves_cardinality_and_payload(rng):
+def test_two_boxes_near_one_track_get_distinct_ids():
+    tracker = Tracker2D(TrackerConfig())
+    track_frame(tracker, detections([_det(0.0, 0.0)]), 0.0)
+    out = track_frame(tracker, detections([_det(0.3, 0.0), _det(-0.3, 0.0)]), 0.1)
+    assert sorted(out.id.tolist()) == [0, 1]  # one updates track 0, one starts track 1
+
+
+def test_matched_box_outside_the_id_gate_gets_no_id():
+    # Noisy measurements barely move settled tracks. The second box goes to
+    # track 1, the only free track in the gate, and stays d_o or more from
+    # its updated center, though track 0 lies inside d_o of it.
+    tracker = Tracker2D(TrackerConfig(measurement_noise=10.0))
+    for k in range(20):
+        track_frame(tracker, detections([_det(0.0, 0.0), _det(4.0, 0.0)]), 0.1 * k)
+    out = track_frame(tracker, detections([_det(0.0, 0.0), _det(1.5, 0.0)]), 2.0)
+    assert tracker.ids.tolist() == [0, 1] and tracker.misses.tolist() == [0, 0]  # both matched
+    assert math.hypot(*(tracker.mean[1, :2] - [1.5, 0.0])) >= tracker.config.d_o
+    assert out.id.tolist() == [0, -1]
+
+
+def test_track_frame_preserves_cardinality_and_payload(rng):
     dets = detections(_det(*rng.uniform(-20, 20, 2)) for _ in range(9))
-    out = lift_to_3d(dets, np.empty(0, dtype=int), np.empty((0, 2)), d_o=2.0)
-    assert out.tolist() == [-1] * len(dets)
-    assert lift_to_3d(detections([]), [3], [[0.0, 0.0]], d_o=2.0).tolist() == []
+    tracker = Tracker2D(TrackerConfig())
+    assert track_frame(tracker, detections([]), 0.0).tolist() == []
     # A tracking step fills in the id column and leaves every other field as it was.
-    tracked = track_frame(Tracker2D(TrackerConfig()), dets, 0.0)
+    tracked = track_frame(tracker, dets, 0.1)
     payload = ["box", "cls", "score"]
     assert tracked[payload].tolist() == dets[payload].tolist()
     assert (tracked.id >= 0).all()
@@ -280,18 +275,16 @@ def test_batched_update_matches_single_track_kalman(rng):
         for i, (mean, cov) in enumerate(expected):
             assert np.allclose(tracker.mean[i], mean, atol=1e-12)
             assert np.allclose(tracker.cov[i], cov, atol=1e-12)
-    assert tracker.hits.tolist() == [6, 6, 6, 0, 6, 6, 6, 6]
     assert tracker.misses.tolist() == [0, 0, 0, 1, 0, 0, 0, 0]
 
 
 def test_tracks_snapshots_follow_the_arrays():
-    tracker = Tracker2D(TrackerConfig(n_init=2))
+    tracker = Tracker2D(TrackerConfig())
     tracker.associate(_boxes((0.0, 0.0, 2.0, 4.5), (30.0, 0.0, 0.6, 0.6)))
     tracker.associate(_boxes((0.4, 0.0, 2.0, 4.5)))
     snaps = tracker.tracks
     assert [tr.id for tr in snaps] == tracker.ids.tolist() == [0, 1]
-    assert [tr.confirmed for tr in snaps] == [True, False]
-    assert [(tr.hits, tr.misses) for tr in snaps] == [(2, 0), (0, 1)]
+    assert [tr.misses for tr in snaps] == [0, 1]
     for tr, mean in zip(snaps, tracker.mean):
         assert tr.box == Box2D(*mean[:4])  # the box is the mean, not a second copy
     snaps[0].mean[0] = 99.0  # snapshots are copies
@@ -387,4 +380,4 @@ def test_tracker_config_validation():
     with pytest.raises(ValueError):
         TrackerConfig(d_o=0.0)
     with pytest.raises(ValueError):
-        TrackerConfig(n_init=0)
+        TrackerConfig(max_age=0)
