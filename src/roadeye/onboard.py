@@ -53,7 +53,6 @@ class PixelMap:
 class EgoState:
     gps: GeodeticPos
     heading: float  # degrees, [0, 360)
-    t: float
 
     def __post_init__(self):
         if not 0.0 <= self.heading < 360.0:
@@ -62,7 +61,6 @@ class EgoState:
 
 @dataclass
 class RenderFrame:
-    t: float
     icons: np.recarray  # ICON rows
     size: tuple[float, float] = VIEWPORT
 
@@ -149,8 +147,7 @@ def reconstruct_frame(msgs, ego: EgoState, pixel_map: PixelMap) -> RenderFrame:
     rest["heading_deg"] = shown["theta"]
     rest["dims_m"] = np.column_stack([shown["w"], shown["l"]])
     rest["id"] = shown["id"]
-    t = float(rec.t[0]) if len(rec) else ego.t
-    return RenderFrame(t=t, icons=icons.view(np.recarray), size=pixel_map.viewport)
+    return RenderFrame(icons=icons.view(np.recarray), size=pixel_map.viewport)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +249,4 @@ class EgoSimulator:
             rng = np.random.default_rng([self.seed & 0xFFFFFFFF, 0xE60, tick])
             east += rng.normal(0.0, self.noise_std)
             north += rng.normal(0.0, self.noise_std)
-        return EgoState(
-            gps=offset_geodetic(self.start, east, north),
-            heading=self.heading,
-            t=t_update,
-        )
+        return EgoState(gps=offset_geodetic(self.start, east, north), heading=self.heading)

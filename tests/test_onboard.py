@@ -45,7 +45,7 @@ def _msg(east, north, w=2.0, l=4.5, h=1.6, theta=0.0, mid=1):
 
 def _ego(east=0.0, north=0.0, heading=0.0):
     g = offset_geodetic(ORIGIN, east, north)
-    return EgoState(gps=g, heading=heading, t=0.0)
+    return EgoState(gps=g, heading=heading)
 
 
 # --- pixel map ---------------------------------------------------------------
@@ -210,7 +210,6 @@ def _icons(*rows):
 
 def _fixed_frame():
     return RenderFrame(
-        t=1.5,
         icons=_icons(
             (IconKind.EGO, (400.0, 420.0), 0.0, (1.9, 4.6), -1),
             (IconKind.VEHICLE, (300.0, 350.0), 90.0, (2.0, 4.5), 7),
@@ -243,7 +242,6 @@ def test_emit_matches_golden():
 def test_render_frame_rejects_two_egos():
     with pytest.raises(ValueError):
         RenderFrame(
-            t=0.0,
             icons=_icons(
                 (IconKind.EGO, (0.0, 0.0), 0.0, (1.9, 4.6), -1),
                 (IconKind.EGO, (1.0, 1.0), 0.0, (1.9, 4.6), -1),
