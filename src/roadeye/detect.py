@@ -2,8 +2,11 @@
 
 Two detector backends share one output type, a `DETECTION` record array:
 a ground-truth oracle with configurable corruption, and a voxel-clustering
-baseline. The residual encoding and the localization / classification /
-direction losses are standalone functions usable without either backend.
+baseline. Both work in whole-frame array passes: the cluster detector builds
+its voxel graph from one sort of the voxel keys and fits every cluster's box
+in the same segment reductions. The residual encoding and the localization /
+classification / direction losses are standalone functions usable without
+either backend.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    CLASSES, ObjectClass, OrientedBox3D, connected_components, normalize_angle, wrap_angles,
+    CLASSES, ObjectClass, OrientedBox3D, connected_components, wrap_angles,
 )
 from .preproc import GeofenceBounds
 from .scene import PEDESTRIAN_DIM_RANGE, VEHICLE_DIM_RANGE, AgentState, ScenarioConfig
@@ -180,69 +183,99 @@ def detect_oracle(
     return np.concatenate([dets, clutter]).view(np.recarray)
 
 
+# Key offset of the dx = -1 voxel in each (dy, dz) row above a voxel's own:
+# (+1, 0), (-1, +1), (0, +1) and (+1, +1). With the +x step these are the 13
+# neighbours whose key is larger, half of the undirected 26-neighbourhood.
+_ROW_OFFSETS = np.array([(dy << 21) + (dz << 42) - 1
+                         for dy, dz in ((1, 0), (-1, 1), (0, 1), (1, 1))])
+
+
 def _voxel_components(vox: np.ndarray) -> np.ndarray:
-    """26-connected component label per input voxel coordinate row."""
-    vox = vox - vox.min(axis=0)
-    if np.any(vox.max(axis=0) >= (1 << 20)):
+    """26-connected component label per input voxel coordinate row.
+
+    Each voxel is keyed x + y<<21 + z<<42. With every coordinate below 2^20
+    a step of -1 or +1 on an axis never carries into the next field, so the
+    three x-neighbours of a (y, z) row are consecutive keys, and a key built
+    with a coordinate of -1 or 2^20 matches no voxel. One sort gives the
+    nodes, the sorted unique keys. A node's 13 neighbours with a larger key
+    are the +x voxel, which can only be the next node, and three consecutive
+    keys in each of the rows in `_ROW_OFFSETS`, all found from one sorted
+    search per row. Labels are numbered by each component's smallest key."""
+    # Column by column: numpy reduces a strided column far faster than axis 0.
+    x, y, z = (c - c.min() for c in vox.astype(np.int64, copy=False).T)
+    if max(x.max(), y.max(), z.max()) >= (1 << 20):
         raise ValueError(
             "voxel grid spans over 2^20 cells per axis; geofence the frame "
             "or use a larger voxel size"
         )
-    keys = vox[:, 0].astype(np.int64) + (vox[:, 1].astype(np.int64) << 21) + (
-        vox[:, 2].astype(np.int64) << 42
-    )
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    keys = x + (y << 21) + (z << 42)
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    first = np.empty(len(keys), bool)
+    first[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    uniq = sorted_keys[first]
+    inverse = np.empty(len(keys), np.intp)
+    inverse[order] = np.cumsum(first) - 1
     n = len(uniq)
-    rows, cols = [], []
-    offsets = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-        if (dx, dy, dz) > (0, 0, 0)  # half the neighborhood; graph is undirected
-    ]
-    for dx, dy, dz in offsets:
-        nk = uniq + dx + (np.int64(dy) << 21) + (np.int64(dz) << 42)
-        pos = np.searchsorted(uniq, nk)
-        ok = (pos < n) & (uniq[np.minimum(pos, n - 1)] == nk)
-        rows.append(np.flatnonzero(ok))
-        cols.append(pos[ok])
+    step = np.flatnonzero(uniq[1:] == uniq[:-1] + 1)
+    rows, cols = [step], [step + 1]
+    padded = np.append(uniq, -1)  # a search may return n; no wanted key is negative
+    for offset in _ROW_OFFSETS:
+        want = uniq + offset
+        pos = np.searchsorted(uniq, want)
+        for _ in range(3):  # dx = -1, 0, +1: a hit moves on to the next key
+            hit = padded[pos] == want
+            node = np.flatnonzero(hit)
+            rows.append(node)
+            cols.append(pos[node])
+            pos += hit
+            want += 1
     return connected_components(n, np.concatenate(rows), np.concatenate(cols))[inverse]
 
 
 def detect_cluster(frame_h, params: ClusterParams) -> np.recarray:
-    """Voxel connected-component detector over a leveled (H-Coor) frame."""
+    """Voxel connected-component detector over a leveled (H-Coor) frame.
+
+    Points more than 0.2 m above `ground_z` are labelled by 26-connected
+    voxel components; each component of at least `min_points` points becomes
+    one box. Every box is fitted in the same array passes: a stable sort by
+    label puts each kept component's points in one contiguous segment, in
+    input order, and `reduceat` over the segments gives the centroids, the
+    plan-view covariances and the extents along the covariance's major axis
+    (theta) and across it, each at least MIN_CLUSTER_EXTENT. Rows come in
+    label order, score min(1, points / 100), class by footprint, id -1."""
     xyz = frame_h.xyz
-    keep = xyz[:, 2] > params.ground_z + 0.2
-    pts = xyz[keep]
+    pts = xyz[xyz[:, 2] > params.ground_z + 0.2]
     if len(pts) == 0:
         return np.recarray(0, DETECTION)
-    vox = np.floor(pts / params.voxel).astype(np.int64)
-    labels = _voxel_components(vox)
-    # One stable sort groups each component's points contiguously, in input
-    # order, so the per-cluster statistics below see the same arrays as a
-    # `labels == lbl` mask would; small components never reach Python.
-    order = np.argsort(labels, kind="stable")
+    labels = _voxel_components(np.floor(pts / params.voxel).astype(np.int64))
     counts = np.bincount(labels)
-    ends = np.cumsum(counts)
-    rows = []
-    for lbl in np.flatnonzero(counts >= params.min_points):
-        member = pts[order[ends[lbl] - counts[lbl]:ends[lbl]]]
-        centroid = member.mean(axis=0)
-        xy = member[:, :2] - centroid[:2]
-        cov = xy.T @ xy / len(xy)
-        evals, evecs = np.linalg.eigh(cov)
-        major = evecs[:, int(np.argmax(evals))]
-        theta = normalize_angle(math.atan2(major[1], major[0]))
-        along = xy @ major
-        across = xy @ np.array([-major[1], major[0]])
-        l = max(float(along.max() - along.min()), MIN_CLUSTER_EXTENT)
-        w = max(float(across.max() - across.min()), MIN_CLUSTER_EXTENT)
-        h = max(float(member[:, 2].max() - member[:, 2].min()), MIN_CLUSTER_EXTENT)
-        rows.append(((*centroid.tolist(), w, l, h, theta), 0, min(1.0, len(member) / 100.0), -1))
-    dets = np.array(rows, dtype=DETECTION).view(np.recarray)
-    dets.cls = _footprint_class(dets.box)
-    return dets
+    sizes = counts[counts >= params.min_points]
+    # reduceat needs non-empty segments: only kept points are sorted.
+    member_idx = np.flatnonzero(counts[labels] >= params.min_points)
+    member = pts[member_idx[np.argsort(labels[member_idx], kind="stable")]]
+    starts = np.cumsum(sizes) - sizes
+    centroid = np.add.reduceat(member, starts) / sizes[:, None]
+    dx, dy = (member[:, :2] - np.repeat(centroid[:, :2], sizes, axis=0)).T
+    sxx, sxy, syy = (np.add.reduceat(np.column_stack([dx * dx, dx * dy, dy * dy]), starts)
+                     / sizes[:, None]).T
+    evals, evecs = np.linalg.eigh(np.stack([sxx, sxy, sxy, syy], axis=1).reshape(-1, 2, 2))
+    major = evecs[np.arange(len(sizes)), :, np.argmax(evals, axis=1)]
+    mx, my = np.repeat(major, sizes, axis=0).T
+    # Along the major axis, across it, and up: each one's span is an extent.
+    proj = np.column_stack([dx * mx + dy * my, dy * mx - dx * my, member[:, 2]])
+    extent = np.maximum(np.maximum.reduceat(proj, starts) - np.minimum.reduceat(proj, starts),
+                        MIN_CLUSTER_EXTENT)
+    dets = np.empty(len(sizes), DETECTION)
+    box = dets["box"]
+    box["x"], box["y"], box["z"] = centroid.T
+    box["l"], box["w"], box["h"] = extent.T
+    box["theta"] = wrap_angles(np.arctan2(major[:, 1], major[:, 0]))
+    dets["cls"] = _footprint_class(box)
+    dets["score"] = np.minimum(1.0, sizes / 100.0)
+    dets["id"] = -1
+    return dets.view(np.recarray)
 
 
 # ---------------------------------------------------------------------------

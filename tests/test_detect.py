@@ -3,6 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import ndimage
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as csgraph_components
 
 from roadeye.detect import (
     CLUSTER_VEHICLE_FOOTPRINT,
@@ -25,7 +28,7 @@ from roadeye.detect import (
     truth_boxes,
     _voxel_components,
 )
-from roadeye.geometry import ObjectClass, OrientedBox3D, normalize_angle
+from roadeye.geometry import ObjectClass, OrientedBox3D, normalize_angle, wrap_angles
 from roadeye.preproc import GeofenceBounds
 from roadeye.scene import AgentState, PointCloudFrame, ScenarioConfig, sample_box_surface
 
@@ -191,6 +194,44 @@ def test_cluster_classifies_pedestrian_by_footprint():
     assert CLASSES[dets[0].cls] is ObjectClass.PEDESTRIAN
 
 
+def _same_partition(a, b):
+    """Whether two labelings split the items alike, up to relabelling."""
+    pairs = len(np.unique(np.column_stack([a, b]), axis=0))
+    return pairs == len(np.unique(a)) == len(np.unique(b))
+
+
+@pytest.mark.parametrize("fill", [0.15, 0.3, 0.5])
+def test_voxel_components_match_ndimage_label(rng, fill):
+    grid = rng.random((14, 11, 9)) < fill
+    vox = np.argwhere(grid)
+    # Several points per voxel, in shuffled order, exercise the inverse map.
+    vox = np.repeat(vox, rng.integers(1, 4, len(vox)), axis=0)
+    vox = vox[rng.permutation(len(vox))] - [3, 7, 2]
+    ref, _ = ndimage.label(grid, structure=np.ones((3, 3, 3)))
+    got = _voxel_components(vox)
+    assert _same_partition(got, ref[tuple((vox + [3, 7, 2]).T)])
+    # Labels count up in the order of each component's smallest key.
+    keys = vox[:, 0] + (vox[:, 1] << 21) + (vox[:, 2] << 42)
+    smallest = [keys[got == lbl].min() for lbl in range(got.max() + 1)]
+    assert smallest == sorted(smallest)
+
+
+@pytest.mark.parametrize("shift", [0, -(1 << 19)])
+def test_voxel_components_match_brute_force_at_field_ends(rng, shift):
+    # Coordinates at both ends of the 2^20 range on every axis: a key step
+    # that carried into the next field would link voxels that are far apart.
+    top = (1 << 20) - 1
+    ends = np.array([0, 1, 2, top - 2, top - 1, top])
+    vox = ends[rng.integers(0, len(ends), (160, 3))]
+    vox[:2] = [[0, 0, 0], [top, top, top]]  # the span reaches the guard's limit
+    vox += shift
+    i, j = np.triu_indices(len(vox), 1)
+    near = np.abs(vox[i] - vox[j]).max(axis=1) <= 1  # Chebyshev distance
+    adj = coo_matrix((np.ones(near.sum()), (i[near], j[near])), shape=(len(vox),) * 2)
+    _, ref = csgraph_components(adj, directed=False)
+    assert _same_partition(_voxel_components(vox), ref)
+
+
 def _detect_cluster_reference(frame_h, params):
     """Per-label mask scan: the O(labels x points) form `detect_cluster` replaced."""
     pts = frame_h.xyz[frame_h.xyz[:, 2] > params.ground_z + 0.2]
@@ -226,6 +267,30 @@ def _detect_cluster_reference(frame_h, params):
     return detections(dets)
 
 
+# The batched fit sums in another order than the per-label loop (segment
+# reductions against BLAS products), so box floats may differ in the last
+# bits: about 4e-14 m over the crowd workload's frames. 1e-9 m or rad is
+# far above that and far below any box size or wire resolution.
+BOX_TOL = 1e-9
+
+
+def _assert_matches_reference(got, ref):
+    """Row count, order, class, score and id exactly; box fields within
+    BOX_TOL, theta as a wrapped difference."""
+    got, ref = got.view(np.ndarray), ref.view(np.ndarray)
+    assert len(got) == len(ref)
+    for name in ("cls", "score", "id"):
+        assert got[name].tolist() == ref[name].tolist()
+    for name in "xyzwlh":
+        assert np.all(np.abs(got["box"][name] - ref["box"][name]) <= BOX_TOL), name
+    assert np.all(np.abs(wrap_angles(got["box"]["theta"] - ref["box"]["theta"])) <= BOX_TOL)
+
+
+def _frame(xyz):
+    xyz = np.asarray(xyz, dtype=float)
+    return PointCloudFrame(t=0.0, points=np.column_stack([xyz, np.full(len(xyz), 0.5)]))
+
+
 def _scattered_frame(seed=801):
     """Sparse clutter plus dense blobs of 3 to 120 points, all above ground."""
     rng = np.random.default_rng(seed)
@@ -251,11 +316,68 @@ def test_cluster_matches_per_label_reference(min_points):
         min_points = int(sizes.max()) + 1
     params.min_points = min_points
     got = detect_cluster(frame, params)
-    # Exact equality of every box field as a float, the class and the score.
-    assert got.tolist() == _detect_cluster_reference(frame, params).tolist()
+    _assert_matches_reference(got, _detect_cluster_reference(frame, params))
     assert len(got) == np.count_nonzero(sizes >= min_points)
     if min_points > sizes.max():
         assert len(got) == 0
+
+
+def test_cluster_singletons_get_minimum_boxes():
+    # One point per cluster: zero covariance gives theta 0 and every extent
+    # clamps to MIN_CLUSTER_EXTENT.
+    xyz = np.array([[0.0, 0.0, 0.0], [5.0, 1.0, 0.5], [-7.0, 3.0, 1.0], [2.0, -9.0, 0.2]])
+    frame = _frame(xyz)
+    params = ClusterParams(voxel=0.3, min_points=1, ground_z=-4.74)
+    got = detect_cluster(frame, params)
+    _assert_matches_reference(got, _detect_cluster_reference(frame, params))
+    assert len(got) == 4
+    assert np.all(got.box.theta == 0.0)
+    for name in "wlh":
+        assert np.all(got.box[name] == MIN_CLUSTER_EXTENT)
+    assert sorted(got.box.x.tolist()) == sorted(xyz[:, 0].tolist())
+
+
+def test_cluster_collinear_points():
+    # A level line 30 degrees off x: no spread across it or in height.
+    s = np.arange(0.0, 6.0, 0.1)
+    angle = math.radians(30.0)
+    frame = _frame(np.column_stack([s * math.cos(angle), s * math.sin(angle), np.zeros_like(s)]))
+    params = ClusterParams(voxel=0.3, min_points=10, ground_z=-4.74)
+    got = detect_cluster(frame, params)
+    _assert_matches_reference(got, _detect_cluster_reference(frame, params))
+    assert len(got) == 1
+    assert abs(math.remainder(got.box.theta[0] - angle, math.pi)) <= 1e-9
+    assert got.box.l[0] == pytest.approx(s[-1], abs=1e-9)
+    assert got.box.w[0] == got.box.h[0] == MIN_CLUSTER_EXTENT
+
+
+def test_cluster_duplicate_points_count_toward_min_points(rng):
+    # Spans under one voxel per axis keep every blob one component.
+    blob = rng.uniform([3.0, -2.0, 0.0], [3.45, -1.55, 0.45], (4, 3))
+    frame = _frame(np.repeat(blob, 3, axis=0))  # 4 places, 12 points
+    params = ClusterParams(voxel=0.5, min_points=12, ground_z=-4.74)
+    got = detect_cluster(frame, params)
+    _assert_matches_reference(got, _detect_cluster_reference(frame, params))
+    assert len(got) == 1 and got.score[0] == 0.12
+    params.min_points = 13
+    assert len(detect_cluster(frame, params)) == 0
+
+
+def test_cluster_kept_interleaved_with_dropped(rng):
+    # Components along x, in label order, alternate 15 points (kept) and
+    # 4 points (dropped); the points arrive shuffled.
+    blobs = [
+        rng.uniform([4.0 * k, 1.0, 0.0], [4.0 * k + 0.29, 1.29, 0.29], (15 if k % 2 == 0 else 4, 3))
+        for k in range(10)
+    ]
+    xyz = np.concatenate(blobs)
+    frame = _frame(xyz[rng.permutation(len(xyz))])
+    params = ClusterParams(voxel=0.3, min_points=10, ground_z=-4.74)
+    got = detect_cluster(frame, params)
+    _assert_matches_reference(got, _detect_cluster_reference(frame, params))
+    assert len(got) == 5
+    assert np.all(np.diff(got.box.x) > 0)
+    assert np.all(got.score == 0.15)
 
 
 def test_cluster_all_ground_points_gives_nothing():
