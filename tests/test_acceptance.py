@@ -129,11 +129,15 @@ def _scripted_scenario():
     return ScenarioConfig(agents=specs, duration=10.0, tick=0.1)
 
 
-def _exhaustive_assignment_min(cost: np.ndarray) -> float:
-    best = math.inf
+def _exhaustive_assignment_min(cost: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """The least total cost over every assignment of a square matrix's rows
+    to its columns, and the column each row takes in that assignment."""
+    best, best_perm = math.inf, ()
     for perm in itertools.permutations(range(cost.shape[0])):
-        best = min(best, sum(cost[i, j] for i, j in enumerate(perm)))
-    return best
+        total = sum(cost[i, j] for i, j in enumerate(perm))
+        if total < best:
+            best, best_perm = total, perm
+    return best, best_perm
 
 
 def test_criterion_4_tracking_fidelity():
@@ -148,36 +152,40 @@ def test_criterion_4_tracking_fidelity():
         agents = step_scenario(cfg, float(t))
         dets = detect_oracle(agents, DetectorNoise(), seed=0)
 
-        # Exhaustive assignment oracle over the predicted track positions.
-        predicted = [
-            (tr.mean[0] + tr.mean[4], tr.mean[1] + tr.mean[5]) for tr in tracker.tracks
-        ]
+        # Exhaustive assignment oracle over the predicted track positions,
+        # padded to a square matrix with GATE_COST.
+        before = tracker.tracks
+        predicted = [(tr.mean[0] + tr.mean[4], tr.mean[1] + tr.mean[5]) for tr in before]
+        next_id = tracker.next_id
         tracks = track_frame(tracker, dets, float(t))
-        if predicted and len(predicted) == len(dets) and len(dets) <= 7:
-            gate = tracker.config.gate_assoc
-            cost = np.array([
-                [
-                    (
-                        math.hypot(px - d.box.x, py - d.box.y)
-                        if math.hypot(px - d.box.x, py - d.box.y) <= gate
-                        else GATE_COST
-                    )
-                    for d in dets
-                ]
-                for px, py in predicted
-            ])
-            oracle = _exhaustive_assignment_min(cost)
-            assert oracle < GATE_COST  # scripted frames always fully match
-            assert tracker.last_assignment_cost == pytest.approx(oracle, abs=1e-9)
+        n = max(len(predicted), len(dets))
+        assert n <= 7
+        gate = tracker.config.gate_assoc
+        cost = np.full((n, n), GATE_COST)
+        for r, (px, py) in enumerate(predicted):
+            for c, d in enumerate(dets):
+                dist = math.hypot(px - d.box.x, py - d.box.y)
+                if dist <= gate:
+                    cost[r, c] = dist
+        _, perm = _exhaustive_assignment_min(cost)
+        pairs = [(r, c) for r, c in enumerate(perm) if cost[r, c] < GATE_COST]
+        if predicted:
+            assert len(pairs) == len(dets) == len(predicted)  # scripted frames fully match
+        assert tracker.last_assignment_cost == pytest.approx(
+            sum(cost[r, c] for r, c in pairs), abs=1e-9
+        )
 
-        # Lift oracle: first track strictly inside d_o, scanned in order.
-        for det, lifted in zip(dets, tracks):
-            expected = -1
-            for tr in tracker.tracks:
-                if math.hypot(det.box.x - tr.box.x, det.box.y - tr.box.y) < tracker.config.d_o:
-                    expected = tr.id
-                    break
-            assert lifted.id == expected
+        # Id oracle: each row carries the id of the track the assignment gave
+        # it, or of the track it started (new ids in row order), while that
+        # track's updated centre lies strictly within d_o of the row; else -1.
+        assigned = {c: before[r].id for r, c in pairs}
+        started = iter(range(next_id, next_id + len(dets)))
+        centre = {tr.id: (tr.box.x, tr.box.y) for tr in tracker.tracks}
+        for c, (det, lifted) in enumerate(zip(dets, tracks)):
+            tid = assigned[c] if c in assigned else next(started)
+            x, y = centre[tid]
+            inside = math.hypot(det.box.x - x, det.box.y - y) < tracker.config.d_o
+            assert lifted.id == (tid if inside else -1)
 
         assignment_frames.append(
             [(a.agent_id, lifted.id) for a, lifted in zip(agents, tracks)]
@@ -186,7 +194,7 @@ def test_criterion_4_tracking_fidelity():
     assert count_id_switches(assignment_frames) == 0
     final_ids = {tid for _, tid in assignment_frames[-1]}
     assert len(final_ids) == 6 and -1 not in final_ids
-    _passed(4, "100 frames: zero id switches; lift and assignment match the oracles")
+    _passed(4, "100 frames: zero id switches; assignment and ids match the oracles")
 
 
 # -- 5 ------------------------------------------------------------------------
