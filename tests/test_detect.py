@@ -301,8 +301,7 @@ def _scattered_frame(seed=801):
     ]
     xyz = np.concatenate([clutter, *blobs])
     xyz[:, 2] = np.maximum(xyz[:, 2], -4.5)
-    xyz = xyz[rng.permutation(len(xyz))]
-    return PointCloudFrame(t=0.0, points=np.column_stack([xyz, np.full(len(xyz), 0.5)]))
+    return _frame(xyz[rng.permutation(len(xyz))])
 
 
 @pytest.mark.parametrize("min_points", [1, 10, "above_largest"])
@@ -382,8 +381,7 @@ def test_cluster_kept_interleaved_with_dropped(rng):
 
 def test_cluster_all_ground_points_gives_nothing():
     rng = np.random.default_rng(5)
-    xyz = rng.uniform([-30.0, -30.0, -4.9], [30.0, 30.0, -4.54], (2000, 3))
-    frame = PointCloudFrame(t=0.0, points=np.column_stack([xyz, np.full(len(xyz), 0.5)]))
+    frame = _frame(rng.uniform([-30.0, -30.0, -4.9], [30.0, 30.0, -4.54], (2000, 3)))
     params = ClusterParams(voxel=0.3, min_points=1, ground_z=-4.74)
     assert len(detect_cluster(frame, params)) == 0
     assert len(_detect_cluster_reference(frame, params)) == 0
