@@ -17,6 +17,10 @@ instead of a second nearest-track search: only `id` moved.
 
 The id-masked digests hash the same streams with every record's `id` set
 to 0, so a tracker change that only renumbers records must keep them.
+
+The SVG digests hash what the onboard side draws from each stream: every
+frame decoded, reconstructed with the config's pixel map and ego feed, and
+rendered.
 """
 
 import functools
@@ -28,9 +32,10 @@ import pytest
 
 from roadeye.cli import main
 from roadeye.config import DEFAULTS, load_config
+from roadeye.onboard import reconstruct_frame, render_svg
 from roadeye.pipeline import EdgePipeline
 from roadeye.scene import scenario_frames
-from roadeye.wire import HEADER_BYTES, RECORD
+from roadeye.wire import HEADER_BYTES, RECORD, decode_frame
 
 
 def _crowd_agents(n: int) -> list[dict]:
@@ -65,13 +70,14 @@ PERCEIVE_SCENES = {
 }
 
 
-def _perceive(overrides: dict) -> tuple[str, str, int]:
+def _perceive(overrides: dict) -> tuple[str, str, int, str]:
     """sha256 of a perceive stream, sha256 of the same stream with every
-    record's `id` set to 0, and the number of frames in which two records
-    share a non-negative id."""
+    record's `id` set to 0, the number of frames in which two records share
+    a non-negative id, and sha256 of the SVG documents the frames render to."""
     cfg = load_config(overrides=overrides)
     pipeline = EdgePipeline(cfg)
-    digest, masked = hashlib.sha256(), hashlib.sha256()
+    pixel_map, ego_feed = cfg.pixel_map(), cfg.ego_simulator()
+    digest, masked, svg = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     repeats = 0
     for agents, frame in scenario_frames(cfg.scenario()):
         encoded = pipeline.process(frame, agents).encoded
@@ -81,11 +87,14 @@ def _perceive(overrides: dict) -> tuple[str, str, int]:
         repeats += len(np.unique(ids)) < len(ids)
         rec["id"] = 0
         masked.update(encoded[:HEADER_BYTES] + rec.tobytes())
-    return digest.hexdigest(), masked.hexdigest(), repeats
+        decoded = decode_frame(encoded)
+        render = reconstruct_frame(decoded.messages, ego_feed.state_at(decoded.t_frame), pixel_map)
+        svg.update(render_svg(render).encode("utf-8"))
+    return digest.hexdigest(), masked.hexdigest(), repeats, svg.hexdigest()
 
 
 @functools.lru_cache(maxsize=None)
-def _perceive_scene(scene: str) -> tuple[str, str, int]:
+def _perceive_scene(scene: str) -> tuple[str, str, int, str]:
     return _perceive(PERCEIVE_SCENES[scene])
 
 
@@ -98,6 +107,12 @@ STREAM_SHA256_WITHOUT_IDS = {
     "noisy_oracle_crowd": "91b0a2a63c781399e65fa32a1263904f3428b45c4d672f3045835c7ccc9288ea",
     "default_cluster": "9fa346580730569ddb98062e8e5db3eb7501a7dc9c7ef1dedb813d65d38a1e03",
     "cluster_crowd": "4b0c5722593d1516b01fd5af9abb6a411ecae51c640c9883802a8dc1ee93f17e",
+}
+
+SVG_SHA256 = {
+    "noisy_oracle_crowd": "4fd427ab0caea657ff6e742d6cfc3dc587033608d201d9c6c56b28d55e3543e1",
+    "default_cluster": "df0f403aec846866845e0eec898ae54242f2ca715a4e29e9efefb7c3fb2266ed",
+    "cluster_crowd": "6299c0549d8ecebd9a34a303f40da6f219c18b105fb4fc9e9e65f1d1934b4ae4",
 }
 
 
@@ -114,6 +129,11 @@ def test_perceive_stream_digest_without_ids(scene):
 @pytest.mark.parametrize("scene", PERCEIVE_SCENES)
 def test_perceive_ids_unique_within_each_frame(scene):
     assert _perceive_scene(scene)[2] == 0
+
+
+@pytest.mark.parametrize("scene", PERCEIVE_SCENES)
+def test_rendered_svg_digest(scene):
+    assert _perceive_scene(scene)[3] == SVG_SHA256[scene]
 
 
 # A value per tracker setting that changes the noisy_oracle_crowd stream; a
