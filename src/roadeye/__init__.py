@@ -26,7 +26,7 @@ from .geoloc import (
 )
 from .wire import PerceptionMessage, PhaseStamps, decode_frame, encode_frame
 from .relay import RelayServer, relay_serve
-from .onboard import build_pixel_map, classify_by_size, emit_render, gps_to_pixel, reconstruct_frame
+from .onboard import build_pixel_map, emit_render, gps_to_pixel, reconstruct_frame
 from .evaluate import (
     ConfusionCounts,
     compute_metrics,

@@ -4,9 +4,11 @@ Two detector backends share one output type, a `DETECTION` record array:
 a ground-truth oracle with configurable corruption, and a voxel-clustering
 baseline. Both work in whole-frame array passes: the cluster detector builds
 its voxel graph from one sort of the voxel keys and fits every cluster's box
-in the same segment reductions. The residual encoding and the localization /
-classification / direction losses are standalone functions usable without
-either backend.
+in the same segment reductions. The class is decided here, once: the oracle
+keeps each true box's class, and cluster and clutter boxes take `size_class`.
+It travels on the wire to the onboard side, which derives none. The residual
+encoding and the localization / classification / direction losses are
+standalone functions usable without either backend.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .geometry import (
 from .preproc import GeofenceBounds
 from .scene import PEDESTRIAN_DIM_RANGE, VEHICLE_DIM_RANGE, AgentState, ScenarioConfig
 
-# Footprint threshold separating vehicles from pedestrians among cluster and
-# clutter boxes.
-CLUSTER_VEHICLE_FOOTPRINT = 2.5  # m
+# A cluster or clutter box under both limits is a pedestrian, else a vehicle.
+PEDESTRIAN_MAX_FOOTPRINT = 1.2  # m, longer side
+PEDESTRIAN_MAX_HEIGHT = 2.2  # m
 MIN_CLUSTER_EXTENT = 0.05  # m, keeps degenerate clusters within box invariants
 # Oracle clutter (w, l, h) ranges: the hull of every simulated class's ranges.
 CLUTTER_DIM_RANGE = tuple((min(v[0], p[0]), max(v[1], p[1]))
@@ -36,12 +38,14 @@ BOX = np.dtype([(name, "<f8") for name in ("x", "y", "z", "w", "l", "h", "theta"
 DETECTION = np.dtype([("box", BOX), ("cls", "u1"), ("score", "<f8"), ("id", "<i8")])
 
 
-def _footprint_class(box) -> np.ndarray:
-    """Class codes for BOX rows: vehicle iff the footprint reaches
-    CLUSTER_VEHICLE_FOOTPRINT. The onboard split differs (pedestrian below
-    a 1.2 m footprint and 2.2 m height, see onboard.classify_by_size); the
-    class never reaches the wire, so the two need not agree."""
-    return np.where(np.maximum(box["w"], box["l"]) >= CLUSTER_VEHICLE_FOOTPRINT, 0, 1)
+def size_class(box) -> np.ndarray:
+    """Class codes, indices into CLASSES, for BOX rows: pedestrian iff the
+    footprint stays under PEDESTRIAN_MAX_FOOTPRINT and the height under
+    PEDESTRIAN_MAX_HEIGHT, vehicle otherwise."""
+    pedestrian = ((np.maximum(box["w"], box["l"]) < PEDESTRIAN_MAX_FOOTPRINT)
+                  & (box["h"] < PEDESTRIAN_MAX_HEIGHT))
+    return np.where(pedestrian, CLASSES.index(ObjectClass.PEDESTRIAN),
+                    CLASSES.index(ObjectClass.VEHICLE))
 
 
 @dataclass
@@ -142,7 +146,7 @@ def _clutter(rng: np.random.Generator, bounds: GeofenceBounds, n: int) -> np.nda
     box["y"] = rng.uniform(bounds.y_min, bounds.y_max, n)
     box["z"] = rng.uniform(bounds.z_min, bounds.z_max - box["h"]) + box["h"] / 2.0
     box["theta"] = wrap_angles(rng.uniform(-math.pi, math.pi, n))
-    out["cls"] = _footprint_class(box)
+    out["cls"] = size_class(box)
     out["score"] = rng.uniform(0.0, 1.0, n)
     out["id"] = -1
     return out
@@ -244,7 +248,7 @@ def detect_cluster(frame_h, params: ClusterParams) -> np.recarray:
     input order, and `reduceat` over the segments gives the centroids, the
     plan-view covariances and the extents along the covariance's major axis
     (theta) and across it, each at least MIN_CLUSTER_EXTENT. Rows come in
-    label order, score min(1, points / 100), class by footprint, id -1."""
+    label order, score min(1, points / 100), class by `size_class`, id -1."""
     xyz = frame_h.xyz
     pts = xyz[xyz[:, 2] > params.ground_z + 0.2]
     if len(pts) == 0:
@@ -272,7 +276,7 @@ def detect_cluster(frame_h, params: ClusterParams) -> np.recarray:
     box["x"], box["y"], box["z"] = centroid.T
     box["l"], box["w"], box["h"] = extent.T
     box["theta"] = wrap_angles(np.arctan2(major[:, 1], major[:, 0]))
-    dets["cls"] = _footprint_class(box)
+    dets["cls"] = size_class(box)
     dets["score"] = np.minimum(1.0, sizes / 100.0)
     dets["id"] = -1
     return dets.view(np.recarray)

@@ -247,4 +247,5 @@ def georeference_tracks(
     for name in ("w", "l", "h"):
         out[name] = box[name]
     out["theta"] = quantize_heading(90.0 - np.degrees(box["theta"] + h_to_ecef.yaw))
+    out["cls"] = tracks["cls"]
     return out

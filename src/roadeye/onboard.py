@@ -3,8 +3,8 @@
 Two surveyed reference points anchor an affine map from geodetic positions
 to screen pixels (equirectangular meters about the first reference, then a
 per-axis pixel ratio). Received perception records become top-view icons,
-one `ICON` row each; the ego vehicle, row 0, is drawn from its own simulated
-GPS feed.
+one `ICON` row each, of the kind the record's edge-decided `cls` names; the
+ego vehicle, row 0, is drawn from its own simulated GPS feed.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .geoloc import GeodeticPos, WGS84
 from .wire import RECORD
 
 EGO_SUPPRESS_RADIUS = 2.0  # m, roadside echo of the ego vehicle is dropped
-PEDESTRIAN_MAX_FOOTPRINT = 1.2  # m
-PEDESTRIAN_MAX_HEIGHT = 2.2  # m
 EGO_ICON_DIMS = (1.9, 4.6)  # (w, l) m
 VIEWPORT = (800.0, 800.0)  # (width, height) px
 
@@ -30,6 +28,8 @@ class DegenerateMapError(ValueError):
 
 
 class IconKind(enum.IntEnum):
+    """Icon kinds: EGO, then one per entry of `CLASSES`, in its order."""
+
     EGO = 0
     VEHICLE = 1
     PEDESTRIAN = 2
@@ -117,15 +117,6 @@ def gps_to_pixel(pixel_map: PixelMap, g):
     return u, v
 
 
-def classify_by_size(w, l, h) -> np.ndarray:
-    """IconKind code per box: pedestrian iff the footprint stays under 1.2 m
-    and height under 2.2 m, vehicle otherwise."""
-    if not np.all((w > 0) & (l > 0) & (h > 0)):
-        raise ValueError("dims must be positive")
-    pedestrian = (np.maximum(w, l) < PEDESTRIAN_MAX_FOOTPRINT) & (h < PEDESTRIAN_MAX_HEIGHT)
-    return np.where(pedestrian, IconKind.PEDESTRIAN, IconKind.VEHICLE)
-
-
 def reconstruct_frame(msgs, ego: EgoState, pixel_map: PixelMap) -> RenderFrame:
     """Build the icon rows for one render tick from messages or `RECORD` rows.
 
@@ -142,7 +133,7 @@ def reconstruct_frame(msgs, ego: EgoState, pixel_map: PixelMap) -> RenderFrame:
     icons = np.empty(1 + len(shown), ICON)
     icons[0] = (IconKind.EGO, gps_to_pixel(pixel_map, ego.gps), ego.heading, EGO_ICON_DIMS, -1)
     rest = icons[1:]
-    rest["kind"] = classify_by_size(shown["w"], shown["l"], shown["h"])
+    rest["kind"] = shown["cls"] + 1  # class code k is icon kind k + 1
     rest["px"] = np.column_stack([u[keep], v[keep]])
     rest["heading_deg"] = shown["theta"]
     rest["dims_m"] = np.column_stack([shown["w"], shown["l"]])

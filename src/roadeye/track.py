@@ -13,21 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import connected_components, plan_pairs
 
 GATE_COST = 1.0e9  # cost assigned to pairs outside the association gate
-MIN_BOX2D_EXTENT = 0.05
-
-
-class Box2D(NamedTuple):
-    x: float
-    y: float
-    w: float
-    l: float
 
 
 @dataclass(frozen=True)
@@ -38,11 +29,6 @@ class Track2D:
     mean: np.ndarray  # (6,) x, y, w, l, vx, vy
     cov: np.ndarray  # (6, 6)
     misses: int
-
-    @property
-    def box(self) -> Box2D:
-        x, y, w, l = self.mean[:4].tolist()
-        return Box2D(x, y, max(w, MIN_BOX2D_EXTENT), max(l, MIN_BOX2D_EXTENT))
 
 
 @dataclass

@@ -1,10 +1,12 @@
 """Binary perception-message codec and the phase stamps each frame carries.
 
 Frame layout, all little-endian:
-  magic "CMM1" | u32 payload length | f64 frame time | 4 x f64 phase stamps
+  magic "CMM2" | u32 payload length | f64 frame time | 4 x f64 phase stamps
   | u32 record count | records.
-Record (the packed 52-byte `RECORD` dtype): f64 t, i32 id, f64 lat, f64 lon,
-f64 alt, f32 w, f32 l, f32 h, f32 theta. Unset phase stamps travel as NaN.
+Record (the packed 53-byte `RECORD` dtype): f64 t, i32 id, f64 lat, f64 lon,
+f64 alt, f32 w, f32 l, f32 h, f32 theta, u8 cls. `cls` is the class the edge
+decided, an index into `geometry.CLASSES`; the receiver reads it and derives
+none. Unset phase stamps travel as NaN.
 """
 
 from __future__ import annotations
@@ -16,16 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-WIRE_MAGIC = b"CMM1"
+from .geometry import CLASSES
+
+WIRE_MAGIC = b"CMM2"
 _HEADER = struct.Struct("<4sI")
 _FRAME_META = struct.Struct("<d4dI")
 RECORD = np.dtype([
     ("t", "<f8"), ("id", "<i4"), ("lat", "<f8"), ("lon", "<f8"), ("alt", "<f8"),
-    ("w", "<f4"), ("l", "<f4"), ("h", "<f4"), ("theta", "<f4"),
+    ("w", "<f4"), ("l", "<f4"), ("h", "<f4"), ("theta", "<f4"), ("cls", "u1"),
 ])
 
 HEADER_BYTES = _HEADER.size + _FRAME_META.size  # 52
-RECORD_BYTES = RECORD.itemsize  # 52
+RECORD_BYTES = RECORD.itemsize  # 53
 _MAX_READ = 1 << 20  # bytes asked of one recv/read, whatever a header claims
 
 
@@ -49,6 +53,7 @@ _RULES = (
     (lambda r: np.all([(r[k] > 0.0) & (r[k] < np.inf) for k in "wlh"], axis=0),
      "dims must be positive and finite"),
     (lambda r: np.isfinite(r["t"]) & np.isfinite(r["alt"]), "t {t} and alt {alt} must be finite"),
+    (lambda r: r["cls"] < len(CLASSES), f"cls {{cls}} is not a class code (< {len(CLASSES)})"),
 )
 
 
@@ -75,18 +80,19 @@ def check_ids(ids) -> None:
 class PerceptionMessage(namedtuple("PerceptionMessage", RECORD.names)):
     """One georeferenced object record crossing the wire: the Python view of
     one `RECORD` row, fields as the dtype's; `theta` is degrees clockwise from
-    north. Construction quantizes dims and heading to float32 and wraps the
-    heading into [0, 360), so encoded frames round-trip field-exactly, then
-    checks the record rules. `_make` builds a message from a row as it stands.
+    north and `cls` indexes `CLASSES`, vehicle by default. Construction
+    quantizes dims and heading to float32 and wraps the heading into
+    [0, 360), so encoded frames round-trip field-exactly, then checks the
+    record rules. `_make` builds a message from a row as it stands.
     """
 
     __slots__ = ()
 
-    def __new__(cls, t, id, lat, lon, alt, w, l, h, theta):
+    def __new__(_cls, t, id, lat, lon, alt, w, l, h, theta, cls=0):
         check_ids(id)
-        rec = np.array([(t, id, lat, lon, alt, w, l, h, quantize_heading(theta))], RECORD)
+        rec = np.array([(t, id, lat, lon, alt, w, l, h, quantize_heading(theta), cls)], RECORD)
         check_records(rec)
-        return cls._make(rec.item())
+        return _cls._make(rec.item())
 
     def validate(self):
         check_ids(self.id)

@@ -180,7 +180,7 @@ def test_criterion_4_tracking_fidelity():
         # track's updated centre lies strictly within d_o of the row; else -1.
         assigned = {c: before[r].id for r, c in pairs}
         started = iter(range(next_id, next_id + len(dets)))
-        centre = {tr.id: (tr.box.x, tr.box.y) for tr in tracker.tracks}
+        centre = {tr.id: (tr.mean[0], tr.mean[1]) for tr in tracker.tracks}
         for c, (det, lifted) in enumerate(zip(dets, tracks)):
             tid = assigned[c] if c in assigned else next(started)
             x, y = centre[tid]

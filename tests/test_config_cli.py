@@ -480,7 +480,9 @@ def test_perceive_tap_writes_json_lines(tmp_path):
     lines = tap.read_text().strip().splitlines()
     assert lines
     rec = json.loads(lines[0])
-    assert set(rec) == {"t", "id", "lat", "lon", "alt", "w", "l", "h", "theta"}
+    assert set(rec) == {"t", "id", "lat", "lon", "alt", "w", "l", "h", "theta", "cls"}
+    # The default scene has vehicles and a pedestrian; the oracle keeps their classes.
+    assert {json.loads(line)["cls"] for line in lines} == {0, 1}
 
 
 def test_perceive_without_output_keeps_tap_file(tmp_path):

@@ -8,7 +8,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as csgraph_components
 
 from roadeye.detect import (
-    CLUSTER_VEHICLE_FOOTPRINT,
+    BOX,
     MIN_CLUSTER_EXTENT,
     CLASSES,
     BoxResiduals,
@@ -23,6 +23,7 @@ from roadeye.detect import (
     encode_box_residuals,
     focal_loss,
     localization_loss,
+    size_class,
     smooth_l1,
     total_loss,
     truth_boxes,
@@ -194,6 +195,49 @@ def test_cluster_classifies_pedestrian_by_footprint():
     assert CLASSES[dets[0].cls] is ObjectClass.PEDESTRIAN
 
 
+def test_cluster_classifies_a_tall_narrow_box_as_vehicle():
+    # Under 1.2 m of footprint, a box is a pedestrian only below 2.2 m.
+    rng = np.random.default_rng(0)
+    for h, cls in ((1.7, ObjectClass.PEDESTRIAN), (3.0, ObjectClass.VEHICLE)):
+        xyz = sample_box_surface(OrientedBox3D(5.0, 5.0, h / 2, 0.9, 0.9, h, 0.0), 500, rng)
+        dets = detect_cluster(_frame(xyz), ClusterParams(voxel=0.2, min_points=10, ground_z=-1.0))
+        assert len(dets) == 1
+        assert CLASSES[dets[0].cls] is cls
+
+
+def _boxes(dims) -> np.ndarray:
+    box = np.zeros(len(dims), BOX)
+    box["w"], box["l"], box["h"] = np.asarray(dims, dtype=float).T
+    return box
+
+
+def test_size_class_canonical_shapes():
+    got = size_class(_boxes([(0.6, 0.6, 1.7), (1.9, 4.6, 1.6)]))
+    assert [CLASSES[c] for c in got] == [ObjectClass.PEDESTRIAN, ObjectClass.VEHICLE]
+
+
+def test_size_class_boundary_sweep():
+    dims = [(w, 0.9, h) for w in np.linspace(0.3, 2.0, 35) for h in (1.0, 2.1, 2.2, 2.5)]
+    expected = [
+        ObjectClass.PEDESTRIAN if max(w, l) < 1.2 and h < 2.2 else ObjectClass.VEHICLE
+        for w, l, h in dims
+    ]
+    assert [CLASSES[c] for c in size_class(_boxes(dims))] == expected
+
+
+def test_oracle_clutter_takes_the_size_class():
+    dets = np.concatenate([
+        detect_oracle([], DetectorNoise(fp_rate=50.0), seed=seed).view(np.ndarray)
+        for seed in range(20)
+    ])
+    box = dets["box"]
+    pedestrian = (np.maximum(box["w"], box["l"]) < 1.2) & (box["h"] < 2.2)
+    assert pedestrian.any() and not pedestrian.all()
+    expected = np.where(pedestrian, CLASSES.index(ObjectClass.PEDESTRIAN),
+                        CLASSES.index(ObjectClass.VEHICLE))
+    assert dets["cls"].tolist() == expected.tolist()
+
+
 def _same_partition(a, b):
     """Whether two labelings split the items alike, up to relabelling."""
     pairs = len(np.unique(np.column_stack([a, b]), axis=0))
@@ -254,11 +298,9 @@ def _detect_cluster_reference(frame_h, params):
         l = max(float(along.max() - along.min()), MIN_CLUSTER_EXTENT)
         w = max(float(across.max() - across.min()), MIN_CLUSTER_EXTENT)
         h = max(float(member[:, 2].max() - member[:, 2].min()), MIN_CLUSTER_EXTENT)
-        cls = (
-            ObjectClass.VEHICLE
-            if max(w, l) >= CLUSTER_VEHICLE_FOOTPRINT
-            else ObjectClass.PEDESTRIAN
-        )
+        # The edge class rule with its own limits: under 1.2 m of footprint
+        # and 2.2 m of height is a pedestrian.
+        cls = ObjectClass.PEDESTRIAN if max(w, l) < 1.2 and h < 2.2 else ObjectClass.VEHICLE
         box = OrientedBox3D(*centroid, w, l, h, theta)
         dets.append((
             (box.x, box.y, box.z, box.w, box.l, box.h, box.theta),

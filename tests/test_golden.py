@@ -18,6 +18,11 @@ instead of a second nearest-track search: only `id` moved.
 The id-masked digests hash the same streams with every record's `id` set
 to 0, so a tracker change that only renumbers records must keep them.
 
+`STREAM_SHA256` and `STREAM_SHA256_WITHOUT_IDS` were recorded in the `CMM1`
+layout, before each record carried its class, and are checked on the
+streams as `_cmm1_layout` rebuilds that layout: every byte but `cls` is the
+same as then. `STREAM_SHA256_CMM2` hashes the streams as sent.
+
 The SVG digests hash what the onboard side draws from each stream: every
 frame decoded, reconstructed with the config's pixel map and ego feed, and
 rendered.
@@ -26,6 +31,8 @@ rendered.
 import functools
 import hashlib
 import json
+import struct
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -35,7 +42,7 @@ from roadeye.config import DEFAULTS, load_config
 from roadeye.onboard import reconstruct_frame, render_svg
 from roadeye.pipeline import EdgePipeline
 from roadeye.scene import scenario_frames
-from roadeye.wire import HEADER_BYTES, RECORD, decode_frame
+from roadeye.wire import HEADER_BYTES, RECORD, RECORD_BYTES, decode_frame
 
 
 def _crowd_agents(n: int) -> list[dict]:
@@ -70,31 +77,50 @@ PERCEIVE_SCENES = {
 }
 
 
-def _perceive(overrides: dict) -> tuple[str, str, int, str]:
-    """sha256 of a perceive stream, sha256 of the same stream with every
-    record's `id` set to 0, the number of frames in which two records share
-    a non-negative id, and sha256 of the SVG documents the frames render to."""
+def _cmm1_layout(frame: bytes) -> bytes:
+    """A frame as the `CMM1` layout had it: that magic, every record without
+    its last field, the one-byte `cls`, and the payload length one byte
+    shorter per record."""
+    assert RECORD.fields["cls"][1] == RECORD_BYTES - 1
+    n = (len(frame) - HEADER_BYTES) // RECORD_BYTES
+    (payload_len,) = struct.unpack_from("<I", frame, 4)
+    records = np.frombuffer(frame, np.uint8, offset=HEADER_BYTES).reshape(n, RECORD_BYTES)
+    return (b"CMM1" + struct.pack("<I", payload_len - n) + frame[8:HEADER_BYTES]
+            + records[:, :-1].tobytes())
+
+
+class _Run(NamedTuple):
+    stream: str  # sha256 of the perceive stream
+    cmm1: str  # sha256 of the stream in the CMM1 layout
+    cmm1_without_ids: str  # the same, with every record's `id` set to 0
+    repeats: int  # frames in which two records share a non-negative id
+    svg: str  # sha256 of the SVG documents the frames render to
+
+
+def _perceive(overrides: dict) -> _Run:
     cfg = load_config(overrides=overrides)
     pipeline = EdgePipeline(cfg)
     pixel_map, ego_feed = cfg.pixel_map(), cfg.ego_simulator()
-    digest, masked, svg = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    digest, cmm1, masked, svg = (hashlib.sha256() for _ in range(4))
     repeats = 0
     for agents, frame in scenario_frames(cfg.scenario()):
         encoded = pipeline.process(frame, agents).encoded
         digest.update(encoded)
+        cmm1.update(_cmm1_layout(encoded))
         rec = np.frombuffer(encoded, RECORD, offset=HEADER_BYTES).copy()
         ids = rec["id"][rec["id"] >= 0]
         repeats += len(np.unique(ids)) < len(ids)
         rec["id"] = 0
-        masked.update(encoded[:HEADER_BYTES] + rec.tobytes())
+        masked.update(_cmm1_layout(encoded[:HEADER_BYTES] + rec.tobytes()))
         decoded = decode_frame(encoded)
         render = reconstruct_frame(decoded.messages, ego_feed.state_at(decoded.t_frame), pixel_map)
         svg.update(render_svg(render).encode("utf-8"))
-    return digest.hexdigest(), masked.hexdigest(), repeats, svg.hexdigest()
+    return _Run(digest.hexdigest(), cmm1.hexdigest(), masked.hexdigest(), repeats,
+                svg.hexdigest())
 
 
 @functools.lru_cache(maxsize=None)
-def _perceive_scene(scene: str) -> tuple[str, str, int, str]:
+def _perceive_scene(scene: str) -> _Run:
     return _perceive(PERCEIVE_SCENES[scene])
 
 
@@ -108,6 +134,11 @@ STREAM_SHA256_WITHOUT_IDS = {
     "default_cluster": "9fa346580730569ddb98062e8e5db3eb7501a7dc9c7ef1dedb813d65d38a1e03",
     "cluster_crowd": "4b0c5722593d1516b01fd5af9abb6a411ecae51c640c9883802a8dc1ee93f17e",
 }
+STREAM_SHA256_CMM2 = {
+    "noisy_oracle_crowd": "6e5aa8db4327723178a543fb5c579fce06b4ecbac59cef0a328bc735c70e4f18",
+    "default_cluster": "f5a5cb1613d82b2f4cf709b9a55b00c98bea23100c5354129c84f5cba9596ec7",
+    "cluster_crowd": "c66fcf158ab49f2ede577071a50213a3536c77cb31db320e59b4be65c5fabf3b",
+}
 
 SVG_SHA256 = {
     "noisy_oracle_crowd": "4fd427ab0caea657ff6e742d6cfc3dc587033608d201d9c6c56b28d55e3543e1",
@@ -118,22 +149,27 @@ SVG_SHA256 = {
 
 @pytest.mark.parametrize("scene", PERCEIVE_SCENES)
 def test_perceive_stream_digest(scene):
-    assert _perceive_scene(scene)[0] == STREAM_SHA256[scene]
+    assert _perceive_scene(scene).cmm1 == STREAM_SHA256[scene]
 
 
 @pytest.mark.parametrize("scene", PERCEIVE_SCENES)
 def test_perceive_stream_digest_without_ids(scene):
-    assert _perceive_scene(scene)[1] == STREAM_SHA256_WITHOUT_IDS[scene]
+    assert _perceive_scene(scene).cmm1_without_ids == STREAM_SHA256_WITHOUT_IDS[scene]
+
+
+@pytest.mark.parametrize("scene", PERCEIVE_SCENES)
+def test_perceive_stream_digest_with_classes(scene):
+    assert _perceive_scene(scene).stream == STREAM_SHA256_CMM2[scene]
 
 
 @pytest.mark.parametrize("scene", PERCEIVE_SCENES)
 def test_perceive_ids_unique_within_each_frame(scene):
-    assert _perceive_scene(scene)[2] == 0
+    assert _perceive_scene(scene).repeats == 0
 
 
 @pytest.mark.parametrize("scene", PERCEIVE_SCENES)
 def test_rendered_svg_digest(scene):
-    assert _perceive_scene(scene)[3] == SVG_SHA256[scene]
+    assert _perceive_scene(scene).svg == SVG_SHA256[scene]
 
 
 # A value per tracker setting that changes the noisy_oracle_crowd stream; a
@@ -151,7 +187,7 @@ TRACKER_CHANGES = {
 def test_every_tracker_setting_changes_the_stream(key):
     scene = "noisy_oracle_crowd"
     overrides = {**PERCEIVE_SCENES[scene], "tracker": {key: TRACKER_CHANGES[key]}}
-    assert _perceive(overrides)[0] != STREAM_SHA256[scene]
+    assert _perceive(overrides).cmm1 != STREAM_SHA256[scene]
 
 
 @pytest.mark.parametrize(

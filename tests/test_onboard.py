@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from roadeye.config import load_config
 from roadeye.geoloc import GeodeticPos, WGS84
+from roadeye.geometry import CLASSES, ObjectClass
 from roadeye.onboard import (
     DegenerateMapError,
     EgoSimulator,
@@ -13,7 +15,6 @@ from roadeye.onboard import (
     IconKind,
     RenderFrame,
     build_pixel_map,
-    classify_by_size,
     emit_render,
     gps_to_pixel,
     local_en_offset,
@@ -21,7 +22,9 @@ from roadeye.onboard import (
     reconstruct_frame,
     render_svg,
 )
-from roadeye.wire import PerceptionMessage
+from roadeye.pipeline import EdgePipeline
+from roadeye.scene import scenario_frames
+from roadeye.wire import PerceptionMessage, decode_frame
 
 GOLDEN = Path(__file__).parent / "data" / "render_golden.svg"
 
@@ -37,10 +40,10 @@ def _map(viewport=(800.0, 800.0)):
     return build_pixel_map(REF_A, PX_A, REF_B, PX_B, viewport=viewport)
 
 
-def _msg(east, north, w=2.0, l=4.5, h=1.6, theta=0.0, mid=1):
+def _msg(east, north, w=2.0, l=4.5, h=1.6, theta=0.0, mid=1, cls=ObjectClass.VEHICLE):
     g = offset_geodetic(ORIGIN, east, north)
     return PerceptionMessage(t=0.0, id=mid, lat=g.lat, lon=g.lon, alt=0.0,
-                             w=w, l=l, h=h, theta=theta)
+                             w=w, l=l, h=h, theta=theta, cls=CLASSES.index(cls))
 
 
 def _ego(east=0.0, north=0.0, heading=0.0):
@@ -108,39 +111,6 @@ def test_colinear_points_stay_colinear(rng):
         assert cross / span <= 1.0  # within a pixel of the line
 
 
-# --- classification ----------------------------------------------------------
-
-def test_classify_canonical_shapes():
-    assert classify_by_size(0.6, 0.6, 1.7) == IconKind.PEDESTRIAN
-    assert classify_by_size(1.9, 4.6, 1.6) == IconKind.VEHICLE
-    # Columns classify row by row.
-    kinds = classify_by_size(np.array([0.6, 1.9]), np.array([0.6, 4.6]), np.array([1.7, 1.6]))
-    assert kinds.tolist() == [IconKind.PEDESTRIAN, IconKind.VEHICLE]
-
-
-def test_classify_boundary_sweep():
-    for w in np.linspace(0.3, 2.0, 35):
-        for h in (1.0, 2.1, 2.2, 2.5):
-            got = classify_by_size(float(w), 0.9, float(h))
-            expected = (
-                IconKind.PEDESTRIAN if max(w, 0.9) < 1.2 and h < 2.2 else IconKind.VEHICLE
-            )
-            assert got == expected
-
-
-def test_classify_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        classify_by_size(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        classify_by_size(np.ones(2), np.ones(2), np.array([1.0, -1.0]))
-
-
-def test_classify_is_pure(rng):
-    for _ in range(50):
-        dims = tuple(rng.uniform(0.3, 5.0, 3))
-        assert classify_by_size(*dims) == classify_by_size(*dims)
-
-
 # --- reconstruction ----------------------------------------------------------
 
 def test_empty_messages_give_ego_only():
@@ -198,8 +168,42 @@ def test_icon_bookkeeping_identity(rng):
 
 
 def test_pedestrian_message_classified():
-    frame = reconstruct_frame([_msg(5.0, 5.0, w=0.6, l=0.6, h=1.7)], _ego(), _map())
+    msg = _msg(5.0, 5.0, w=0.6, l=0.6, h=1.7, cls=ObjectClass.PEDESTRIAN)
+    frame = reconstruct_frame([msg], _ego(), _map())
     assert frame.icons[1].kind == IconKind.PEDESTRIAN
+
+
+def test_icon_kind_is_the_record_class_whatever_its_size():
+    # Each class's kind shares its name; sizes that fit the other class
+    # change nothing.
+    assert [IconKind[c.name] for c in CLASSES] == [k + 1 for k in range(len(CLASSES))]
+    msgs = [
+        _msg(5.0, 5.0, w=0.6, l=0.6, h=1.7, cls=ObjectClass.VEHICLE),
+        _msg(-5.0, 5.0, w=2.0, l=4.5, h=1.6, cls=ObjectClass.PEDESTRIAN),
+    ]
+    kinds = reconstruct_frame(msgs, _ego(), _map()).icons.kind[1:]
+    assert kinds.tolist() == [IconKind.VEHICLE, IconKind.PEDESTRIAN]
+
+
+def test_shrunken_oracle_vehicle_still_draws_a_vehicle():
+    # Large dimension noise shrinks some true vehicles below a pedestrian's
+    # size (under 1.2 m of footprint and 2.2 m of height). With no misses
+    # and no clutter, record k is agent k; its icon keeps the true class.
+    cfg = load_config(overrides={"detector": {"oracle": {"sigma_dim": 10.0}}})
+    pipeline = EdgePipeline(cfg)
+    pixel_map, ego_feed = cfg.pixel_map(), cfg.ego_simulator()
+    drawn = 0
+    for agents, frame in scenario_frames(cfg.scenario()):
+        decoded = decode_frame(pipeline.process(frame, agents).encoded)
+        assert len(decoded.messages) == len(agents)
+        shrunk = [
+            m for m, a in zip(decoded.messages, agents)
+            if a.cls is ObjectClass.VEHICLE and max(m.w, m.l) < 1.2 and m.h < 2.2
+        ]
+        icons = reconstruct_frame(shrunk, ego_feed.state_at(decoded.t_frame), pixel_map).icons
+        assert (icons.kind[1:] == IconKind.VEHICLE).all()
+        drawn += len(icons) - 1
+    assert drawn >= 5
 
 
 # --- emission ----------------------------------------------------------------

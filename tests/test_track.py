@@ -9,7 +9,6 @@ from roadeye.geometry import ObjectClass
 from roadeye.scene import AgentSpec, ScenarioConfig, step_scenario
 from roadeye.track import (
     GATE_COST,
-    Box2D,
     Tracker2D,
     TrackerConfig,
     gated_assignment,
@@ -285,8 +284,8 @@ def test_tracks_snapshots_follow_the_arrays():
     snaps = tracker.tracks
     assert [tr.id for tr in snaps] == tracker.ids.tolist() == [0, 1]
     assert [tr.misses for tr in snaps] == [0, 1]
-    for tr, mean in zip(snaps, tracker.mean):
-        assert tr.box == Box2D(*mean[:4])  # the box is the mean, not a second copy
+    for tr, mean, cov in zip(snaps, tracker.mean, tracker.cov):
+        assert tr.mean.tolist() == mean.tolist() and tr.cov.tolist() == cov.tolist()
     snaps[0].mean[0] = 99.0  # snapshots are copies
     assert tracker.mean[0, 0] != 99.0
 

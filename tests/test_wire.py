@@ -20,7 +20,7 @@ from roadeye.wire import (
 
 def _msg(rng=None, **kw):
     base = dict(t=1.5, id=3, lat=40.0, lon=-105.0, alt=1600.0,
-                w=2.0, l=4.5, h=1.6, theta=90.0)
+                w=2.0, l=4.5, h=1.6, theta=90.0, cls=0)
     if rng is not None:
         base.update(
             t=float(rng.uniform(0, 100)),
@@ -32,6 +32,7 @@ def _msg(rng=None, **kw):
             l=float(rng.uniform(0.4, 12.0)),
             h=float(rng.uniform(1.3, 4.5)),
             theta=float(rng.uniform(0, 360)),
+            cls=int(rng.integers(0, 2)),
         )
     base.update(kw)
     return PerceptionMessage(**base)
@@ -44,7 +45,7 @@ def _stamps():
 def test_empty_frame_is_52_bytes():
     data = encode_frame([], _stamps(), t_frame=0.0)
     assert len(data) == 52
-    assert data[:4] == b"CMM1"
+    assert data[:4] == b"CMM2"
     assert HEADER_BYTES == 52
 
 
@@ -75,9 +76,10 @@ def test_roundtrip_random_batches(rng):
 
 def test_fixture_byte_dump():
     # Hand-assembled frame: one record, stamps (1, 2, 3, NaN), t_frame 9.
-    msg = _msg(t=9.0, id=42, lat=12.5, lon=99.25, alt=88.0, w=2.0, l=4.0, h=1.5, theta=180.0)
+    msg = _msg(t=9.0, id=42, lat=12.5, lon=99.25, alt=88.0, w=2.0, l=4.0, h=1.5, theta=180.0,
+               cls=1)
     expected = bytearray()
-    expected += b"CMM1"
+    expected += b"CMM2"
     payload = bytearray()
     payload += struct.pack("<d", 9.0)
     for v in (1.0, 2.0, 3.0, math.nan):
@@ -92,6 +94,8 @@ def test_fixture_byte_dump():
     payload += struct.pack("<f", 4.0)
     payload += struct.pack("<f", 1.5)
     payload += struct.pack("<f", 180.0)
+    payload += struct.pack("<B", 1)
+    assert len(payload) == 44 + 53  # frame meta, then one record
     expected += struct.pack("<I", len(payload))
     expected += payload
     got = encode_frame([msg], PhaseStamps(1.0, 2.0, 3.0, None), t_frame=9.0)
@@ -152,8 +156,8 @@ def test_decode_rejects_invalid_payload_values():
 
 
 # Byte offsets of record 0 fields in a frame: header 52, then t, id, lat, lon,
-# alt, w, l, h, theta.
-_T_AT, _ALT_AT, _W_AT, _THETA_AT = 52, 80, 88, 100
+# alt, w, l, h, theta, cls.
+_T_AT, _ALT_AT, _W_AT, _THETA_AT, _CLS_AT = 52, 80, 88, 100, 104
 
 
 @pytest.mark.parametrize("theta", [400.0, -10.0, 360.0])
@@ -175,6 +179,27 @@ def test_non_finite_values_rejected(field, fmt, at, value):
     struct.pack_into(fmt, data, at, value)
     with pytest.raises(WireFormatError, match="record 0"):
         decode_frame(bytes(data))
+
+
+@pytest.mark.parametrize("code", [2, 255])
+def test_decode_rejects_unknown_class_code(code):
+    data = bytearray(encode_frame([_msg(cls=k % 2) for k in range(3)], _stamps(), t_frame=1.0))
+    struct.pack_into("<B", data, _CLS_AT + 2 * 53, code)
+    with pytest.raises(WireFormatError, match=f"record 2 at byte {52 + 2 * 53}: cls {code}"):
+        decode_frame(bytes(data))
+
+
+def test_message_class_code_checked():
+    nine = dict(t=1.5, id=3, lat=40.0, lon=-105.0, alt=1600.0, w=2.0, l=4.5, h=1.6, theta=90.0)
+    assert PerceptionMessage(**nine).cls == 0  # vehicle
+    assert PerceptionMessage(**nine, cls=1).cls == 1
+    with pytest.raises(WireFormatError, match="cls 2"):
+        PerceptionMessage(**nine, cls=2)
+    msg = PerceptionMessage(**nine)._replace(cls=2)  # past construction-time checks
+    with pytest.raises(WireFormatError, match="cls 2"):
+        msg.validate()
+    with pytest.raises(WireFormatError, match="cls 2"):
+        encode_frame([msg], _stamps())
 
 
 def test_message_invariant_validation():
@@ -209,7 +234,7 @@ def test_iter_frames_from_file(tmp_path, rng):
         list(iter_frames_from_file(path))
     # A header claiming ~4 GiB of payload fails on the missing bytes, without
     # asking the file for the claimed length in one read.
-    path.write_bytes(b"CMM1" + struct.pack("<I", 0xFFFFFFF0) + bytes(100))
+    path.write_bytes(b"CMM2" + struct.pack("<I", 0xFFFFFFF0) + bytes(100))
     with pytest.raises(WireFormatError, match="truncated"):
         list(iter_frames_from_file(path))
 
