@@ -69,6 +69,15 @@ def check_records(rec: np.ndarray, offset: int | None = None) -> None:
     raise WireFormatError(f"{where}: {reason}")
 
 
+def _as_records(rows) -> np.ndarray:
+    """`rows` as RECORD rows; WireFormatError for an integer its column
+    cannot hold, such as a class code outside u8."""
+    try:
+        return np.asarray(rows, RECORD)
+    except OverflowError as e:
+        raise WireFormatError(str(e)) from None
+
+
 def check_ids(ids) -> None:
     """Raise WireFormatError unless every id fits the i32 `id` column; the
     one rule a RECORD row cannot check on itself."""
@@ -90,7 +99,7 @@ class PerceptionMessage(namedtuple("PerceptionMessage", RECORD.names)):
 
     def __new__(_cls, t, id, lat, lon, alt, w, l, h, theta, cls=0):
         check_ids(id)
-        rec = np.array([(t, id, lat, lon, alt, w, l, h, quantize_heading(theta), cls)], RECORD)
+        rec = _as_records([(t, id, lat, lon, alt, w, l, h, quantize_heading(theta), cls)])
         check_records(rec)
         return _cls._make(rec.item())
 
@@ -117,7 +126,7 @@ def encode_frame(msgs, stamps: PhaseStamps, t_frame: float = 0.0) -> bytes:
     that break a rule."""
     if not isinstance(msgs, np.ndarray):
         check_ids([m[1] for m in msgs])  # field 1 is the id
-    rec = np.asarray(msgs, RECORD)
+    rec = _as_records(msgs)
     check_records(rec)
     stamp_vals = [math.nan if s is None else s for s in stamps.as_tuple()]
     meta = _FRAME_META.pack(t_frame, *stamp_vals, len(rec))

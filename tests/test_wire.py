@@ -200,6 +200,11 @@ def test_message_class_code_checked():
         msg.validate()
     with pytest.raises(WireFormatError, match="cls 2"):
         encode_frame([msg], _stamps())
+    for code in (-1, 256):  # beyond u8
+        with pytest.raises(WireFormatError):
+            PerceptionMessage(**nine, cls=code)
+        with pytest.raises(WireFormatError):
+            encode_frame([PerceptionMessage(**nine)._replace(cls=code)], _stamps())
 
 
 def test_message_invariant_validation():
