@@ -94,6 +94,9 @@ def cmd_perceive(cfg: PipelineConfig, args) -> int:
         raise ValueError("oracle detector backend needs --gt GROUND_TRUTH")
     if gt is not None and len(gt) != len(frames):
         raise ValueError(f"{len(frames)} frames but {len(gt)} ground-truth frames")
+    for k, (frame, truth) in enumerate(zip(frames, gt or ())):
+        if truth.t != frame.t:
+            raise ValueError(f"frame {k} is at t={frame.t} but its ground truth at t={truth.t}")
     pipeline = EdgePipeline(cfg, wall_stamps=args.wall_stamps)
     with contextlib.ExitStack() as stack:
         # Connect first: an unreachable relay must not truncate the output files.
@@ -212,13 +215,20 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
     else:
         if not (args.gt and args.results):
             raise ValueError("need --gt and --results, or --counts")
-        gt_frames = read_ground_truth(args.gt)
+        # `perceive` skips a frame whose time repeats the last one's; its
+        # ground truth goes with it, and the rest pair in order.
+        gt_all = read_ground_truth(args.gt)
+        gt_frames = [g for k, g in enumerate(gt_all) if k == 0 or g.t != gt_all[k - 1].t]
         counts = ConfusionCounts(tp=0, fp=0, fn=0)
         n_results = 0
         for raw in iter_frames_from_file(args.results):
             if n_results < len(gt_frames):
-                dets = _messages_to_world_detections(decode_frame(raw).messages, cfg)
-                boxes = [a.as_box() for a in gt_frames[n_results].agents]
+                decoded, truth = decode_frame(raw), gt_frames[n_results]
+                if decoded.t_frame != truth.t:
+                    raise ValueError(f"result frame {n_results} is at t={decoded.t_frame} "
+                                     f"but its ground truth at t={truth.t}")
+                dets = _messages_to_world_detections(decoded.messages, cfg)
+                boxes = [a.as_box() for a in truth.agents]
                 counts = counts + match_detections(boxes, dets, threshold)
             n_results += 1
         if n_results != len(gt_frames):

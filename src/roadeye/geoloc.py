@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import RigidTransform
-from .wire import RECORD, check_ids, quantize_heading
+from .wire import RECORD, quantize_heading
 
 BOWRING_TOL = 1e-12  # rad
 BOWRING_MAX_ITER = 10
@@ -27,6 +27,7 @@ BOWRING_MAX_ITER = 10
 # scalar to ~1e-14 deg and ~2e-9 m from -100 m to 9 km altitude.
 BOWRING_STEPS = 3
 POLAR_S_EPS = 1e-9  # m, below this X-Y radius the longitude is undefined
+GEO_RECORD = np.dtype([(name, "<i8" if name == "id" else RECORD[name]) for name in RECORD.names])
 
 
 class DegenerateGcpError(ValueError):
@@ -231,16 +232,16 @@ def georeference_tracks(
     h_to_ecef: RigidTransform,
     t: float = 0.0,
 ) -> np.ndarray:
-    """Package tracked H-Coor DETECTION rows as wire `RECORD` rows.
+    """Package tracked H-Coor DETECTION rows as `GEO_RECORD` rows: RECORD's
+    fields, but the tracker's i8 ids, which `encode_frame` casts and checks.
 
     `h_to_ecef` maps H-Coor to ECEF and is built once per calibration.
     Heading is re-expressed clockwise from north: 90 deg minus the box
     heading plus the transform's z-yaw, wrapped into [0, 360).
     """
     box = np.asarray(tracks)["box"]
-    out = np.empty(len(tracks), RECORD)
+    out = np.empty(len(tracks), GEO_RECORD)
     out["t"] = t
-    check_ids(tracks["id"])
     out["id"] = tracks["id"]
     ecef = h_to_ecef.apply_points(np.column_stack([box["x"], box["y"], box["z"]]))
     out["lat"], out["lon"], out["alt"] = ecef_to_geodetic_points(ecef)

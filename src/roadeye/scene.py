@@ -344,10 +344,16 @@ def write_ground_truth(frames: list[GroundTruthFrame], path) -> None:
 
 
 def read_ground_truth(path) -> list[GroundTruthFrame]:
+    frames = _read_container(path, GROUND_TRUTH_MAGIC, _GT_RECORD)
+    for k, (_, recs) in enumerate(frames):
+        bad = np.flatnonzero(recs["cls"] >= len(CLASSES))
+        if bad.size:
+            raise FrameFormatError(f"frame {k} record {bad[0]}: cls {recs['cls'][bad[0]]} "
+                                   f"is not a class code (< {len(CLASSES)})")
     return [
         GroundTruthFrame(t=t, agents=[
             AgentState(aid, CLASSES[code], np.array([x, y, z]), (w, l, h), heading, speed)
             for aid, code, x, y, z, w, l, h, heading, speed in recs.tolist()
         ])
-        for t, recs in _read_container(path, GROUND_TRUTH_MAGIC, _GT_RECORD)
+        for t, recs in frames
     ]

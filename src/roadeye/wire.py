@@ -7,6 +7,9 @@ Record (the packed 53-byte `RECORD` dtype): f64 t, i32 id, f64 lat, f64 lon,
 f64 alt, f32 w, f32 l, f32 h, f32 theta, u8 cls. `cls` is the class the edge
 decided, an index into `geometry.CLASSES`; the receiver reads it and derives
 none. Unset phase stamps travel as NaN.
+
+Message construction, `encode_frame` and `decode_frame` make `RECORD` rows
+only through `to_records`, so they refuse the same rows with one error.
 """
 
 from __future__ import annotations
@@ -45,7 +48,6 @@ def quantize_heading(theta):
 
 
 # Every rule a record obeys, as (test over RECORD columns, reason template).
-# Construction, encoding and decoding all check records against this one list.
 _RULES = (
     (lambda r: (r["lat"] >= -90.0) & (r["lat"] <= 90.0), "lat {lat} outside [-90, 90]"),
     (lambda r: (r["lon"] > -180.0) & (r["lon"] <= 180.0), "lon {lon} outside (-180, 180]"),
@@ -57,55 +59,55 @@ _RULES = (
 )
 
 
-def check_records(rec: np.ndarray, offset: int | None = None) -> None:
-    """Raise WireFormatError naming the first record that breaks a rule, and
+def _integers(rows, name: str, lo: int, hi: int) -> np.ndarray:
+    """Per row, whether its `name` is an integer (a bool is not) in [lo, hi],
+    judged on the value as given, before a cast could truncate or wrap it."""
+    if isinstance(rows, np.ndarray):
+        col = rows[name]
+        return (col.dtype.kind in "iu") & (col >= lo) & (col <= hi)
+    values = (r[RECORD.names.index(name)] for r in rows)
+    return np.array([isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                     and lo <= v <= hi for v in values], bool)
+
+
+_INTEGERS = (
+    (lambda r: _integers(r, "id", -(2 ** 31), 2 ** 31 - 1), "id {id!r} is not an i32 integer"),
+    (lambda r: _integers(r, "cls", 0, 255), "cls {cls!r} is not a u8 integer"),
+)
+
+
+def to_records(rows, offset: int | None = None) -> np.ndarray:
+    """`rows`, tuples in RECORD's field order (messages among them) or an
+    array with RECORD's field names, as RECORD rows; the only way rows become
+    records. `_INTEGERS` judge the rows as given, then the cast records must
+    keep `_RULES`. The WireFormatError names the first record that fails, and
     with `offset`, where record 0 starts, the byte where that record starts."""
-    ok = np.array([rule(rec) for rule, _ in _RULES])
-    if ok.all():
-        return
-    k = int(np.argmin(ok.all(axis=0)))
-    reason = _RULES[int(np.argmin(ok[:, k]))][1].format(**dict(zip(RECORD.names, rec[k].item())))
-    where = f"record {k}" if offset is None else f"record {k} at byte {offset + k * RECORD_BYTES}"
-    raise WireFormatError(f"{where}: {reason}")
-
-
-def _as_records(rows) -> np.ndarray:
-    """`rows` as RECORD rows; WireFormatError for an integer its column
-    cannot hold, such as a class code outside u8."""
-    try:
-        return np.asarray(rows, RECORD)
-    except OverflowError as e:
-        raise WireFormatError(str(e)) from None
-
-
-def check_ids(ids) -> None:
-    """Raise WireFormatError unless every id fits the i32 `id` column; the
-    one rule a RECORD row cannot check on itself."""
-    ids = np.asarray(ids)
-    if ids.size and not (-(2 ** 31) <= ids.min() and ids.max() < 2 ** 31):
-        raise WireFormatError(f"id range [{ids.min()}, {ids.max()}] does not fit in i32")
+    for rules in (_INTEGERS, _RULES):
+        ok = np.array([rule(rows) for rule, _ in rules])
+        if not ok.all():
+            k = int(np.argmin(ok.all(axis=0)))
+            row = rows[k].item() if isinstance(rows, np.ndarray) else rows[k]
+            reason = rules[int(np.argmin(ok[:, k]))][1].format(**dict(zip(RECORD.names, row)))
+            at = "" if offset is None else f" at byte {offset + k * RECORD_BYTES}"
+            raise WireFormatError(f"record {k}{at}: {reason}")
+        rows = np.asarray(rows, RECORD)
+    return rows
 
 
 class PerceptionMessage(namedtuple("PerceptionMessage", RECORD.names)):
     """One georeferenced object record crossing the wire: the Python view of
     one `RECORD` row, fields as the dtype's; `theta` is degrees clockwise from
-    north and `cls` indexes `CLASSES`, vehicle by default. Construction
-    quantizes dims and heading to float32 and wraps the heading into
-    [0, 360), so encoded frames round-trip field-exactly, then checks the
-    record rules. `_make` builds a message from a row as it stands.
+    north and `cls` indexes `CLASSES`, vehicle by default. Construction wraps
+    the heading into [0, 360) on the float32 grid, then passes the row through
+    `to_records`, so encoded frames round-trip field-exactly. `_make` builds a
+    message from a row as it stands; `encode_frame` checks it.
     """
 
     __slots__ = ()
 
     def __new__(_cls, t, id, lat, lon, alt, w, l, h, theta, cls=0):
-        check_ids(id)
-        rec = _as_records([(t, id, lat, lon, alt, w, l, h, quantize_heading(theta), cls)])
-        check_records(rec)
+        rec = to_records([(t, id, lat, lon, alt, w, l, h, quantize_heading(theta), cls)])
         return _cls._make(rec.item())
-
-    def validate(self):
-        check_ids(self.id)
-        check_records(np.array([self], RECORD))
 
 
 @dataclass
@@ -122,12 +124,9 @@ class PhaseStamps:
 
 
 def encode_frame(msgs, stamps: PhaseStamps, t_frame: float = 0.0) -> bytes:
-    """Serialize one frame of messages, or of `RECORD` rows; refuses records
-    that break a rule."""
-    if not isinstance(msgs, np.ndarray):
-        check_ids([m[1] for m in msgs])  # field 1 is the id
-    rec = _as_records(msgs)
-    check_records(rec)
+    """Serialize one frame of messages, or of rows with RECORD's field names,
+    through `to_records`, which refuses what a record cannot hold."""
+    rec = to_records(msgs)
     stamp_vals = [math.nan if s is None else s for s in stamps.as_tuple()]
     meta = _FRAME_META.pack(t_frame, *stamp_vals, len(rec))
     return _HEADER.pack(WIRE_MAGIC, len(meta) + rec.nbytes) + meta + rec.tobytes()
@@ -163,8 +162,7 @@ def decode_frame(data: bytes) -> DecodedFrame:
             f"record area mismatch at byte {off}: {count} records need "
             f"{expected} payload bytes, header says {payload_len}"
         )
-    rec = np.frombuffer(data, dtype=RECORD, count=count, offset=off)
-    check_records(rec, off)
+    rec = to_records(np.frombuffer(data, dtype=RECORD, count=count, offset=off), off)
     msgs = list(map(PerceptionMessage._make, rec.tolist()))
     stamps = PhaseStamps(
         *(None if math.isnan(v) else v for v in (s0, s1, s2, s3))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import socket
@@ -538,6 +539,35 @@ def test_eval_zero_dist_threshold_rejected(tmp_path):
           "--gt", str(frames) + ".gt", "--out", str(results)])
     assert main(["--config", str(cfg), "eval", "--gt", str(frames) + ".gt",
                  "--results", str(results), "--dist-threshold", "0"]) == 2
+
+
+def test_eval_scores_a_run_that_skipped_a_repeated_frame(tmp_path, capsys):
+    from roadeye.scene import write_frames, write_ground_truth
+
+    cfg = _write_cfg(tmp_path)
+    frames = tmp_path / "f.bin"
+    main(["--config", str(cfg), "simulate", "--out", str(frames)])
+    fr, gt = read_frames(frames), read_ground_truth(str(frames) + ".gt")
+    repeated, results = tmp_path / "repeated.bin", tmp_path / "r.bin"
+    write_frames(fr[:4] + fr[3:], repeated)
+    write_ground_truth(gt[:4] + gt[3:], str(repeated) + ".gt")
+    assert main(["--config", str(cfg), "perceive", "--frames", str(repeated),
+                 "--gt", str(repeated) + ".gt", "--out", str(results)]) == 0
+    report = tmp_path / "report.json"
+    assert main(["--config", str(cfg), "eval", "--gt", str(repeated) + ".gt",
+                 "--results", str(results), "--json", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert data["precision"] == 1.0 and data["recall"] == 1.0
+    # A truth file whose times are not the frames' is refused by both.
+    shifted = tmp_path / "shifted.gt"
+    write_ground_truth([dataclasses.replace(g, t=g.t + 0.05) for g in gt], shifted)
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "perceive", "--frames", str(frames),
+                 "--gt", str(shifted), "--out", str(tmp_path / "x.bin")]) == 2
+    assert "frame 0 is at t=0.0 but its ground truth at t=0.05" in capsys.readouterr().err
+    assert main(["--config", str(cfg), "eval", "--gt", str(shifted),
+                 "--results", str(results)]) == 2
+    assert "result frame 0 is at t=0.0 but its ground truth at t=0.05" in capsys.readouterr().err
 
 
 def test_eval_result_frame_count_mismatch_rejected(tmp_path, capsys):

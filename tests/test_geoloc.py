@@ -20,7 +20,7 @@ from roadeye.geoloc import (
     load_gcp_file,
 )
 from roadeye.geometry import RigidTransform
-from roadeye.wire import WireFormatError
+from roadeye.wire import PhaseStamps, WireFormatError, decode_frame, encode_frame
 
 from conftest import detections, random_rigid
 
@@ -261,10 +261,15 @@ def test_georeference_matches_composed_calls(rng):
 
 
 def test_georeference_rejects_ids_beyond_i32():
+    # Georeferencing keeps the tracker's ids as they are; the wire refuses
+    # one its i32 column cannot hold.
     p_ecef = RigidTransform.from_translation([WGS84.R, 0.0, 0.0])
-    assert georeference_tracks(_track(0.0, 0.0, 0.0, tid=2 ** 31 - 1), p_ecef)["id"] == 2 ** 31 - 1
-    with pytest.raises(WireFormatError, match="i32"):
-        georeference_tracks(_track(0.0, 0.0, 0.0, tid=2 ** 31), p_ecef)
+    rows = georeference_tracks(_track(0.0, 0.0, 0.0, tid=2 ** 31 - 1), p_ecef)
+    assert decode_frame(encode_frame(rows, PhaseStamps())).messages[0].id == 2 ** 31 - 1
+    rows = georeference_tracks(_track(0.0, 0.0, 0.0, tid=2 ** 31), p_ecef)
+    assert rows["id"].tolist() == [2 ** 31]
+    with pytest.raises(WireFormatError, match="record 0: id 2147483648 .*i32"):
+        encode_frame(rows, PhaseStamps())
 
 
 def test_georeference_heading_convention():

@@ -94,3 +94,13 @@ def test_pitched_sensor_without_gcps_georeferences_in_true_enu():
             assert abs(truth[k, 2] - enu[2]) <= 0.1
             n += 1
     assert n == 4 * 20
+
+
+def test_an_id_beyond_i32_stops_the_frame_at_encoding():
+    cfg = load_config(overrides={"scene": {"duration": 1.0}})
+    pipeline = EdgePipeline(cfg)
+    pipeline.tracker.next_id = 2 ** 31  # as after a very long run
+    with pytest.raises(pipeline_mod.PipelineStageError, match="2147483648") as info:
+        for agents, frame in scenario_frames(cfg.scenario()):
+            pipeline.process(frame, agents)
+    assert info.value.stage == "encoding"

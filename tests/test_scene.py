@@ -325,3 +325,17 @@ def test_ground_truth_decreasing_timestamps_rejected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(FrameFormatError, match="frame 1 timestamp decreases"):
         read_ground_truth(path)
+
+
+def test_ground_truth_unknown_class_code_rejected(tmp_path):
+    cfg = _single_vehicle_config()
+    gt = [GroundTruthFrame(t=float(t), agents=step_scenario(cfg, float(t))) for t in (0.0, 1.0)]
+    path = tmp_path / "gt.bin"
+    write_ground_truth(gt, path)
+    data = bytearray(path.read_bytes())
+    # Frame 1's first record starts after the file header, frame 0 and frame
+    # 1's header; its class byte follows the i32 id.
+    data[8 + 12 + 69 * len(gt[0].agents) + 12 + 4] = 7
+    path.write_bytes(bytes(data))
+    with pytest.raises(FrameFormatError, match="frame 1 record 0: cls 7 is not a class code"):
+        read_ground_truth(path)

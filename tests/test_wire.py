@@ -9,6 +9,7 @@ from roadeye.wire import (
     HEADER_BYTES,
     PerceptionMessage,
     PhaseStamps,
+    RECORD,
     RECORD_BYTES,
     WireFormatError,
     decode_frame,
@@ -142,9 +143,31 @@ def test_encode_refuses_invalid_message(rng):
 def test_out_of_range_id_past_construction_rejected(bad_id):
     msg = _msg()._replace(id=bad_id)
     with pytest.raises(WireFormatError, match="i32"):
-        msg.validate()
-    with pytest.raises(WireFormatError, match="i32"):
         encode_frame([msg], _stamps())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", 3.9), ("cls", 1.5), ("id", True), ("cls", 300), ("cls", -1), ("id", "7"),
+    ("id", 2 ** 31),
+])
+def test_integer_fields_refuse_what_their_column_cannot_hold(field, value):
+    # A bare cast into RECORD would truncate, wrap or choke on each value.
+    with pytest.raises(WireFormatError, match=f"record 0: {field} {value!r} "):
+        _msg(**{field: value})
+    msgs = [_msg(), _msg()._replace(**{field: value})]  # record 1 skips construction
+    with pytest.raises(WireFormatError, match=f"record 1: {field} {value!r} "):
+        encode_frame(msgs, _stamps())
+
+
+def test_integer_fields_take_integer_types_only():
+    msg = _msg(id=np.int64(7), cls=np.uint8(1))
+    assert (msg.id, msg.cls) == (7, 1)
+    # An array of rows is judged by its column's dtype: a float id is refused
+    # even where every value is whole.
+    rows = np.array([_msg(), _msg()], RECORD)
+    floats = rows.astype([(n, "<f8" if n == "id" else RECORD[n]) for n in RECORD.names])
+    with pytest.raises(WireFormatError, match="record 0: id 3.0 "):
+        encode_frame(floats, _stamps())
 
 
 def test_decode_rejects_invalid_payload_values():
@@ -196,8 +219,6 @@ def test_message_class_code_checked():
     with pytest.raises(WireFormatError, match="cls 2"):
         PerceptionMessage(**nine, cls=2)
     msg = PerceptionMessage(**nine)._replace(cls=2)  # past construction-time checks
-    with pytest.raises(WireFormatError, match="cls 2"):
-        msg.validate()
     with pytest.raises(WireFormatError, match="cls 2"):
         encode_frame([msg], _stamps())
     for code in (-1, 256):  # beyond u8
