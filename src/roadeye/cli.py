@@ -35,6 +35,7 @@ from .pipeline import EdgePipeline, PipelineStageError
 from .relay import connect_publisher, connect_subscriber, relay_serve
 from .scene import (
     GroundTruthFrame,
+    kept_frames,
     read_frames,
     read_ground_truth,
     scenario_frames,
@@ -103,23 +104,18 @@ def cmd_perceive(cfg: PipelineConfig, args) -> int:
         pub = stack.enter_context(connect_publisher(args.relay)) if args.relay else None
         out_f = stack.enter_context(open(args.out, "wb")) if args.out else None
         tap = _open_tap(stack, args.tap)
-        skipped = 0
-        for k, frame in enumerate(frames):
-            # The reader lets no timestamp decrease, so a frame the tracker
-            # refuses repeats the last one's; its ground truth, paired by
-            # index, is skipped with it.
-            if not pipeline.tracker.follows(frame.t):
-                skipped += 1
-                continue
-            result = pipeline.process(frame, gt[k].agents if gt else None)
+        # A skipped frame's ground truth, paired by index, is skipped with it.
+        kept = kept_frames(frames)
+        for k in kept:
+            result = pipeline.process(frames[k], gt[k].agents if gt else None)
             if out_f is not None:
                 out_f.write(result.encoded)
             if pub is not None:
                 pub.sendall(result.encoded)
             if tap is not None:
                 _tap_messages(tap, decode_frame(result.encoded).messages)
-    print(f"perceived {len(frames) - skipped} frames, skipped {skipped} with a repeated timestamp",
-          file=sys.stderr)
+    print(f"perceived {len(kept)} frames, skipped {len(frames) - len(kept)} "
+          "with a repeated timestamp", file=sys.stderr)
     return EXIT_OK
 
 
@@ -215,10 +211,9 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
     else:
         if not (args.gt and args.results):
             raise ValueError("need --gt and --results, or --counts")
-        # `perceive` skips a frame whose time repeats the last one's; its
-        # ground truth goes with it, and the rest pair in order.
+        # The truth frames `perceive` kept pair with the results in order.
         gt_all = read_ground_truth(args.gt)
-        gt_frames = [g for k, g in enumerate(gt_all) if k == 0 or g.t != gt_all[k - 1].t]
+        gt_frames = [gt_all[k] for k in kept_frames(gt_all)]
         counts = ConfusionCounts(tp=0, fp=0, fn=0)
         n_results = 0
         for raw in iter_frames_from_file(args.results):
@@ -240,7 +235,7 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
     print(text, end="")
     if args.json:
         payload = {"counts": {"tp": counts.tp, "fp": counts.fp, "fn": counts.fn,
-                              "tn": counts.tn, "ground_truth": counts.ground_truth_total}}
+                              "ground_truth": counts.ground_truth_total}}
         payload.update(report.to_dict())
         with open(args.json, "w") as f:
             json.dump(payload, f, indent=2)

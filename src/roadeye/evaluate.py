@@ -23,10 +23,9 @@ class ConfusionCounts:
     tp: int
     fp: int
     fn: int
-    tn: int = 0
 
     def __post_init__(self):
-        for name in ("tp", "fp", "fn", "tn"):
+        for name in ("tp", "fp", "fn"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -39,7 +38,6 @@ class ConfusionCounts:
             tp=self.tp + other.tp,
             fp=self.fp + other.fp,
             fn=self.fn + other.fn,
-            tn=self.tn + other.tn,
         )
 
 
@@ -63,8 +61,7 @@ def match_detections(
     `dets` holds anything with `box.x` and `box.y`: `Detection`s or
     DETECTION rows. Pairs within the threshold are taken in ascending
     (distance, gt index, detection index) order and count as TP; leftover
-    detections are FP and leftover ground truth FN. TN stays 0: nothing
-    proposes negatives.
+    detections are FP and leftover ground truth FN.
     """
     if dist_threshold <= 0:
         raise ValueError("dist_threshold must be positive")
@@ -117,7 +114,7 @@ def format_metric_report(c: ConfusionCounts, report: MetricReport) -> str:
 
     return (
         f"ground truth: {c.ground_truth_total}\n"
-        f"tp: {c.tp}  fp: {c.fp}  fn: {c.fn}  tn: {c.tn}\n"
+        f"tp: {c.tp}  fp: {c.fp}  fn: {c.fn}\n"
         f"precision: {pct(report.precision)}\n"
         f"recall:    {pct(report.recall)}\n"
         f"miss:      {pct(report.miss)}\n"

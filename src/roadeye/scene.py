@@ -320,6 +320,16 @@ def _read_container(path, magic: bytes, dtype: np.dtype) -> list[tuple[float, np
     return frames
 
 
+def kept_frames(frames) -> list[int]:
+    """Indices of the frames (each with a `.t`) a run keeps: each one later
+    than the last kept frame, so the first of a repeated time is kept."""
+    kept = []
+    for k, fr in enumerate(frames):
+        if not kept or fr.t > frames[kept[-1]].t:
+            kept.append(k)
+    return kept
+
+
 def write_frames(frames: list[PointCloudFrame], path) -> None:
     _write_container(path, FRAME_MAGIC, frames, lambda fr: fr.points.astype("<f4"))
 

@@ -21,14 +21,16 @@ from .geometry import connected_components, plan_pairs
 GATE_COST = 1.0e9  # cost assigned to pairs outside the association gate
 
 
-@dataclass(frozen=True)
-class Track2D:
-    """Read-only snapshot of one live track."""
+class TrackRow(np.record):
+    """One live track: id, state mean (x, y, w, l, vx, vy), its covariance and
+    the frames it has gone unmatched. Fields read as attributes, `mean` too,
+    which on a plain record names numpy's method."""
 
-    id: int
-    mean: np.ndarray  # (6,) x, y, w, l, vx, vy
-    cov: np.ndarray  # (6, 6)
-    misses: int
+    mean = property(lambda self: self["mean"])
+
+
+TRACK = np.dtype((TrackRow, [("id", "i8"), ("mean", "f8", (6,)), ("cov", "f8", (6, 6)),
+                             ("misses", "i8")]))
 
 
 @dataclass
@@ -83,17 +85,12 @@ class Tracker2D:
         self.last_assignment_cost = 0.0  # summed matched center distance
 
     @property
-    def tracks(self) -> list[Track2D]:
-        """Snapshots of the live tracks, in creation order."""
-        return [
-            Track2D(int(i), m.copy(), c.copy(), int(s))
-            for i, m, c, s in zip(self.ids, self.mean, self.cov, self.misses)
-        ]
-
-    def follows(self, t: float) -> bool:
-        """Whether a frame at time `t` may be tracked next: it must be later
-        than the last tracked frame."""
-        return self.last_t is None or t > self.last_t
+    def tracks(self) -> np.ndarray:
+        """A copy of the live tracks as TRACK rows, in creation order."""
+        out = np.empty(len(self.ids), TRACK)
+        out["id"], out["mean"] = self.ids, self.mean
+        out["cov"], out["misses"] = self.cov, self.misses
+        return out
 
     def associate(self, boxes: np.ndarray) -> np.ndarray:
         """Predict, match `boxes` (n, 4: x, y, w, l), update, and manage the
@@ -255,7 +252,7 @@ def track_frame(tracker: Tracker2D, dets: np.ndarray, t: float) -> np.ndarray:
     """One tracking step at frame time `t`: project to 2D and associate;
     returns a copy of the DETECTION rows with `id` filled in, -1 where the
     row's updated track lies d_o or more from it."""
-    if not tracker.follows(t):
+    if tracker.last_t is not None and not t > tracker.last_t:
         raise ValueError(f"out-of-order timestamp {t} after {tracker.last_t}")
     tracker.last_t = t
     boxes = project_to_2d(dets)

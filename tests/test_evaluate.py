@@ -56,7 +56,6 @@ def test_count_identities(rng):
         c = match_detections(gt, dets, 2.0)
         assert c.tp + c.fn == n_gt
         assert c.tp + c.fp == n_det
-        assert c.tn == 0
 
 
 def _bruteforce_max_matching(gt, dets, threshold):

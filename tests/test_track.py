@@ -172,7 +172,7 @@ def test_track_deleted_after_max_age_misses():
     assert tracker.misses[0] == 1
     tracker.associate(_boxes())
     assert len(tracker.ids) == 0  # deleted after max_age consecutive misses
-    assert tracker.tracks == []
+    assert len(tracker.tracks) == 0
 
 
 def test_ids_monotonic_never_reused():
