@@ -59,31 +59,55 @@ _RULES = (
 )
 
 
-def _integers(rows, name: str, lo: int, hi: int) -> np.ndarray:
-    """Per row, whether its `name` is an integer (a bool is not) in [lo, hi],
-    judged on the value as given, before a cast could truncate or wrap it."""
+def _is_number(v) -> bool:
+    """Whether a value, as given, is an int or a float (numpy's included),
+    never a bool or a str."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+# The values RECORD's integer columns hold, as (min, max).
+_LIMITS = {n: (int(np.iinfo(RECORD[n]).min), int(np.iinfo(RECORD[n]).max))
+           for n in RECORD.names if RECORD[n].kind in "iu"}
+
+
+def _numbers(rows, name: str) -> np.ndarray | bool:
+    """Per row, whether its `name` is a number RECORD's column takes, judged
+    on the value as given, before a cast could parse, truncate or wrap it:
+    an integer that fits the column for `id` and `cls`, any number for the
+    rest. An array column is judged by its dtype, and by its values only
+    where RECORD's integer column cannot hold every value of that dtype."""
+    limits = _LIMITS.get(name)
     if isinstance(rows, np.ndarray):
         col = rows[name]
-        return (col.dtype.kind in "iu") & (col >= lo) & (col <= hi)
-    values = (r[RECORD.names.index(name)] for r in rows)
-    return np.array([isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                     and lo <= v <= hi for v in values], bool)
+        if col.dtype.kind not in ("iuf" if limits is None else "iu"):
+            return False
+        if limits is None or np.can_cast(col.dtype, RECORD[name]):
+            return True
+        return (col >= limits[0]) & (col <= limits[1])
+    values = [r[RECORD.names.index(name)] for r in rows]
+    if limits is None:
+        return np.array([_is_number(v) for v in values], bool)
+    return np.array([_is_number(v) and isinstance(v, (int, np.integer))
+                     and limits[0] <= v <= limits[1] for v in values], bool)
 
 
-_INTEGERS = (
-    (lambda r: _integers(r, "id", -(2 ** 31), 2 ** 31 - 1), "id {id!r} is not an i32 integer"),
-    (lambda r: _integers(r, "cls", 0, 255), "cls {cls!r} is not a u8 integer"),
+_NUMBERS = tuple(
+    (lambda r, n=n: _numbers(r, n),
+     f"{n} {{{n}!r}} is not " + {"id": "an i32 integer", "cls": "a u8 integer"}.get(n, "a number"))
+    for n in RECORD.names
 )
 
 
 def to_records(rows, offset: int | None = None) -> np.ndarray:
     """`rows`, tuples in RECORD's field order (messages among them) or an
     array with RECORD's field names, as RECORD rows; the only way rows become
-    records. `_INTEGERS` judge the rows as given, then the cast records must
+    records. `_NUMBERS` judge the rows as given, then the cast records must
     keep `_RULES`. The WireFormatError names the first record that fails, and
     with `offset`, where record 0 starts, the byte where that record starts."""
-    for rules in (_INTEGERS, _RULES):
-        ok = np.array([rule(rows) for rule, _ in rules])
+    for rules in (_NUMBERS, _RULES):
+        ok = np.empty((len(rules), len(rows)), bool)
+        for i, (rule, _) in enumerate(rules):
+            ok[i] = rule(rows)
         if not ok.all():
             k = int(np.argmin(ok.all(axis=0)))
             row = rows[k].item() if isinstance(rows, np.ndarray) else rows[k]
@@ -106,7 +130,9 @@ class PerceptionMessage(namedtuple("PerceptionMessage", RECORD.names)):
     __slots__ = ()
 
     def __new__(_cls, t, id, lat, lon, alt, w, l, h, theta, cls=0):
-        rec = to_records([(t, id, lat, lon, alt, w, l, h, quantize_heading(theta), cls)])
+        if _is_number(theta):  # the gate refuses anything else as given
+            theta = quantize_heading(theta)[()]
+        rec = to_records([(t, id, lat, lon, alt, w, l, h, theta, cls)])
         return _cls._make(rec.item())
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from types import SimpleNamespace
 
@@ -16,6 +17,7 @@ from roadeye.wire import (
     encode_frame,
     iter_frames_from_file,
     read_frame_bytes,
+    to_records,
 )
 
 
@@ -168,6 +170,60 @@ def test_integer_fields_take_integer_types_only():
     floats = rows.astype([(n, "<f8" if n == "id" else RECORD[n]) for n in RECORD.names])
     with pytest.raises(WireFormatError, match="record 0: id 3.0 "):
         encode_frame(floats, _stamps())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lat", "40"), ("lon", True), ("theta", True), ("theta", "90"), ("alt", np.bool_(True)),
+    ("w", None), ("t", [1.5]),
+])
+def test_float_fields_refuse_what_is_not_a_number(field, value):
+    # A bare cast into RECORD would parse the string or take the bool as 1.
+    reason = re.escape(f"{field} {value!r} is not a number")
+    with pytest.raises(WireFormatError, match=f"record 0: {reason}"):
+        _msg(**{field: value})
+    msgs = [_msg(), _msg()._replace(**{field: value})]  # record 1 skips construction
+    with pytest.raises(WireFormatError, match=f"record 1: {reason}"):
+        encode_frame(msgs, _stamps())
+
+
+def test_float_fields_take_any_number():
+    msg = _msg(t=np.float32(1.5), lat=40, lon=np.int64(-105), w=np.float16(2.0), theta=np.int32(90))
+    assert msg[:4] == (1.5, 3, 40.0, -105.0) and (msg.w, msg.theta) == (2.0, 90.0)
+    # An array column is judged by its dtype: integers and floats pass, a bool
+    # or string column is refused whatever its values.
+    rows = np.array([_msg(), _msg()], RECORD)
+    ints = rows.astype([(n, "<i8" if n == "alt" else RECORD[n]) for n in RECORD.names])
+    assert decode_frame(encode_frame(ints, _stamps())).messages == [_msg(), _msg()]
+    for dtype in ("?", "U8"):
+        other = rows.astype([(n, dtype if n == "lat" else RECORD[n]) for n in RECORD.names])
+        with pytest.raises(WireFormatError, match="record 0: lat .* is not a number"):
+            encode_frame(other, _stamps())
+
+
+class _Uncompared(np.ndarray):
+    """An array whose values must not be compared."""
+
+    def __ge__(self, other):
+        raise AssertionError("values compared")
+
+    __le__ = __ge__
+
+
+def test_integer_columns_the_record_holds_are_judged_by_dtype_alone():
+    data = encode_frame([_msg(), _msg(id=-7, cls=1)], _stamps())
+    rows = np.frombuffer(data, RECORD, offset=HEADER_BYTES)
+    assert to_records(rows.view(_Uncompared), HEADER_BYTES).tolist() == rows.tolist()
+    # A narrower integer column needs no value check either; a wider one, or
+    # a bool one, is still judged.
+    narrow = rows.astype([(n, "<i2" if n == "id" else RECORD[n]) for n in RECORD.names])
+    assert to_records(narrow.view(_Uncompared))["id"].tolist() == [3, -7]
+    wide = rows.astype([(n, "<i8" if n == "id" else RECORD[n]) for n in RECORD.names])
+    wide["id"][1] = 2 ** 31
+    with pytest.raises(WireFormatError, match="record 1: id 2147483648 is not an i32"):
+        to_records(wide)
+    bools = rows.astype([(n, "?" if n == "cls" else RECORD[n]) for n in RECORD.names])
+    with pytest.raises(WireFormatError, match="record 0: cls False is not a u8"):
+        to_records(bools)
 
 
 def test_decode_rejects_invalid_payload_values():
