@@ -179,11 +179,11 @@ def cmd_onboard(cfg: PipelineConfig, args) -> int:
 
 
 def _messages_to_world_detections(msgs, cfg: PipelineConfig) -> np.recarray:
-    """Decoded messages as world-frame DETECTION rows for evaluation; only the
-    box centres are filled in, all matching reads. The closed form shares no
-    transform with the pipeline: ECEF offsets from the surveyed sensor
-    location rotated into east, north and up, plus the mount height on up,
-    since the world origin lies on the ground below the sensor."""
+    """Decoded messages as world-frame DETECTION rows for evaluation: the box
+    centres, which matching reads, and each record's class and id. The closed
+    form shares no transform with the pipeline: ECEF offsets from the
+    surveyed sensor location rotated into east, north and up, plus the mount
+    height on up, since the world origin lies on the ground below the sensor."""
     sensor = cfg.sensor_geodetic()
     o = geodetic_to_ecef(sensor).as_array()
     sp, cp = math.sin(math.radians(sensor.lat)), math.cos(math.radians(sensor.lat))
@@ -193,6 +193,7 @@ def _messages_to_world_detections(msgs, cfg: PipelineConfig) -> np.recarray:
     east, north, up = ((np.reshape(ecef, (-1, 3)) - o) @ ecef_to_enu.T).T
     dets = np.zeros(len(msgs), DETECTION).view(np.recarray)
     dets.box.x, dets.box.y, dets.box.z = east, north, up + cfg["scene.mount_height"]
+    dets.cls, dets.id = [m.cls for m in msgs], [m.id for m in msgs]
     return dets
 
 

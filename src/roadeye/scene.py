@@ -353,17 +353,28 @@ def write_ground_truth(frames: list[GroundTruthFrame], path) -> None:
     _write_container(path, GROUND_TRUTH_MAGIC, frames, _gt_records)
 
 
+def _gt_agent(aid, code, x, y, z, w, l, h, heading, speed) -> AgentState:
+    """One ground-truth record as an agent; ValueError says what it breaks."""
+    if code >= len(CLASSES):
+        raise ValueError(f"cls {code} is not a class code (< {len(CLASSES)})")
+    if not all(map(math.isfinite, (x, y, z, heading, speed))):
+        raise ValueError(f"x, y, z, heading and speed must be finite, got "
+                         f"{x}, {y}, {z}, {heading}, {speed}")
+    return AgentState(aid, CLASSES[code], np.array([x, y, z]), (w, l, h), heading, speed)
+
+
 def read_ground_truth(path) -> list[GroundTruthFrame]:
-    frames = _read_container(path, GROUND_TRUTH_MAGIC, _GT_RECORD)
-    for k, (_, recs) in enumerate(frames):
-        bad = np.flatnonzero(recs["cls"] >= len(CLASSES))
-        if bad.size:
-            raise FrameFormatError(f"frame {k} record {bad[0]}: cls {recs['cls'][bad[0]]} "
-                                   f"is not a class code (< {len(CLASSES)})")
-    return [
-        GroundTruthFrame(t=t, agents=[
-            AgentState(aid, CLASSES[code], np.array([x, y, z]), (w, l, h), heading, speed)
-            for aid, code, x, y, z, w, l, h, heading, speed in recs.tolist()
-        ])
-        for t, recs in frames
-    ]
+    """The frames of a ground-truth file. A record that is no valid agent (no
+    class code, a position, heading or speed that is not finite, or dims
+    outside its class's ranges) raises a FrameFormatError naming its frame
+    and record."""
+    out = []
+    for k, (t, recs) in enumerate(_read_container(path, GROUND_TRUTH_MAGIC, _GT_RECORD)):
+        agents = []
+        for i, rec in enumerate(recs.tolist()):
+            try:
+                agents.append(_gt_agent(*rec))
+            except ValueError as e:
+                raise FrameFormatError(f"frame {k} record {i}: {e}") from None
+        out.append(GroundTruthFrame(t=t, agents=agents))
+    return out

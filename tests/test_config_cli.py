@@ -570,6 +570,62 @@ def test_eval_scores_a_run_that_skipped_a_repeated_frame(tmp_path, capsys):
     assert "result frame 0 is at t=0.0 but its ground truth at t=0.05" in capsys.readouterr().err
 
 
+def test_eval_detections_carry_each_record_class_and_id(tmp_path):
+    from roadeye.cli import _messages_to_world_detections
+    from roadeye.evaluate import match_detections
+    from roadeye.wire import decode_frame, iter_frames_from_file
+
+    cfg = _write_cfg(tmp_path)
+    frames, results = tmp_path / "f.bin", tmp_path / "r.bin"
+    main(["--config", str(cfg), "simulate", "--out", str(frames)])
+    main(["--config", str(cfg), "perceive", "--frames", str(frames),
+          "--gt", str(frames) + ".gt", "--out", str(results)])
+    gt, seen = read_ground_truth(str(frames) + ".gt"), set()
+    for raw, truth in zip(iter_frames_from_file(results), gt):
+        msgs = decode_frame(raw).messages
+        dets = _messages_to_world_detections(msgs, load_config(cfg))
+        assert dets.cls.tolist() == [m.cls for m in msgs]
+        assert dets.id.tolist() == [m.id for m in msgs]
+        seen.update(zip(dets.cls.tolist(), dets.id.tolist()))
+        # Matching reads neither field.
+        blank = dets.copy()
+        blank.cls, blank.id = 0, 0
+        boxes = [a.as_box() for a in truth.agents]
+        assert match_detections(boxes, dets) == match_detections(boxes, blank)
+    assert {c for c, _ in seen} == {0, 1} and len({i for _, i in seen}) > 1
+
+
+@pytest.mark.parametrize("order, skipped", [
+    ([0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 1),  # a repeat on the first pair
+    ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9], 1),  # on the last frame
+    ([0, 1, 2, 3, 4, 4, 4, 5, 6, 7, 8, 9], 2),  # three frames in a row
+])
+def test_perceive_and_eval_keep_the_same_frames(tmp_path, capsys, order, skipped):
+    from roadeye.scene import kept_frames, write_frames, write_ground_truth
+
+    cfg = _write_cfg(tmp_path)
+    frames = tmp_path / "f.bin"
+    main(["--config", str(cfg), "simulate", "--out", str(frames)])
+    fr, gt = read_frames(frames), read_ground_truth(str(frames) + ".gt")
+    repeated = tmp_path / "repeated.bin"
+    write_frames([fr[k] for k in order], repeated)
+    write_ground_truth([gt[k] for k in order], str(repeated) + ".gt")
+    first = [order.index(k) for k in range(10)]  # the first frame at each time
+    assert kept_frames(read_frames(repeated)) == first
+    assert kept_frames(read_ground_truth(str(repeated) + ".gt")) == first
+    runs = []
+    for src in (frames, repeated):
+        out, report = tmp_path / f"{src.stem}.out", tmp_path / f"{src.stem}.json"
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "perceive", "--frames", str(src),
+                     "--gt", str(src) + ".gt", "--out", str(out)]) == 0
+        assert f"skipped {skipped if src == repeated else 0} " in capsys.readouterr().err
+        assert main(["--config", str(cfg), "eval", "--gt", str(src) + ".gt",
+                     "--results", str(out), "--json", str(report)]) == 0
+        runs.append((out.read_bytes(), json.loads(report.read_text())["counts"]))
+    assert runs[1] == runs[0]
+
+
 def test_eval_result_frame_count_mismatch_rejected(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     frames = tmp_path / "f.bin"

@@ -339,3 +339,28 @@ def test_ground_truth_unknown_class_code_rejected(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(FrameFormatError, match="frame 1 record 0: cls 7 is not a class code"):
         read_ground_truth(path)
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("x", math.nan, "x, y, z, heading and speed must be finite"),
+    ("y", math.inf, "x, y, z, heading and speed must be finite"),
+    ("z", -math.inf, "x, y, z, heading and speed must be finite"),
+    ("heading", math.nan, "x, y, z, heading and speed must be finite"),
+    ("speed", math.inf, "x, y, z, heading and speed must be finite"),
+    ("w", 9.0, r"vehicle dim w=9.0 outside \[1.5, 2.6\]"),
+    ("l", 0.1, r"vehicle dim l=0.1 outside \[3.5, 12.0\]"),
+    ("h", math.nan, r"vehicle dim h=nan outside \[1.3, 4.5\]"),
+])
+def test_ground_truth_invalid_agent_rejected(tmp_path, field, value, reason):
+    cfg = _single_vehicle_config()
+    gt = [GroundTruthFrame(t=float(t), agents=step_scenario(cfg, float(t))) for t in (0.0, 1.0)]
+    path = tmp_path / "gt.bin"
+    write_ground_truth(gt, path)
+    data = bytearray(path.read_bytes())
+    # Frame 1's first record starts after the file header, frame 0 and frame
+    # 1's header; its f64 fields follow the i32 id and the u8 class.
+    at = 8 + 12 + 69 * len(gt[0].agents) + 12 + 5
+    struct.pack_into("<d", data, at + 8 * "x y z w l h heading speed".split().index(field), value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FrameFormatError, match=f"frame 1 record 0: {reason}"):
+        read_ground_truth(path)
