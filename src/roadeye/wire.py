@@ -65,30 +65,28 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
-# The values RECORD's integer columns hold, as (min, max).
-_LIMITS = {n: (int(np.iinfo(RECORD[n]).min), int(np.iinfo(RECORD[n]).max))
-           for n in RECORD.names if RECORD[n].kind in "iu"}
-
-
 def _numbers(rows, name: str) -> np.ndarray | bool:
     """Per row, whether its `name` is a number RECORD's column takes, judged
     on the value as given, before a cast could parse, truncate or wrap it:
     an integer that fits the column for `id` and `cls`, any number for the
     rest. An array column is judged by its dtype, and by its values only
     where RECORD's integer column cannot hold every value of that dtype."""
-    limits = _LIMITS.get(name)
+    column = RECORD[name]
+    integer = column.kind in "iu"
     if isinstance(rows, np.ndarray):
-        col = rows[name]
-        if col.dtype.kind not in ("iuf" if limits is None else "iu"):
+        dtype = rows.dtype[name]
+        if dtype.kind not in ("iu" if integer else "iuf"):
             return False
-        if limits is None or np.can_cast(col.dtype, RECORD[name]):
+        if not integer or np.can_cast(dtype, column):
             return True
-        return (col >= limits[0]) & (col <= limits[1])
+        info = np.iinfo(column)
+        return (rows[name] >= info.min) & (rows[name] <= info.max)
     values = [r[RECORD.names.index(name)] for r in rows]
-    if limits is None:
+    if not integer:
         return np.array([_is_number(v) for v in values], bool)
+    info = np.iinfo(column)
     return np.array([_is_number(v) and isinstance(v, (int, np.integer))
-                     and limits[0] <= v <= limits[1] for v in values], bool)
+                     and info.min <= v <= info.max for v in values], bool)
 
 
 _NUMBERS = tuple(

@@ -596,10 +596,10 @@ def test_eval_detections_carry_each_record_class_and_id(tmp_path):
 
 
 @pytest.mark.parametrize("order, skipped", [
-    ([0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 1),  # a repeat on the first pair
-    ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9], 1),  # on the last frame
-    ([0, 1, 2, 3, 4, 4, 4, 5, 6, 7, 8, 9], 2),  # three frames in a row
-])
+    ([0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9], 1),
+    ([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9], 1),
+    ([0, 1, 2, 3, 4, 4, 4, 5, 6, 7, 8, 9], 2),
+], ids=["first-pair", "last-frame", "three-in-a-row"])
 def test_perceive_and_eval_keep_the_same_frames(tmp_path, capsys, order, skipped):
     from roadeye.scene import kept_frames, write_frames, write_ground_truth
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import struct
 
 import numpy as np
@@ -341,17 +342,16 @@ def test_ground_truth_unknown_class_code_rejected(tmp_path):
         read_ground_truth(path)
 
 
-@pytest.mark.parametrize("field, value, reason", [
-    ("x", math.nan, "x, y, z, heading and speed must be finite"),
-    ("y", math.inf, "x, y, z, heading and speed must be finite"),
-    ("z", -math.inf, "x, y, z, heading and speed must be finite"),
-    ("heading", math.nan, "x, y, z, heading and speed must be finite"),
-    ("speed", math.inf, "x, y, z, heading and speed must be finite"),
-    ("w", 9.0, r"vehicle dim w=9.0 outside \[1.5, 2.6\]"),
-    ("l", 0.1, r"vehicle dim l=0.1 outside \[3.5, 12.0\]"),
-    ("h", math.nan, r"vehicle dim h=nan outside \[1.3, 4.5\]"),
+@pytest.mark.parametrize("field, value", [
+    ("x", math.nan), ("y", math.inf), ("z", -math.inf), ("heading", math.nan),
+    ("speed", math.inf), ("w", 9.0), ("l", 0.1), ("h", math.nan),
 ])
-def test_ground_truth_invalid_agent_rejected(tmp_path, field, value, reason):
+def test_ground_truth_invalid_agent_rejected(tmp_path, field, value):
+    if field in ("w", "l", "h"):
+        lo, hi = VEHICLE_DIM_RANGE["wlh".index(field)]
+        reason = re.escape(f"vehicle dim {field}={value} outside [{lo}, {hi}]")
+    else:
+        reason = "x, y, z, heading and speed must be finite"
     cfg = _single_vehicle_config()
     gt = [GroundTruthFrame(t=float(t), agents=step_scenario(cfg, float(t))) for t in (0.0, 1.0)]
     path = tmp_path / "gt.bin"
