@@ -12,6 +12,8 @@ TWO_PI = 2.0 * math.pi
 
 # Tolerance for the orthonormality / determinant checks on rigid transforms.
 RIGID_TOL = 1e-9
+_BOTTOM_ROW = np.array([0.0, 0.0, 0.0, 1.0])
+_IDENTITY3 = np.eye(3)
 
 
 class ObjectClass(enum.Enum):
@@ -130,10 +132,11 @@ class RigidTransform:
         m = self.matrix
         if m.shape != (4, 4):
             raise NonRigidTransformError(f"expected 4x4 matrix, got shape {m.shape}")
-        if not np.allclose(m[3], [0.0, 0.0, 0.0, 1.0], atol=RIGID_TOL, rtol=0.0):
+        # `<=` is false for NaN, so a NaN entry fails these checks.
+        if not (np.abs(m[3] - _BOTTOM_ROW) <= RIGID_TOL).all():
             raise NonRigidTransformError("bottom row must be [0, 0, 0, 1]")
         r = m[:3, :3]
-        if not np.allclose(r.T @ r, np.eye(3), atol=RIGID_TOL, rtol=0.0):
+        if not (np.abs(r.T @ r - _IDENTITY3) <= RIGID_TOL).all():
             raise NonRigidTransformError("rotation block is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > RIGID_TOL:
             raise NonRigidTransformError("rotation block determinant is not +1 within 1e-9")
@@ -175,9 +178,11 @@ class RigidTransform:
         return self.rotation @ p + self.translation
 
     def apply_points(self, pts: np.ndarray) -> np.ndarray:
-        """Transform an (N, 3) array of points."""
-        pts = np.asarray(pts, dtype=float)
-        return pts @ self.rotation.T + self.translation
+        """Transform an (N, 3) array of points. The result is column-major:
+        its transpose, one row per axis, is contiguous."""
+        out = self.rotation @ np.asarray(pts, dtype=float).T
+        out += self.translation[:, None]
+        return out.T
 
 
 def rotation_about_z(yaw: float) -> np.ndarray:

@@ -46,18 +46,20 @@ class GeofenceBounds:
 
     def contains(self, xyz: np.ndarray) -> np.ndarray:
         """Closed-interval membership mask for an (N, 3) array."""
-        xyz = np.asarray(xyz, dtype=float)
+        x, y, z = np.asarray(xyz, dtype=float).T
         return (
-            (xyz[:, 0] >= self.x_min) & (xyz[:, 0] <= self.x_max)
-            & (xyz[:, 1] >= self.y_min) & (xyz[:, 1] <= self.y_max)
-            & (xyz[:, 2] >= self.z_min) & (xyz[:, 2] <= self.z_max)
+            (x >= self.x_min) & (x <= self.x_max)
+            & (y >= self.y_min) & (y <= self.y_max)
+            & (z >= self.z_min) & (z <= self.z_max)
         )
 
 
 def geofence(frame: PointCloudFrame, bounds: GeofenceBounds) -> PointCloudFrame:
-    """Keep exactly the points inside all closed bounds, order preserved."""
-    mask = bounds.contains(frame.xyz)
-    return PointCloudFrame(t=frame.t, points=frame.points[mask])
+    """Keep exactly the points inside all closed bounds, order preserved.
+    The points are gathered column by column, so a column-major frame, as
+    `apply_transform` returns, stays column-major."""
+    keep = np.flatnonzero(bounds.contains(frame.xyz))
+    return PointCloudFrame(t=frame.t, points=frame.points.T.take(keep, axis=1).T)
 
 
 def _fit_plane(pts: np.ndarray) -> tuple[np.ndarray, float]:
@@ -121,8 +123,10 @@ def estimate_ground_calibration(
 
 
 def apply_transform(frame: PointCloudFrame, t: RigidTransform) -> PointCloudFrame:
-    """Left-multiply every point in homogeneous form; reflectivity unchanged."""
+    """Left-multiply every point in homogeneous form; reflectivity unchanged.
+    The result is column-major, so later passes read contiguous columns."""
     t.validate()
-    pts = frame.points.copy()
-    pts[:, :3] = t.apply_points(frame.xyz)
-    return PointCloudFrame(t=frame.t, points=pts)
+    block = np.empty((4, len(frame)))
+    block[:3] = t.apply_points(frame.xyz).T
+    block[3] = frame.points[:, 3]
+    return PointCloudFrame(t=frame.t, points=block.T)

@@ -61,6 +61,17 @@ def test_rigid_transform_rejects_non_rigid():
         RigidTransform(m)
 
 
+@pytest.mark.parametrize("at, reason", [
+    ((0, 0), "not orthonormal"), ((1, 2), "not orthonormal"),
+    ((3, 0), "bottom row"), ((3, 3), "bottom row"),
+])
+def test_rigid_transform_rejects_nan(at, reason):
+    m = np.eye(4)
+    m[at] = math.nan
+    with pytest.raises(NonRigidTransformError, match=reason):
+        RigidTransform(m)
+
+
 def test_inverse_and_compose():
     rng = np.random.default_rng(2)
     for _ in range(50):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from roadeye.geometry import NonRigidTransformError, RigidTransform
+from roadeye.geoloc import GeodeticPos, enu_to_ecef_transform
+from roadeye.geometry import NonRigidTransformError, RigidTransform, rotation_aligning
 from roadeye.preproc import (
     CalibrationError,
     GeofenceBounds,
@@ -11,7 +12,7 @@ from roadeye.preproc import (
     estimate_ground_calibration,
     geofence,
 )
-from roadeye.scene import PointCloudFrame
+from roadeye.scene import PointCloudFrame, read_frames, write_frames
 
 from conftest import random_rigid
 
@@ -109,6 +110,105 @@ def test_apply_rejects_non_rigid():
     t.matrix = m  # bypass constructor validation
     with pytest.raises(NonRigidTransformError):
         apply_transform(frame, t)
+
+
+def _level_reference(points, t):
+    """Leveling as the row-major formula `pts @ R.T + t`, row by row."""
+    out = np.array(points, order="C")
+    out[:, :3] = points[:, :3] @ t.rotation.T + t.translation
+    return out
+
+
+def _fence_reference(points, b):
+    """The geofence as a boolean row gather, `points[mask]`."""
+    x, y, z = points[:, 0], points[:, 1], points[:, 2]
+    mask = ((x >= b.x_min) & (x <= b.x_max) & (y >= b.y_min) & (y <= b.y_max)
+            & (z >= b.z_min) & (z <= b.z_max))
+    return points[mask]
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _leveling(rng):
+    """A sensor-leveling transform: a small tilt and a lift of a few metres."""
+    normal = np.array([*rng.uniform(-0.1, 0.1, 2), 1.0])
+    r = rotation_aligning(normal, np.array([0.0, 0.0, 1.0]))
+    return RigidTransform.from_rotation_translation(r, [0.0, 0.0, rng.uniform(-1.0, 1.0)])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_level_and_fence_match_row_major_reference(seed, order):
+    rng = np.random.default_rng(seed)
+    n = 5000
+    pts = np.column_stack([rng.uniform(-70, 70, (n, 2)), rng.uniform(-7, 2, n),
+                           rng.uniform(0, 1, n)])
+    # Float32 values, as frames are read from a file.
+    frame = _frame(np.array(pts.astype(np.float32), dtype=float, order=order))
+    t, b = _leveling(rng), GeofenceBounds()
+    leveled = apply_transform(frame, t)
+    fenced = geofence(leveled, b)
+    assert _same_bits(leveled.points, _level_reference(frame.points, t))
+    expected = _fence_reference(_level_reference(frame.points, t), b)
+    assert 0 < len(expected) < n
+    assert _same_bits(fenced.points, expected)
+    # Both frames stay column-major, so later passes read contiguous columns.
+    assert leveled.points.T.flags.c_contiguous and fenced.points.T.flags.c_contiguous
+    assert _same_bits(geofence(frame, b).points, _fence_reference(frame.points, b))
+
+
+@pytest.mark.parametrize("pts", [np.empty((0, 4)), [[60.0, 0.0, -2.0, 0.5], [0.0, -52.0, -1.0, 0.1],
+                                                    [0.0, 0.0, 0.5, 0.2], [0.0, 0.0, -9.0, 0.3]]],
+                         ids=["empty", "all-outside"])
+def test_level_and_fence_of_a_frame_that_keeps_nothing(pts):
+    frame = _frame(pts)
+    t = RigidTransform.from_translation([0.0, 0.0, 0.25])
+    leveled = apply_transform(frame, t)
+    assert _same_bits(leveled.points, _level_reference(frame.points, t))
+    fenced = geofence(leveled, GeofenceBounds())
+    assert fenced.points.shape == (0, 4)
+    assert _same_bits(fenced.points, _fence_reference(leveled.points, GeofenceBounds()))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_geofence_keeps_points_on_each_closed_bound(order):
+    b = GeofenceBounds()
+    rows = []
+    for axis, name in enumerate("xyz"):
+        for side, outward in (("min", -np.inf), ("max", np.inf)):
+            on = [0.0, 0.0, -1.0, 0.5]
+            on[axis] = getattr(b, f"{name}_{side}")
+            off = list(on)
+            off[axis] = np.nextafter(on[axis], outward)
+            rows += [off, on]
+    points = np.array(rows, order=order)
+    out = geofence(_frame(points), b)
+    assert _same_bits(out.points, points[1::2])
+    assert _same_bits(out.points, _fence_reference(points, b))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_apply_points_matches_row_major_reference_at_ecef_scale(rng, order):
+    t = enu_to_ecef_transform(GeodeticPos(40.0, -105.0, 1600.0))
+    enu = np.array(rng.uniform(-500.0, 500.0, (2000, 3)), order=order)
+    assert _same_bits(t.apply_points(enu), enu @ t.rotation.T + t.translation)
+    ecef = t.apply_points(enu)
+    back = t.inverse()
+    assert _same_bits(back.apply_points(ecef), ecef @ back.rotation.T + back.translation)
+
+
+def test_leveled_frame_file_roundtrip(tmp_path, rng):
+    frame = _frame(np.column_stack([rng.uniform(-40, 40, (500, 3)), rng.uniform(0, 1, 500)]))
+    leveled = apply_transform(frame, _leveling(rng))
+    assert leveled.points.T.flags.c_contiguous
+    write_frames([leveled], tmp_path / "leveled.bin")
+    row_major = PointCloudFrame(t=leveled.t, points=np.ascontiguousarray(leveled.points))
+    write_frames([row_major], tmp_path / "row_major.bin")
+    assert (tmp_path / "leveled.bin").read_bytes() == (tmp_path / "row_major.bin").read_bytes()
+    back = read_frames(tmp_path / "leveled.bin")[0]
+    assert _same_bits(back.points, leveled.points.astype(np.float32).astype(np.float64))
 
 
 def _ground_frame(rng, n=2000, tilt=None, extra=None):
