@@ -124,7 +124,9 @@ class ScenarioConfig:
 
 @dataclass
 class PointCloudFrame:
-    """Timestamped point set; columns x, y, z, reflectivity."""
+    """Timestamped point set; columns x, y, z, reflectivity. `points` may be
+    in either memory order: frames as read are row-major, leveled and fenced
+    frames column-major."""
 
     t: float
     points: np.ndarray  # (N, 4) float64, i in [0, 1]
@@ -310,6 +312,8 @@ def _read_container(path, magic: bytes, dtype: np.dtype) -> list[tuple[float, np
         _need(buf, off, _FRAME_HEADER.size, f"frame {k} header")
         t, n = _FRAME_HEADER.unpack_from(buf, off)
         off += _FRAME_HEADER.size
+        if not math.isfinite(t):
+            raise FrameFormatError(f"frame {k} timestamp {t} is not finite")
         if frames and t < frames[-1][0]:
             raise FrameFormatError(f"frame {k} timestamp decreases ({frames[-1][0]} -> {t})")
         _need(buf, off, n * dtype.itemsize, f"frame {k} records")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -65,12 +66,19 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
+def _is_float(v) -> bool:
+    """Whether a value, as given, is a number a float can hold: not a Python
+    int past the largest float, which the cast would refuse."""
+    return _is_number(v) and not (isinstance(v, int) and abs(v) > sys.float_info.max)
+
+
 def _numbers(rows, name: str) -> np.ndarray | bool:
     """Per row, whether its `name` is a number RECORD's column takes, judged
     on the value as given, before a cast could parse, truncate or wrap it:
-    an integer that fits the column for `id` and `cls`, any number for the
-    rest. An array column is judged by its dtype, and by its values only
-    where RECORD's integer column cannot hold every value of that dtype."""
+    an integer that fits the column for `id` and `cls`, any number a float
+    holds for the rest. An array column is judged by its dtype, and by its
+    values only where RECORD's integer column cannot hold every value of
+    that dtype."""
     column = RECORD[name]
     integer = column.kind in "iu"
     if isinstance(rows, np.ndarray):
@@ -83,7 +91,7 @@ def _numbers(rows, name: str) -> np.ndarray | bool:
         return (rows[name] >= info.min) & (rows[name] <= info.max)
     values = [r[RECORD.names.index(name)] for r in rows]
     if not integer:
-        return np.array([_is_number(v) for v in values], bool)
+        return np.array([_is_float(v) for v in values], bool)
     info = np.iinfo(column)
     return np.array([_is_number(v) and isinstance(v, (int, np.integer))
                      and info.min <= v <= info.max for v in values], bool)
@@ -91,7 +99,8 @@ def _numbers(rows, name: str) -> np.ndarray | bool:
 
 _NUMBERS = tuple(
     (lambda r, n=n: _numbers(r, n),
-     f"{n} {{{n}!r}} is not " + {"id": "an i32 integer", "cls": "a u8 integer"}.get(n, "a number"))
+     f"{n} {{{n}!r}} is not "
+     + {"id": "an i32 integer", "cls": "a u8 integer"}.get(n, "a number a float holds"))
     for n in RECORD.names
 )
 
@@ -128,7 +137,7 @@ class PerceptionMessage(namedtuple("PerceptionMessage", RECORD.names)):
     __slots__ = ()
 
     def __new__(_cls, t, id, lat, lon, alt, w, l, h, theta, cls=0):
-        if _is_number(theta):  # the gate refuses anything else as given
+        if _is_float(theta):  # the gate refuses anything else as given
             theta = quantize_heading(theta)[()]
         rec = to_records([(t, id, lat, lon, alt, w, l, h, theta, cls)])
         return _cls._make(rec.item())

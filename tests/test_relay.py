@@ -227,6 +227,10 @@ def test_bad_handshakes_closed_subscriber_unaffected():
     server = RelayServer().start()
     try:
         sub = connect_subscriber(_endpoint(server))
+        # The relay registers the subscriber on its own thread after the handshake.
+        deadline = time.time() + 5.0
+        while server.subscriber_count < 1 and time.time() < deadline:
+            time.sleep(0.01)
         short = socket.create_connection((server.host, server.port))
         short.sendall(ROLE_SUBSCRIBER[:2])
         short.shutdown(socket.SHUT_WR)  # 2 role bytes, then end of stream

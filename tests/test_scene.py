@@ -295,6 +295,17 @@ def test_decreasing_timestamps_rejected(tmp_path, rng):
         write_frames(frames, tmp_path / "bad.bin")
 
 
+@pytest.mark.parametrize("k, t", [(0, math.nan), (1, math.nan), (2, math.inf)])
+def test_non_finite_frame_time_rejected(tmp_path, rng, k, t):
+    # A NaN time passes the order check (`t < previous` is false for NaN).
+    frames = _random_frames(rng, n=3)
+    frames[k].t = t
+    path = tmp_path / "frames.bin"
+    write_frames(frames, path)
+    with pytest.raises(FrameFormatError, match=f"frame {k} timestamp {t} is not finite"):
+        read_frames(path)
+
+
 def test_ground_truth_roundtrip(tmp_path):
     cfg = _single_vehicle_config()
     gt = [GroundTruthFrame(t=float(t), agents=step_scenario(cfg, float(t))) for t in (0.0, 1.0)]
@@ -325,6 +336,15 @@ def test_ground_truth_decreasing_timestamps_rejected(tmp_path):
     struct.pack_into("<d", data, 8 + 12 + 69 * len(gt[0].agents), -1.0)
     path.write_bytes(bytes(data))
     with pytest.raises(FrameFormatError, match="frame 1 timestamp decreases"):
+        read_ground_truth(path)
+
+
+def test_ground_truth_non_finite_time_rejected(tmp_path):
+    cfg = _single_vehicle_config()
+    gt = [GroundTruthFrame(t=t, agents=step_scenario(cfg, 0.0)) for t in (0.0, math.nan, 1.0)]
+    path = tmp_path / "gt.bin"
+    write_ground_truth(gt, path)
+    with pytest.raises(FrameFormatError, match="frame 1 timestamp nan is not finite"):
         read_ground_truth(path)
 
 

@@ -175,9 +175,12 @@ def test_integer_fields_take_integer_types_only():
 @pytest.mark.parametrize("field, value", [
     ("lat", "40"), ("lon", True), ("theta", True), ("theta", "90"), ("alt", np.bool_(True)),
     ("w", None), ("t", [1.5]),
+    pytest.param("lat", 2**2000, id="lat-int-past-float"),
+    pytest.param("theta", -(2**2000), id="theta-int-past-float"),
 ])
 def test_float_fields_refuse_what_is_not_a_number(field, value):
-    # A bare cast into RECORD would parse the string or take the bool as 1.
+    # A bare cast into RECORD would parse the string or take the bool as 1,
+    # and raise OverflowError on an int past the largest float.
     reason = re.escape(f"{field} {value!r} is not a number")
     with pytest.raises(WireFormatError, match=f"record 0: {reason}"):
         _msg(**{field: value})
