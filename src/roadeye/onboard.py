@@ -151,17 +151,18 @@ _ICON_FILL = {
     IconKind.PEDESTRIAN: "#3aa655",
 }
 PX_PER_M = 8.0
-_POLYGON = '<polygon points="{0:.2f},{1:.2f} {2:.2f},{3:.2f} {4:.2f},{5:.2f} {6:.2f},{7:.2f}" '
-_CIRCLE = '<circle cx="{8:.2f}" cy="{9:.2f}" r="{10:.2f}" '
-_LABEL = ('\n<text x="{8:.2f}" y="{11:.2f}" fill="#e6e6e6" font-size="11" '
-          'text-anchor="middle">{12}</text>')
-# Per (kind, labelled): the template over one icon's row of corners u0, v0,
-# ..., u3, v3, centre u, v, circle radius, label y, then its id.
-_ICON_SVG = {
-    (kind, labelled): (_CIRCLE if kind == IconKind.PEDESTRIAN else _POLYGON)
-    + f'fill="{fill}"/>' + (_LABEL if labelled else "")
-    for kind, fill in _ICON_FILL.items() for labelled in (False, True)
-}
+_POLYGON = '<polygon points="%.2f,%.2f %.2f,%.2f %.2f,%.2f %.2f,%.2f" '
+_CIRCLE = '<circle cx="%.2f" cy="%.2f" r="%.2f" '
+_LABEL = '\n<text x="%.2f" y="%.2f" fill="#e6e6e6" font-size="11" text-anchor="middle">%d</text>'
+# The template of an icon of kind k, labelled or not, at 2 k + labelled. Its
+# fields take, in order, the polygon's corners u0, v0, ..., u3, v3 or the
+# circle's centre u, v and radius, then for a label its x (the centre u), y
+# and the id.
+_ICON_SVG = np.array([
+    (_CIRCLE if kind == IconKind.PEDESTRIAN else _POLYGON) + f'fill="{fill}"/>'
+    + (_LABEL if labelled else "")
+    for kind, fill in sorted(_ICON_FILL.items()) for labelled in (False, True)
+], dtype=object)
 # (along, across) signs of the four rectangle corners, in drawing order.
 _CORNERS = np.array([(1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)])
 
@@ -184,17 +185,23 @@ def render_svg(frame: RenderFrame) -> str:
     icons = frame.icons.view(np.ndarray)
     u, v = icons["px"].T
     radius = icons["dims_m"].max(axis=1) / 2.0 * PX_PER_M
-    rows = np.column_stack([_rect_corners(icons), u, v, radius, v - 8.0]).tolist()
+    # Every value any template takes, per icon; `used` keeps the ones its
+    # own template takes, in its order.
+    values = np.empty((len(icons), 14), dtype=object)
+    values[:, :13] = np.column_stack([_rect_corners(icons), u, v, radius, u, v - 8.0])
+    values[:, 13] = icons["id"]
+    circle, labelled = icons["kind"] == IconKind.PEDESTRIAN, icons["id"] >= 0
+    used = np.empty(values.shape, dtype=bool)
+    used[:, :8], used[:, 8:11], used[:, 11:] = ~circle[:, None], circle[:, None], labelled[:, None]
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
         f'viewBox="0 0 {w:.0f} {h:.0f}">',
         f'<rect x="0" y="0" width="{w:.0f}" height="{h:.0f}" fill="#1b1f23"/>',
     ]
-    lines += [
-        _ICON_SVG[kind, tid >= 0].format(*row, tid)
-        for kind, row, tid in zip(icons["kind"].tolist(), rows, icons["id"].tolist())
-    ]
+    if len(icons):
+        templates = _ICON_SVG[2 * icons["kind"].astype(np.intp) + labelled]
+        lines.append("\n".join(templates) % tuple(values[used]))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

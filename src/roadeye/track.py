@@ -48,41 +48,45 @@ class TrackerConfig:
             raise ValueError("max_age must be >= 1")
 
 
-# Constant-velocity model over (x, y, w, l, vx, vy); dt is one frame.
-_F = np.eye(6)
-_F[0, 4] = 1.0
-_F[1, 5] = 1.0
-_H = np.zeros((4, 6))
-_H[:4, :4] = np.eye(4)
-
-
-def _initial_covariance(cfg: TrackerConfig) -> np.ndarray:
-    r = cfg.measurement_noise
-    return np.diag([r * r, r * r, r * r, r * r, 100.0 * r * r, 100.0 * r * r])
-
-
-def _process_noise(cfg: TrackerConfig) -> np.ndarray:
-    q = cfg.process_noise
-    # Dims are modeled static: tiny process noise only.
-    return np.diag([0.25 * q * q, 0.25 * q * q, 0.01 * q * q, 0.01 * q * q, q * q, q * q])
+# Constant-velocity model over (x, y, w, l, vx, vy), dt one frame, with dims
+# modeled static. From the diagonal initial covariance on, only the variances,
+# x-vx and y-vy are ever nonzero, so a track's state is one row of 14 columns:
+# the mean, the x, y, w and l variances, the x-vx and y-vy covariances and the
+# vx and vy variances. _COV_AT lists flat (6, 6) entries, _COV_FROM the state
+# columns that fill them.
+_MEAN, _VAR, _POS_VEL, _VEL_VAR = slice(0, 6), slice(6, 10), slice(10, 12), slice(12, 14)
+_COV_AT = [0, 7, 14, 21, 4, 11, 24, 31, 28, 35]
+_COV_FROM = [6, 7, 8, 9, 10, 11, 10, 11, 12, 13]
 
 
 class Tracker2D:
     """Single-owner association state; one instance per frame stream.
 
-    Row i of `mean`, `cov`, `ids` and `misses` is the i-th live track in
-    creation order.
+    Row i of `state` (14 columns, see `_MEAN`), `mean`, `cov`, `ids` and
+    `misses` is the i-th live track in creation order. A step builds new
+    arrays and leaves those read before it as they were.
     """
 
     def __init__(self, config: TrackerConfig | None = None):
         self.config = config or TrackerConfig()
-        self.mean = np.empty((0, 6))
-        self.cov = np.empty((0, 6, 6))
+        self.state = np.empty((0, 14))
         self.ids = np.empty(0, dtype=np.int64)
         self.misses = np.empty(0, dtype=np.int64)
         self.next_id = 0
         self.last_t: float | None = None
         self.last_assignment_cost = 0.0  # summed matched center distance
+
+    @property
+    def mean(self) -> np.ndarray:
+        """(n, 6) state means x, y, w, l, vx, vy."""
+        return self.state[:, _MEAN]
+
+    @property
+    def cov(self) -> np.ndarray:
+        """(n, 6, 6) state covariances, built from the state columns."""
+        cov = np.zeros((len(self.state), 36))
+        cov[:, _COV_AT] = self.state[:, _COV_FROM]
+        return cov.reshape(-1, 6, 6)
 
     @property
     def tracks(self) -> np.ndarray:
@@ -95,25 +99,44 @@ class Tracker2D:
     def associate(self, boxes: np.ndarray) -> np.ndarray:
         """Predict, match `boxes` (n, 4: x, y, w, l), update, and manage the
         track lifecycle; returns each box's row in the updated track arrays:
-        the track it updated, or the one it started."""
-        cfg = self.config
-        boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
-        self.mean = self.mean @ _F.T
-        self.cov = _F @ self.cov @ _F.T + _process_noise(cfg)
+        the track it updated, or the one it started.
 
-        i, j, d = plan_pairs(self.mean[:, :2], boxes[:, :2], cfg.gate_assoc)
+        The Kalman step is the 6x6 one (F P F^T + Q, then K = P H^T S^-1 and
+        (I - K H) P, symmetrised) written out over the nonzero entries, each
+        sum in the order the matrix products form it. S is diagonal, so its
+        inverse is the reciprocals."""
+        cfg = self.config
+        q, r = cfg.process_noise, cfg.measurement_noise
+        boxes = np.asarray(boxes, dtype=float).reshape(-1, 4)
+        s = self.state.copy()
+        # Predict. Each column is updated after every column that reads its
+        # prior value; dims get a tiny process noise, being modeled static.
+        var, pos_vel, vel_var = s[:, _VAR], s[:, _POS_VEL], s[:, _VEL_VAR]
+        s[:, :2] += s[:, 4:6]
+        var[:, :2] += pos_vel
+        var[:, :2] += pos_vel + vel_var
+        var += [0.25 * q * q, 0.25 * q * q, 0.01 * q * q, 0.01 * q * q]
+        pos_vel += vel_var
+        vel_var += q * q
+
+        i, j, d = plan_pairs(s[:, :2], boxes[:, :2], cfg.gate_assoc)
         taken = gated_assignment(len(self.ids), i, j, d)
         rows, cols = i[taken], j[taken]
         self.last_assignment_cost = float(d[taken].sum())
 
         # Batched Kalman update; H selects the first four state components.
-        r = cfg.measurement_noise
-        cov = self.cov[rows]
-        k = cov[:, :, :4] @ np.linalg.inv(cov[:, :4, :4] + np.eye(4) * (r * r))
-        innovation = boxes[cols] - self.mean[rows, :4]
-        self.mean[rows] += (k @ innovation[:, :, None])[:, :, 0]
-        cov = (np.eye(6) - k @ _H) @ cov
-        self.cov[rows] = 0.5 * (cov + cov.transpose(0, 2, 1))
+        # As in the prediction, a column is updated after those that read it.
+        u = s[rows]
+        p, c, v = u[:, _VAR], u[:, _POS_VEL], u[:, _VEL_VAR]
+        inv_s = 1.0 / (p + r * r)
+        gain, gain_vel = p * inv_s, c * inv_s[:, :2]
+        innovation = boxes[cols] - u[:, :4]
+        u[:, :4] += gain * innovation
+        u[:, 4:6] += gain_vel * innovation[:, :2]
+        v -= gain_vel * c
+        c[:] = 0.5 * ((1.0 - gain[:, :2]) * c + (c - gain_vel * p[:, :2]))
+        p *= 1.0 - gain
+        s[rows] = u
 
         matched = np.zeros(len(self.ids), dtype=bool)
         matched[rows] = True
@@ -123,15 +146,16 @@ class Tracker2D:
         born = np.ones(len(boxes), dtype=bool)
         born[cols] = False
         n_new = int(born.sum())
+        n_live = np.count_nonzero(live)
         at = np.empty(len(boxes), dtype=np.int64)
         at[cols] = np.cumsum(live)[rows] - 1
-        at[born] = np.count_nonzero(live) + np.arange(n_new)
+        at[born] = n_live + np.arange(n_new)
         new_ids = np.arange(self.next_id, self.next_id + n_new)
         self.next_id += n_new
-        self.mean = np.concatenate([self.mean[live], np.pad(boxes[born], ((0, 0), (0, 2)))])
-        self.cov = np.concatenate(
-            [self.cov[live], np.broadcast_to(_initial_covariance(cfg), (n_new, 6, 6))]
-        )
+        initial = np.zeros(14)
+        initial[_VAR], initial[_VEL_VAR] = r * r, 100.0 * r * r
+        self.state = np.concatenate([s[live], np.broadcast_to(initial, (n_new, 14))])
+        self.state[n_live:, :4] = boxes[born]
         self.ids = np.concatenate([self.ids[live], new_ids])
         self.misses = np.concatenate([self.misses[live], np.zeros(n_new, dtype=np.int64)])
         return at
@@ -145,8 +169,9 @@ def gated_assignment(n_rows: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -
 
     Connected components of the pair graph are independent subproblems. One
     whose pairs share a single row or a single column takes its cheapest
-    pair; any other runs the shortest-augmenting-path solver on its own
-    small dense matrix."""
+    pair. One of two rows and two columns takes the solver's choice in closed
+    form (`_two_by_two_crossed`); any other runs the shortest-augmenting-path
+    solver on its own small dense matrix."""
     if not len(i):
         return np.empty(0, dtype=np.int64)
     n_nodes = n_rows + int(j.max()) + 1
@@ -172,10 +197,19 @@ def gated_assignment(n_rows: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -
             local.append(rank - np.repeat(base, sizes))
         n_r = np.maximum.reduceat(local[0], first) + 1
         n_c = np.maximum.reduceat(local[1], first) + 1
+        small = (n_r == 2) & (n_c == 2)
+        if small.any():
+            pick = np.repeat(small, sizes)
+            row_l, col_l, k_s = local[0][pick], local[1][pick], order[pick]
+            cost = np.full((int(small.sum()), 4), GATE_COST)
+            cost[np.repeat(np.arange(len(cost)), sizes[small]), 2 * row_l + col_l] = d[k_s]
+            crossed = np.repeat(_two_by_two_crossed(*cost.T), sizes[small])
+            taken += k_s[(row_l == col_l) != crossed].tolist()
+        rest = np.flatnonzero(~small)
         row_l, col_l = local[0].tolist(), local[1].tolist()
         d_l, k_l = d[order].tolist(), order.tolist()
-        for s, e, nr, nc in zip(first.tolist(), (first + sizes).tolist(),
-                                n_r.tolist(), n_c.tolist()):
+        for s, e, nr, nc in zip(first[rest].tolist(), (first + sizes)[rest].tolist(),
+                                n_r[rest].tolist(), n_c[rest].tolist()):
             a_l, b_l = (col_l, row_l) if nr > nc else (row_l, col_l)
             nr, nc = min(nr, nc), max(nr, nc)
             cost = [[GATE_COST] * nc for _ in range(nr)]
@@ -188,6 +222,15 @@ def gated_assignment(n_rows: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -
                     taken.append(pair[a][b])
     taken = np.array(taken, dtype=np.int64)
     return taken[np.argsort(i[taken], kind="stable")]
+
+
+def _two_by_two_crossed(a, b, c, e):
+    """Whether `_shortest_augmenting_paths` on the 2x2 matrices [[a, b], [c,
+    e]] (arrays, GATE_COST where no pair) assigns the anti-diagonal: the
+    comparisons and sums, in its order, that it makes on two rows. Row 0
+    takes its cheaper column, column 0 on a tie; row 1 then takes the other
+    column unless the path through row 0 is strictly shorter."""
+    return np.where(a <= b, (c < e) & ((c + b) - a < e), ~((c > e) & ((e + a) - b < c)))
 
 
 def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:

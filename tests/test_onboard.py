@@ -19,6 +19,7 @@ from roadeye.onboard import (
     gps_to_pixel,
     local_en_offset,
     offset_geodetic,
+    _rect_corners,
     reconstruct_frame,
     render_svg,
 )
@@ -241,6 +242,72 @@ def test_emit_shape_count(tmp_path):
 
 def test_emit_matches_golden():
     assert render_svg(_fixed_frame()).encode() == GOLDEN.read_bytes()
+
+
+
+_FILL = {IconKind.EGO: "#e8821e", IconKind.VEHICLE: "#2e6fd8", IconKind.PEDESTRIAN: "#3aa655"}
+
+
+def _per_icon_svg(frame):
+    """The document with one str.format call per icon: the reference for
+    render_svg's single pass."""
+    w, h = frame.size
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w:.0f}" height="{h:.0f}" '
+        f'viewBox="0 0 {w:.0f} {h:.0f}">',
+        f'<rect x="0" y="0" width="{w:.0f}" height="{h:.0f}" fill="#1b1f23"/>',
+    ]
+    icons = frame.icons.view(np.ndarray)
+    u, v = icons["px"].T
+    radius = icons["dims_m"].max(axis=1) / 2.0 * 8.0
+    rows = np.column_stack([_rect_corners(icons), u, v, radius, v - 8.0]).tolist()
+    for icon, row in zip(frame.icons, rows):
+        if icon.kind == IconKind.PEDESTRIAN:
+            text = '<circle cx="{8:.2f}" cy="{9:.2f}" r="{10:.2f}" '
+        else:
+            text = ('<polygon points="{0:.2f},{1:.2f} {2:.2f},{3:.2f} {4:.2f},{5:.2f} '
+                    '{6:.2f},{7:.2f}" ')
+        text += f'fill="{_FILL[icon.kind]}"/>'
+        if icon.id >= 0:
+            text += ('\n<text x="{8:.2f}" y="{11:.2f}" fill="#e6e6e6" font-size="11" '
+                     'text-anchor="middle">{12}</text>')
+        lines.append(text.format(*row, int(icon.id)))
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+_EGO = (IconKind.EGO, (400.0, 420.0), 0.0, (1.9, 4.6), -1)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [_EGO],
+    [_EGO, (IconKind.VEHICLE, (300.0, 350.0), 33.3, (2.0, 4.5), -1)],
+    [_EGO, (IconKind.VEHICLE, (300.0, 350.0), 33.3, (2.0, 4.5), 0)],
+    [_EGO, (IconKind.PEDESTRIAN, (500.0, 300.0), 180.0, (0.6, 0.7), -1)],
+    [_EGO, (IconKind.PEDESTRIAN, (500.0, 300.0), 180.0, (0.6, 0.7), 2**31 - 1)],
+    [(IconKind.EGO, (-0.001, 1e4), 359.9, (1.9, 4.6), 5),
+     (IconKind.VEHICLE, (-250.0, -0.004), 270.0, (2.6, 12.0), 7),
+     (IconKind.PEDESTRIAN, (812.5, -3.0), 0.0, (0.6, 0.6), -1)],
+], ids=["empty", "ego", "vehicle", "vehicle-labelled", "pedestrian", "pedestrian-labelled",
+        "off-screen"])
+def test_render_matches_per_icon_formatting(rows):
+    frame = RenderFrame(icons=_icons(*rows), size=(800.0, 600.0))
+    assert render_svg(frame) == _per_icon_svg(frame)
+
+
+def test_render_matches_per_icon_formatting_on_random_frames(rng):
+    for n in (1, 2, 7, 190):
+        icons = np.zeros(n, ICON)
+        icons["kind"] = rng.integers(1, 3, n)
+        icons["kind"][0] = IconKind.EGO
+        icons["px"] = rng.uniform(-100.0, 900.0, (n, 2))
+        icons["heading_deg"] = rng.uniform(0.0, 360.0, n)
+        icons["dims_m"] = rng.uniform(0.3, 12.0, (n, 2))
+        icons["id"] = np.where(rng.random(n) < 0.3, -1, rng.integers(0, 2**31, n))
+        frame = RenderFrame(icons=icons.view(np.recarray))
+        assert render_svg(frame) == _per_icon_svg(frame)
 
 
 def test_render_frame_rejects_two_egos():

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from roadeye.detect import CLASSES, DetectorNoise, detect_oracle
-from roadeye.geometry import ObjectClass
 from roadeye.scene import AgentSpec, ScenarioConfig, step_scenario
+from roadeye.geometry import ObjectClass, plan_pairs
 from roadeye.track import (
     GATE_COST,
     Tracker2D,
     TrackerConfig,
+    _shortest_augmenting_paths,
     gated_assignment,
     project_to_2d,
     track_frame,
@@ -153,9 +154,51 @@ def test_gated_assignment_of_random_gated_matrices_matches_scipy(rng):
         dist = rng.uniform(0.0, rng.choice([6.0, 20.0, 60.0]), (n, m))
         ours, scipy_pairs = _gated_pairs(dist, 3.0)
         assert ours == scipy_pairs
+    # Costs on a 0.5 m grid tie everywhere. Components are solved one by one,
+    # so among equal-cost assignments the pairs may differ from scipy's over
+    # the whole matrix; the count and the (exact) summed cost may not.
+    for _ in range(200):
+        n, m = rng.integers(1, 25, 2)
+        dist = rng.choice(np.arange(0.0, rng.choice([6.5, 20.0]), 0.5), (n, m))
+        ours, scipy_pairs = _gated_pairs(dist, 3.0)
+        assert len(ours) == len(scipy_pairs)
+        assert sum(dist[p] for p in ours) == sum(dist[p] for p in scipy_pairs)
     # One component with every pair in the gate.
     ours, scipy_pairs = _gated_pairs(rng.uniform(0.0, 3.0, (40, 40)), 3.0)
     assert ours == scipy_pairs and len(ours) == 40
+
+
+def _two_by_two_costs(rng):
+    """(k, 4) costs a, b, c, e of 2x2 components, NaN where no pair: every
+    one with 3 or 4 pairs on a 0.5 m grid inside a 3 m gate, then random ones
+    whose costs lie on that grid or one ulp either side of it."""
+    grid = np.arange(0.0, 3.5, 0.5)
+    full = np.array(list(itertools.product(grid, repeat=4)))
+    costs = [full] + [np.insert(full[::7, :3], gap, np.nan, axis=1) for gap in range(4)]
+    near = np.concatenate([np.nextafter(grid, -1.0), grid, np.nextafter(grid, 4.0)])
+    near = rng.choice(near[near <= 3.0], (20000, 4))
+    near[rng.random(20000) < 0.2, rng.integers(0, 4)] = np.nan
+    return np.concatenate(costs + [near])
+
+
+def test_two_by_two_components_take_the_solvers_pairs(rng):
+    from scipy.optimize import linear_sum_assignment
+
+    costs = _two_by_two_costs(rng)
+    # Component k holds rows 2k, 2k + 1 and columns 2k, 2k + 1.
+    k, at = np.nonzero(~np.isnan(costs))
+    i, j = 2 * k + at // 2, 2 * k + at % 2
+    taken = gated_assignment(2 * len(costs), i, j, costs[k, at])
+    ours = {}
+    for r, c in zip(i[taken].tolist(), j[taken].tolist()):
+        ours.setdefault(r // 2, []).append((r % 2, c % 2))
+    for n, cost in enumerate(costs):
+        dense = np.where(np.isnan(cost), GATE_COST, cost).reshape(2, 2)
+        solver = list(enumerate(_shortest_augmenting_paths(dense.tolist())))
+        scipy_pairs = list(zip(*(x.tolist() for x in linear_sum_assignment(dense))))
+        expected = [(r, c) for r, c in solver if dense[r, c] < GATE_COST]
+        assert ours.get(n, []) == expected, cost
+        assert [(r, c) for r, c in scipy_pairs if dense[r, c] < GATE_COST] == expected, cost
 
 
 def test_gated_assignment_prefers_more_matches_over_cheaper_ones():
@@ -288,6 +331,88 @@ def test_tracks_snapshots_follow_the_arrays():
         assert tr.mean.tolist() == mean.tolist() and tr.cov.tolist() == cov.tolist()
     snaps[0].mean[0] = 99.0  # snapshots are copies
     assert tracker.mean[0, 0] != 99.0
+
+
+
+class _MatrixTracker:
+    """The Kalman step over stacked 6x6 matrices: F P F^T + Q, K from
+    np.linalg.inv(S), (I - K H) P, then symmetrised; the reference for the
+    column state. Association and lifecycle as in Tracker2D."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.mean, self.cov = np.empty((0, 6)), np.empty((0, 6, 6))
+        self.ids, self.misses = np.empty(0, np.int64), np.empty(0, np.int64)
+        self.next_id = 0
+
+    def associate(self, boxes):
+        cfg = self.cfg
+        q, r = cfg.process_noise, cfg.measurement_noise
+        f, h = np.eye(6), np.eye(4, 6)
+        f[0, 4] = f[1, 5] = 1.0
+        noise = np.diag([0.25 * q * q] * 2 + [0.01 * q * q] * 2 + [q * q] * 2)
+        self.mean = self.mean @ f.T
+        self.cov = f @ self.cov @ f.T + noise
+        i, j, d = plan_pairs(self.mean[:, :2], boxes[:, :2], cfg.gate_assoc)
+        taken = gated_assignment(len(self.ids), i, j, d)
+        rows, cols = i[taken], j[taken]
+        cov = self.cov[rows]
+        k = cov[:, :, :4] @ np.linalg.inv(cov[:, :4, :4] + np.eye(4) * (r * r))
+        innovation = boxes[cols] - self.mean[rows, :4]
+        self.mean[rows] += (k @ innovation[:, :, None])[:, :, 0]
+        cov = (np.eye(6) - k @ h) @ cov
+        self.cov[rows] = 0.5 * (cov + cov.transpose(0, 2, 1))
+        matched = np.zeros(len(self.ids), dtype=bool)
+        matched[rows] = True
+        self.misses = np.where(matched, 0, self.misses + 1)
+        live = self.misses < cfg.max_age
+        born = np.ones(len(boxes), dtype=bool)
+        born[cols] = False
+        n_new = int(born.sum())
+        initial = np.diag([r * r] * 4 + [100.0 * r * r] * 2)
+        self.mean = np.concatenate([self.mean[live], np.pad(boxes[born], ((0, 0), (0, 2)))])
+        self.cov = np.concatenate([self.cov[live], np.broadcast_to(initial, (n_new, 6, 6))])
+        self.ids = np.concatenate([self.ids[live], np.arange(self.next_id, self.next_id + n_new)])
+        self.misses = np.concatenate([self.misses[live], np.zeros(n_new, dtype=np.int64)])
+        self.next_id += n_new
+
+
+def _crowd_boxes(rng, steps):
+    """Per step, (n, 4) boxes of a seeded crowd: agents moving in 2 m of one
+    another, each seen with probability 0.8, some leaving for good and new
+    ones arriving, plus a few clutter boxes."""
+    pos = rng.uniform(-20.0, 20.0, (60, 2))
+    vel = rng.normal(0.0, 0.6, (60, 2))
+    dims = rng.uniform([0.5, 0.5], [2.6, 12.0], (60, 2))
+    alive = rng.random(60) < 0.6
+    for _ in range(steps):
+        pos += vel + rng.normal(0.0, 0.1, pos.shape)
+        alive ^= rng.random(60) < 0.05  # departures and arrivals
+        seen = alive & (rng.random(60) < 0.8)
+        clutter = np.column_stack([rng.uniform(-25.0, 25.0, (3, 2)), rng.uniform(0.5, 3.0, (3, 2))])
+        yield rng.permutation(np.concatenate([np.column_stack([pos, dims])[seen], clutter]))
+
+
+@pytest.mark.parametrize("gate", [0.7, 3.0, 8.0], ids=["tight", "default", "wide"])
+def test_column_state_matches_the_6x6_filter_bit_for_bit(rng, gate):
+    cfg = TrackerConfig(gate_assoc=gate, max_age=3)
+    tracker, reference = Tracker2D(cfg), _MatrixTracker(cfg)
+    births = deaths = misses = 0
+    for boxes in _crowd_boxes(rng, 60):
+        held = tracker.mean, tracker.cov, tracker.tracks
+        copies = [a.copy() for a in held]
+        before = set(tracker.ids.tolist())
+        tracker.associate(boxes)
+        reference.associate(boxes)
+        for a, b in ((tracker.mean, reference.mean), (tracker.cov, reference.cov),
+                     (tracker.ids, reference.ids), (tracker.misses, reference.misses)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        for a, b in zip(held, copies):  # what was read before the step stays as it was
+            assert a.tobytes() == b.tobytes()
+        after = set(tracker.ids.tolist())
+        births, deaths = births + len(after - before), deaths + len(before - after)
+        misses += int((tracker.misses > 0).sum())
+    assert births > 60 and deaths > 10 and misses > 30
 
 
 # --- full per-frame step ----------------------------------------------------
