@@ -218,6 +218,8 @@ def load_gcp_file(path) -> list[GcpCorrespondence]:
                     f"got {len(fields)}"
                 )
             vals = [float(v) for v in fields]
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError(f"{path}:{lineno}: fields must be finite, got {text!r}")
             gcps.append(
                 GcpCorrespondence(
                     lidar_point=np.array(vals[:3]),

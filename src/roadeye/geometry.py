@@ -132,14 +132,20 @@ class RigidTransform:
         m = self.matrix
         if m.shape != (4, 4):
             raise NonRigidTransformError(f"expected 4x4 matrix, got shape {m.shape}")
-        # `<=` is false for NaN, so a NaN entry fails these checks.
+        # `<=` is false for NaN, so a NaN in the bottom row fails its check.
         if not (np.abs(m[3] - _BOTTOM_ROW) <= RIGID_TOL).all():
             raise NonRigidTransformError("bottom row must be [0, 0, 0, 1]")
+        finite = np.isfinite(m[:3]).all()
         r = m[:3, :3]
-        if not (np.abs(r.T @ r - _IDENTITY3) <= RIGID_TOL).all():
+        # A non-finite rotation entry would make r.T @ r warn; it is refused first.
+        if not (finite or np.isfinite(r).all()) or not (
+            np.abs(r.T @ r - _IDENTITY3) <= RIGID_TOL
+        ).all():
             raise NonRigidTransformError("rotation block is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > RIGID_TOL:
             raise NonRigidTransformError("rotation block determinant is not +1 within 1e-9")
+        if not finite:
+            raise NonRigidTransformError("translation must be finite")
 
     @classmethod
     def from_rotation_translation(cls, rotation: np.ndarray, translation) -> "RigidTransform":

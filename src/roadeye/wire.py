@@ -72,26 +72,37 @@ def _is_float(v) -> bool:
     return _is_number(v) and not (isinstance(v, int) and abs(v) > sys.float_info.max)
 
 
+# Per float column, the least magnitude whose cast into it overflows to
+# infinity: float32's largest value is 2**128 - 2**104, and a float64 half an
+# ulp past it or more rounds up.
+_OVERFLOW = {n: 2.0**128 - 2.0**103 if RECORD[n] == np.float32 else math.inf
+             for n in RECORD.names if RECORD[n].kind == "f"}
+
+
 def _numbers(rows, name: str) -> np.ndarray | bool:
     """Per row, whether its `name` is a number RECORD's column takes, judged
-    on the value as given, before a cast could parse, truncate or wrap it:
-    an integer that fits the column for `id` and `cls`, any number a float
-    holds for the rest. An array column is judged by its dtype, and by its
-    values only where RECORD's integer column cannot hold every value of
-    that dtype."""
+    on the value as given, before a cast could parse, truncate, wrap or
+    overflow it: an integer that fits the column for `id` and `cls`, any
+    number a float holds for the rest, short of `_OVERFLOW`, or not finite.
+    An array column is judged by its dtype, and by its values only where
+    RECORD's column cannot hold every value of that dtype."""
     column = RECORD[name]
     integer = column.kind in "iu"
     if isinstance(rows, np.ndarray):
         dtype = rows.dtype[name]
         if dtype.kind not in ("iu" if integer else "iuf"):
             return False
-        if not integer or np.can_cast(dtype, column):
+        if np.can_cast(dtype, column):
             return True
+        if not integer:
+            size = np.abs(rows[name])
+            return ~((size >= _OVERFLOW[name]) & (size < math.inf))
         info = np.iinfo(column)
         return (rows[name] >= info.min) & (rows[name] <= info.max)
     values = [r[RECORD.names.index(name)] for r in rows]
     if not integer:
-        return np.array([_is_float(v) for v in values], bool)
+        return np.array([_is_float(v) and not _OVERFLOW[name] <= abs(float(v)) < math.inf
+                         for v in values], bool)
     info = np.iinfo(column)
     return np.array([_is_number(v) and isinstance(v, (int, np.integer))
                      and info.min <= v <= info.max for v in values], bool)
@@ -100,7 +111,7 @@ def _numbers(rows, name: str) -> np.ndarray | bool:
 _NUMBERS = tuple(
     (lambda r, n=n: _numbers(r, n),
      f"{n} {{{n}!r}} is not "
-     + {"id": "an i32 integer", "cls": "a u8 integer"}.get(n, "a number a float holds"))
+     + {"id": "an i32 integer", "cls": "a u8 integer"}.get(n, f"a number a {RECORD[n].name} holds"))
     for n in RECORD.names
 )
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,19 @@ def test_gcp_file_bad_field_count(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1 2 3 4 5\n")
     with pytest.raises(ValueError, match="line|:1"):
+        load_gcp_file(path)
+
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN", "Infinity"])
+@pytest.mark.parametrize("column", [0, 5])
+def test_gcp_file_non_finite_field_names_the_line(tmp_path, field, column):
+    values = ["4.0", "5.0", "6.0", "6378140.0", "30.0", "40.0"]
+    values[column] = field
+    path = tmp_path / "gcps.txt"
+    path.write_text("# lidar x y z, ecef X Y Z\n1.0 2.0 3.0 6378137.0 10.0 20.0\n"
+                    + " ".join(values) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:3: fields must be finite"):
         load_gcp_file(path)
 
 

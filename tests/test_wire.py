@@ -177,6 +177,9 @@ def test_integer_fields_take_integer_types_only():
     ("w", None), ("t", [1.5]),
     pytest.param("lat", 2**2000, id="lat-int-past-float"),
     pytest.param("theta", -(2**2000), id="theta-int-past-float"),
+    pytest.param("w", 1e300, id="w-past-float32"),
+    pytest.param("l", np.float64(-3.5e38), id="l-past-float32"),
+    pytest.param("h", 10**39, id="h-int-past-float32"),
 ])
 def test_float_fields_refuse_what_is_not_a_number(field, value):
     # A bare cast into RECORD would parse the string or take the bool as 1,
@@ -187,6 +190,28 @@ def test_float_fields_refuse_what_is_not_a_number(field, value):
     msgs = [_msg(), _msg()._replace(**{field: value})]  # record 1 skips construction
     with pytest.raises(WireFormatError, match=f"record 1: {reason}"):
         encode_frame(msgs, _stamps())
+
+
+
+def test_float32_fields_refuse_a_finite_value_the_cast_would_overflow():
+    # float32's largest value is 2**128 - 2**104; from half an ulp past it,
+    # the cast rounds to infinity and numpy warns. Judged before the cast.
+    overflow = 2.0**128 - 2.0**103
+    rows = np.array([_msg(), _msg()], RECORD)
+    wide = rows.astype([(n, "<f8" if n in ("w", "theta") else RECORD[n]) for n in RECORD.names])
+    for field, value in (("theta", -overflow), ("w", overflow), ("w", 1e300)):
+        bad = wide.copy()
+        bad[field][1] = value
+        with pytest.raises(WireFormatError, match=f"record 1: {field} .* not a number a float32"):
+            encode_frame(bad, _stamps())
+    # One ulp short of it rounds to the largest float32, and infinity casts
+    # without overflow; the record rules judge both.
+    wide["w"][1] = np.nextafter(overflow, 0.0)
+    assert decode_frame(encode_frame(wide, _stamps())).messages[1].w == np.finfo(np.float32).max
+    wide["w"][1] = np.inf
+    with pytest.raises(WireFormatError, match="record 1: dims must be positive and finite"):
+        encode_frame(wide, _stamps())
+    assert _msg(w=np.nextafter(overflow, 0.0)).w == np.finfo(np.float32).max
 
 
 def test_float_fields_take_any_number():
