@@ -211,7 +211,6 @@ def test_gcp_file_bad_field_count(tmp_path):
         load_gcp_file(path)
 
 
-
 @pytest.mark.parametrize("field", ["nan", "inf", "-inf", "NaN", "Infinity"])
 @pytest.mark.parametrize("column", [0, 5])
 def test_gcp_file_non_finite_field_names_the_line(tmp_path, field, column):

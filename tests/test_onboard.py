@@ -244,7 +244,6 @@ def test_emit_matches_golden():
     assert render_svg(_fixed_frame()).encode() == GOLDEN.read_bytes()
 
 
-
 _FILL = {IconKind.EGO: "#e8821e", IconKind.VEHICLE: "#2e6fd8", IconKind.PEDESTRIAN: "#3aa655"}
 
 

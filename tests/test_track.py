@@ -333,7 +333,6 @@ def test_tracks_snapshots_follow_the_arrays():
     assert tracker.mean[0, 0] != 99.0
 
 
-
 class _MatrixTracker:
     """The Kalman step over stacked 6x6 matrices: F P F^T + Q, K from
     np.linalg.inv(S), (I - K H) P, then symmetrised; the reference for the

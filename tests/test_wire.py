@@ -192,7 +192,6 @@ def test_float_fields_refuse_what_is_not_a_number(field, value):
         encode_frame(msgs, _stamps())
 
 
-
 def test_float32_fields_refuse_a_finite_value_the_cast_would_overflow():
     # float32's largest value is 2**128 - 2**104; from half an ulp past it,
     # the cast rounds to infinity and numpy warns. Judged before the cast.
