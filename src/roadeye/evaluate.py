@@ -2,8 +2,9 @@
 
 Detections match ground truth greedily by ascending plan-view center
 distance; precision, recall, and miss all use integer counts so a perfect
-run reports exactly 1.0. Latency aggregates phase durations from per-frame
-stamps taken on one clock.
+run reports exactly 1.0. Latency sums each frame's timed stages into the
+three phases `roadeye bench` reports: the pre-processor, the edge
+perception chain and the onboard decode, reconstruct and render.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import OrientedBox3D, plan_pairs
-from .wire import PhaseStamps
 
 DEFAULT_MATCH_THRESHOLD = 2.0  # m, plan-view center distance
 
@@ -121,56 +121,45 @@ def format_metric_report(c: ConfusionCounts, report: MetricReport) -> str:
     )
 
 
-def _ms(durations_s: list[float]) -> tuple[float, float]:
+# The stages each phase of `roadeye bench` sums: the paper's pre-processor,
+# the edge perception chain, and the onboard side (decode, reconstruct and
+# render, with no relay hop between).
+PHASE_STAGES = {
+    "phase1": ("preprocess",),
+    "phase2": ("detection", "tracking", "geolocalization", "encoding"),
+    "phase3": ("onboard",),
+}
+STAGES = tuple(name for names in PHASE_STAGES.values() for name in names)
+
+
+def _ms(durations_s) -> tuple[float, float]:
     """Median and p95 in milliseconds."""
     arr = np.asarray(durations_s) * 1000.0
     return float(np.median(arr)), float(np.percentile(arr, 95))
 
 
-def latency_report(
-    stamps: list[PhaseStamps],
-    stage_seconds: dict[str, list[float]] | None = None,
-) -> dict:
-    """Aggregate per-frame phase durations, all stamps on one clock.
+def latency_report(stage_seconds: dict[str, list[float]], wall_seconds: float) -> dict:
+    """Aggregate per-frame stage wall times into the bench report.
 
-    Phase 1 spans sensor to edge ingest, phase 2 the edge processing, and
-    phase 3 edge egress to onboard display. `stage_seconds` maps a stage
-    name to its per-frame wall seconds. Returns the flat dict `roadeye
-    bench --json` writes: median and p95 milliseconds per phase and per
-    stage with samples, throughput and the frame count.
+    `stage_seconds` maps each stage of PHASE_STAGES to its wall seconds, one
+    per timed frame; `wall_seconds` is the wall time of the whole timed loop.
+    Each phase is, frame by frame, the sum of its stages, and the total the
+    sum of the phases. Returns the flat dict `roadeye bench --json` writes:
+    median and p95 milliseconds per phase, throughput, then per stage.
     """
-    if not stamps:
-        raise ValueError("no stamped frames to report on")
-    p1, p2, p3, tot = [], [], [], []
-    for k, s in enumerate(stamps):
-        if s.t_sensor is None or s.t_edge_in is None or s.t_edge_out is None:
-            raise ValueError(f"frame {k} is missing edge-side stamps")
-        d1 = s.t_edge_in - s.t_sensor
-        d2 = s.t_edge_out - s.t_edge_in
-        if d1 < 0 or d2 < 0:
-            raise ValueError(f"frame {k} stamps decrease within the edge clock domain")
-        p1.append(d1)
-        p2.append(d2)
-        if s.t_onboard is not None:
-            d3 = s.t_onboard - s.t_edge_out
-            if d3 < 0:
-                raise ValueError(f"frame {k} onboard stamp precedes edge-out")
-            p3.append(d3)
-            tot.append(s.t_onboard - s.t_sensor)
-        else:
-            tot.append(s.t_edge_out - s.t_sensor)
-    sensors = [s.t_sensor for s in stamps]
-    span = max(sensors) - min(sensors)
-
-    phases = {"phase1": _ms(p1), "phase2": _ms(p2),
-              "phase3": _ms(p3) if p3 else (0.0, 0.0), "total": _ms(tot)}
-    report = {"frames": len(stamps)}
+    frames = len(stage_seconds.get("preprocess", ()))
+    if not frames:
+        raise ValueError("no timed frames to report on")
+    per_frame = {phase: sum(np.asarray(stage_seconds[name], dtype=float) for name in names)
+                 for phase, names in PHASE_STAGES.items()}
+    per_frame["total"] = sum(per_frame.values())
+    phases = {name: _ms(seconds) for name, seconds in per_frame.items()}
+    report = {"frames": frames}
     report.update((f"{name}_ms", med) for name, (med, _) in phases.items())
     report.update((f"{name}_p95_ms", p95) for name, (_, p95) in phases.items())
-    report["throughput_hz"] = (len(stamps) - 1) / span if len(stamps) > 1 and span > 0 else 0.0
-    for name, durations in (stage_seconds or {}).items():
-        if durations:
-            report[f"stage_{name}_ms"], report[f"stage_{name}_p95_ms"] = _ms(durations)
+    report["throughput_hz"] = frames / wall_seconds
+    for name in STAGES:
+        report[f"stage_{name}_ms"], report[f"stage_{name}_p95_ms"] = _ms(stage_seconds[name])
     return report
 
 
@@ -182,9 +171,6 @@ def format_latency_report(report: dict) -> str:
     for label, key in (("phase 1 (sensor side):", "phase1"), ("phase 2 (edge-server side):", "phase2"),
                        ("phase 3 (cloud/onboard side):", "phase3"), ("total:", "total")):
         lines.append(row(f"{label:<30}", key))
-    stages = [key[len("stage_"):-len("_p95_ms")] for key in report
-              if key.startswith("stage_") and key.endswith("_p95_ms")]
-    if stages:
-        lines.append("phase 2 breakdown:")
-        lines.extend(row(f"  {name:<16} ", f"stage_{name}") for name in stages)
+    lines.append("stages:")
+    lines.extend(row(f"  {name:<16} ", f"stage_{name}") for name in STAGES)
     return "\n".join(lines) + "\n"

@@ -2,8 +2,9 @@
 
 One EdgePipeline instance owns the tracker state and the calibration for a
 frame stream, and keeps nothing else per frame: each FrameResult carries its
-own phase stamps and stage wall-times. Phase stamps default to the simulated
-frame clock so a given input and seed always encode to identical bytes.
+encoded bytes and stage wall-times. The phase stamps the bytes carry default
+to the simulated frame clock so a given input and seed always encode to
+identical bytes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class PipelineStageError(RuntimeError):
 @dataclass
 class FrameResult:
     encoded: bytes
-    stamps: PhaseStamps
     stage_seconds: dict[str, float]  # wall seconds this frame spent per stage
 
 
@@ -119,7 +119,7 @@ class EdgePipeline:
         stamps = PhaseStamps(t_sensor=t_in, t_edge_in=t_in, t_edge_out=self._now(frame.t))
         encoded = _timed(seconds, "encoding", encode_frame, records, stamps, frame.t)
         self.frame_index += 1
-        return FrameResult(encoded=encoded, stamps=stamps, stage_seconds=seconds)
+        return FrameResult(encoded=encoded, stage_seconds=seconds)
 
     def _truth_in_h(self, gt_agents: list[AgentState]) -> np.recarray:
         """The agents' boxes in H-Coor, where the oracle's geofence and output live."""

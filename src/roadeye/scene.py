@@ -314,8 +314,6 @@ def _read_container(path, magic: bytes, dtype: np.dtype) -> list[tuple[float, np
         off += _FRAME_HEADER.size
         if not math.isfinite(t):
             raise FrameFormatError(f"frame {k} timestamp {t} is not finite")
-        if frames and t < frames[-1][0]:
-            raise FrameFormatError(f"frame {k} timestamp decreases ({frames[-1][0]} -> {t})")
         _need(buf, off, n * dtype.itemsize, f"frame {k} records")
         frames.append((t, np.frombuffer(buf, dtype=dtype, count=n, offset=off)))
         off += n * dtype.itemsize
@@ -326,7 +324,8 @@ def _read_container(path, magic: bytes, dtype: np.dtype) -> list[tuple[float, np
 
 def kept_frames(frames) -> list[int]:
     """Indices of the frames (each with a `.t`) a run keeps: each one later
-    than the last kept frame, so the first of a repeated time is kept."""
+    than the last kept frame, so the first of a repeated time is kept and a
+    frame whose time goes back is dropped."""
     kept = []
     for k, fr in enumerate(frames):
         if not kept or fr.t > frames[kept[-1]].t:

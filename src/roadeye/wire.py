@@ -148,7 +148,7 @@ class PerceptionMessage(namedtuple("PerceptionMessage", RECORD.names)):
     __slots__ = ()
 
     def __new__(_cls, t, id, lat, lon, alt, w, l, h, theta, cls=0):
-        if _is_float(theta):  # the gate refuses anything else as given
+        if _is_float(theta) and math.isfinite(theta):  # the gate refuses anything else as given
             theta = quantize_heading(theta)[()]
         rec = to_records([(t, id, lat, lon, alt, w, l, h, theta, cls)])
         return _cls._make(rec.item())

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import socket
+import struct
 import subprocess
 import sys
 import time
@@ -570,6 +571,45 @@ def test_eval_scores_a_run_that_skipped_a_repeated_frame(tmp_path, capsys):
     assert "result frame 0 is at t=0.0 but its ground truth at t=0.05" in capsys.readouterr().err
 
 
+def _patch_frame_time(path, k, t, record_bytes):
+    """Set frame k's time in the bytes of a frame or ground-truth file."""
+    data = bytearray(path.read_bytes())
+    off = 8  # the file header: magic, frame count
+    for _ in range(k):
+        off += 12 + record_bytes * struct.unpack_from("<dI", data, off)[1]
+    struct.pack_into("<d", data, off, t)
+    path.write_bytes(bytes(data))
+
+
+def test_perceive_and_eval_skip_a_frame_whose_time_goes_back(tmp_path, capsys):
+    from roadeye.scene import write_frames, write_ground_truth
+
+    cfg = _write_cfg(tmp_path)
+    frames = tmp_path / "f.bin"
+    main(["--config", str(cfg), "simulate", "--out", str(frames)])
+    fr, gt = read_frames(frames), read_ground_truth(str(frames) + ".gt")
+    assert [f.t for f in fr[4:6]] == [0.4, 0.5]
+    _patch_frame_time(frames, 5, 0.35, 16)
+    _patch_frame_time(tmp_path / "f.bin.gt", 5, 0.35, 69)
+    dropped = tmp_path / "dropped.bin"
+    write_frames(fr[:5] + fr[6:], dropped)
+    write_ground_truth(gt[:5] + gt[6:], str(dropped) + ".gt")
+    runs = []
+    for src in (frames, dropped):
+        out, report = tmp_path / f"{src.stem}.out", tmp_path / f"{src.stem}.json"
+        capsys.readouterr()
+        assert main(["--config", str(cfg), "perceive", "--frames", str(src),
+                     "--gt", str(src) + ".gt", "--out", str(out)]) == 0
+        skipped = 1 if src == frames else 0
+        assert (f"perceived 9 frames, skipped {skipped} not later than the last kept frame"
+                in capsys.readouterr().err)
+        assert main(["--config", str(cfg), "eval", "--gt", str(src) + ".gt",
+                     "--results", str(out), "--json", str(report)]) == 0
+        runs.append((out.read_bytes(), json.loads(report.read_text())["counts"]))
+    assert runs[1] == runs[0]
+    assert runs[0][1]["ground_truth"] == sum(len(g.agents) for g in gt[:5] + gt[6:])
+
+
 def test_eval_detections_carry_each_record_class_and_id(tmp_path):
     from roadeye.cli import _messages_to_world_detections
     from roadeye.evaluate import match_detections
@@ -785,12 +825,15 @@ def test_bench_times_no_set_up(tmp_path, monkeypatch):
     assert data["stage_preprocess_p95_ms"] < 100.0
     assert data["phase2_p95_ms"] < 100.0
     assert data["frames"] == 5  # frame 0 runs once, untimed
+    # Phase 1 is the timed pre-processor, phase 3 the timed onboard side.
+    assert data["phase1_ms"] == data["stage_preprocess_ms"]
+    assert data["phase3_ms"] == data["stage_onboard_ms"] > 0
 
 
 def test_bench_json_keys_pinned(tmp_path):
     report = tmp_path / "bench.json"
     assert main(["bench", "--frames", "3", "--points", "2000", "--json", str(report)]) == 0
-    stages = ("preprocess", "detection", "tracking", "geolocalization", "encoding")
+    stages = ("preprocess", "detection", "tracking", "geolocalization", "encoding", "onboard")
     assert list(json.loads(report.read_text())) == [
         "frames", "phase1_ms", "phase2_ms", "phase3_ms", "total_ms",
         "phase1_p95_ms", "phase2_p95_ms", "phase3_p95_ms", "total_p95_ms", "throughput_hz",

@@ -16,6 +16,7 @@ from roadeye.scene import (
     PointCloudFrame,
     ScenarioConfig,
     VEHICLE_DIM_RANGE,
+    kept_frames,
     read_frames,
     read_ground_truth,
     sample_box_surface,
@@ -324,8 +325,10 @@ def test_ground_truth_roundtrip(tmp_path):
 
 
 def test_ground_truth_decreasing_timestamps_rejected(tmp_path):
+    # The writer refuses a time that goes back; the reader passes it on, and
+    # `kept_frames` drops that frame.
     cfg = _single_vehicle_config()
-    gt = [GroundTruthFrame(t=float(t), agents=step_scenario(cfg, float(t))) for t in (0.0, 1.0)]
+    gt = [GroundTruthFrame(t=float(t), agents=step_scenario(cfg, float(t))) for t in (0.0, 1.0, 2.0)]
     with pytest.raises(ValueError, match="decrease"):
         write_ground_truth(gt[::-1], tmp_path / "bad.gt")
     path = tmp_path / "gt.bin"
@@ -335,8 +338,9 @@ def test_ground_truth_decreasing_timestamps_rejected(tmp_path):
     # header and its 69-byte agent records.
     struct.pack_into("<d", data, 8 + 12 + 69 * len(gt[0].agents), -1.0)
     path.write_bytes(bytes(data))
-    with pytest.raises(FrameFormatError, match="frame 1 timestamp decreases"):
-        read_ground_truth(path)
+    back = read_ground_truth(path)
+    assert [g.t for g in back] == [0.0, -1.0, 2.0]
+    assert kept_frames(back) == [0, 2]
 
 
 def test_ground_truth_non_finite_time_rejected(tmp_path):

@@ -324,6 +324,15 @@ def test_message_invariant_validation():
     assert m.theta == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+def test_message_refuses_a_non_finite_heading_as_given(theta):
+    # Wrapping inf into [0, 360) gives NaN and a numpy warning; the gate
+    # judges the heading as given instead.
+    with pytest.raises(WireFormatError, match=f"theta {theta} outside"):
+        _msg(theta=theta)
+
+
 def test_message_f32_quantization():
     m = _msg(w=2.1, theta=123.456)
     assert m.w == float(np.float32(2.1))
