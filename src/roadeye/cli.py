@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import logging
 import math
@@ -34,13 +35,12 @@ from .geometry import ObjectClass
 from .pipeline import EdgePipeline, PipelineStageError
 from .relay import connect_publisher, connect_subscriber, relay_serve
 from .scene import (
-    GroundTruthFrame,
     kept_frames,
-    read_frames,
     read_ground_truth,
     scenario_frames,
-    write_frames,
-    write_ground_truth,
+    stream_frames,
+    stream_ground_truth,
+    write_scenario,
 )
 from .wire import decode_frame, iter_frames_from_file, read_frame_bytes
 
@@ -75,46 +75,50 @@ def _tap_messages(tap, msgs):
 
 
 def cmd_simulate(cfg: PipelineConfig, args) -> int:
-    frames, gt = [], []
-    for agents, frame in scenario_frames(cfg.scenario()):
-        frames.append(frame)
-        gt.append(GroundTruthFrame(t=frame.t, agents=agents))
-    write_frames(frames, args.out)
     gt_path = args.gt if args.gt else str(args.out) + ".gt"
-    write_ground_truth(gt, gt_path)
-    print(f"wrote {len(frames)} frames to {args.out}, ground truth to {gt_path}")
+    count = write_scenario(cfg.scenario(), args.out, gt_path)
+    print(f"wrote {count} frames to {args.out}, ground truth to {gt_path}")
     return EXIT_OK
 
 
 def cmd_perceive(cfg: PipelineConfig, args) -> int:
     if not (args.out or args.relay):
         raise ValueError("need --out FILE and/or --relay HOST:PORT")
-    frames = read_frames(args.frames)
-    gt = read_ground_truth(args.gt) if args.gt else None
-    if cfg["detector.backend"] == "oracle" and gt is None:
+    # Both files are checked before any output file opens: their framing and
+    # times from the headers, and every ground-truth record in a first pass.
+    # Frames are then read, processed and dropped one at a time.
+    times, frames = stream_frames(args.frames)
+    gt_times, truths = [], itertools.repeat(None)
+    if args.gt:
+        gt_times, truths = stream_ground_truth(args.gt)
+        for _ in stream_ground_truth(args.gt)[1]:
+            pass
+    if cfg["detector.backend"] == "oracle" and not args.gt:
         raise ValueError("oracle detector backend needs --gt GROUND_TRUTH")
-    if gt is not None and len(gt) != len(frames):
-        raise ValueError(f"{len(frames)} frames but {len(gt)} ground-truth frames")
-    for k, (frame, truth) in enumerate(zip(frames, gt or ())):
-        if truth.t != frame.t:
-            raise ValueError(f"frame {k} is at t={frame.t} but its ground truth at t={truth.t}")
+    if args.gt and len(gt_times) != len(times):
+        raise ValueError(f"{len(times)} frames but {len(gt_times)} ground-truth frames")
+    for k, (t, gt_t) in enumerate(zip(times, gt_times)):
+        if gt_t != t:
+            raise ValueError(f"frame {k} is at t={t} but its ground truth at t={gt_t}")
+    # A skipped frame's ground truth, paired by index, is skipped with it.
+    kept = set(kept_frames(times))
     pipeline = EdgePipeline(cfg, wall_stamps=args.wall_stamps)
     with contextlib.ExitStack() as stack:
         # Connect first: an unreachable relay must not truncate the output files.
         pub = stack.enter_context(connect_publisher(args.relay)) if args.relay else None
         out_f = stack.enter_context(open(args.out, "wb")) if args.out else None
         tap = _open_tap(stack, args.tap)
-        # A skipped frame's ground truth, paired by index, is skipped with it.
-        kept = kept_frames(frames)
-        for k in kept:
-            result = pipeline.process(frames[k], gt[k].agents if gt else None)
+        for k, (frame, truth) in enumerate(zip(frames, truths)):
+            if k not in kept:
+                continue
+            result = pipeline.process(frame, truth.agents if truth is not None else None)
             if out_f is not None:
                 out_f.write(result.encoded)
             if pub is not None:
                 pub.sendall(result.encoded)
             if tap is not None:
                 _tap_messages(tap, decode_frame(result.encoded).messages)
-    print(f"perceived {len(kept)} frames, skipped {len(frames) - len(kept)} "
+    print(f"perceived {len(kept)} frames, skipped {len(times) - len(kept)} "
           "not later than the last kept frame", file=sys.stderr)
     return EXIT_OK
 
@@ -214,7 +218,7 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
             raise ValueError("need --gt and --results, or --counts")
         # The truth frames `perceive` kept pair with the results in order.
         gt_all = read_ground_truth(args.gt)
-        gt_frames = [gt_all[k] for k in kept_frames(gt_all)]
+        gt_frames = [gt_all[k] for k in kept_frames([fr.t for fr in gt_all])]
         counts = ConfusionCounts(tp=0, fp=0, fn=0)
         n_results = 0
         for raw in iter_frames_from_file(args.results):
@@ -247,21 +251,24 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
 def cmd_bench(cfg: PipelineConfig, args) -> int:
     from .scene import AREA_HALF_EXTENT, AgentSpec
 
-    # Dense synthetic load: a ring of circulating vehicles over a ground
-    # plane sized to the requested point budget.
+    # A steady synthetic load: a ring of eight cars circling the sensor at
+    # 10 m, where the cluster detector finds each one every frame, over a
+    # ground plane sized to the requested point budget. The polygon route
+    # holds enough laps for any --frames: a route's end is where an agent stops.
+    scene = cfg.scenario()
+    duration = args.frames * scene.tick
+    radius, speed = 10.0, 8.0
+    laps = math.ceil(max(0.0, duration) * speed / (2 * math.pi * radius)) + 1
     agents = []
     for k in range(8):
-        angle = k * np.pi / 4.0
-        r0 = 25.0
-        start = (r0 * np.cos(angle), r0 * np.sin(angle))
-        end = (-start[0], -start[1])
-        agents.append(AgentSpec(cls=ObjectClass.VEHICLE, route=[start, end], speed=8.0))
+        angles = k * np.pi / 4.0 + np.linspace(0.0, 2 * np.pi * laps, 24 * laps + 1)
+        route = radius * np.column_stack([np.cos(angles), np.sin(angles)])
+        agents.append(AgentSpec(cls=ObjectClass.VEHICLE, route=route, speed=speed,
+                                dims=(1.8, 4.5, 1.5)))
     # Ground density carries the full budget; agent surface points ride on top.
     area = (2 * AREA_HALF_EXTENT) ** 2
     density = max(0.0, args.points / area)
-    scene = cfg.scenario()
-    scenario = replace(scene, agents=agents, duration=args.frames * scene.tick,
-                       ground_point_density=density)
+    scenario = replace(scene, agents=agents, duration=duration, ground_point_density=density)
     frames = [frame for _, frame in scenario_frames(scenario)]
     mean_points = sum(len(f) for f in frames) / max(1, len(frames))
 

@@ -24,6 +24,31 @@ from .track import Tracker2D, track_frame
 from .wire import PhaseStamps, encode_frame
 
 
+# glibc's mallopt parameters (malloc.h), and the block size below which freed
+# memory stays in the process for the next frame.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_REUSED_BLOCK_BYTES = 16 * 2**20
+
+
+def _reuse_freed_frame_memory() -> None:
+    """Keep the memory a frame frees for the next frame. glibc hands a freed
+    block over its mmap threshold, and a free heap top over its trim
+    threshold, back to the kernel; both start low and rise only as large
+    blocks are freed. A stream read one frame at a time frees no large block,
+    so without fixed thresholds each frame's leveled, fenced and detection
+    arrays (0.6 MiB each at 20k points) would be faulted in afresh, hundreds
+    of page faults a frame. A no-op where the C library has no mallopt."""
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _REUSED_BLOCK_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _REUSED_BLOCK_BYTES)
+
+
 class PipelineStageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"{stage}: {cause}")
@@ -49,6 +74,7 @@ def _timed(seconds: dict[str, float], name: str, fn, *args):
 
 class EdgePipeline:
     def __init__(self, config: PipelineConfig, wall_stamps: bool = False):
+        _reuse_freed_frame_memory()
         self.config = config
         self.bounds = config.geofence_bounds()
         self.backend = config["detector.backend"]

@@ -81,7 +81,7 @@ def estimate_ground_calibration(
     normal sent to +z. Raises CalibrationError when fewer than 30% of the
     candidate points support the best plane.
     """
-    xyz = frame.xyz
+    xyz = np.asarray(frame.xyz, dtype=float)  # float32 as read; RANSAC works in float64
     k = int(np.ceil(GROUND_STRATUM_FRACTION * len(xyz)))
     if k < MIN_GROUND_POINTS:
         raise ValueError(
@@ -124,9 +124,11 @@ def estimate_ground_calibration(
 
 def apply_transform(frame: PointCloudFrame, t: RigidTransform) -> PointCloudFrame:
     """Left-multiply every point in homogeneous form; reflectivity unchanged.
-    The result is column-major, so later passes read contiguous columns."""
+    The result is float64 and column-major, so later passes read contiguous
+    columns. Float32 points are cast straight into that block, which is the
+    only full-frame float64 copy leveling makes."""
     t.validate()
     block = np.empty((4, len(frame)))
-    block[:3] = t.apply_points(frame.xyz).T
-    block[3] = frame.points[:, 3]
+    block[:] = frame.points.T
+    block[:3] = t.apply_points(block[:3].T).T
     return PointCloudFrame(t=frame.t, points=block.T)

@@ -7,7 +7,9 @@ ground plane and expressed in the sensor (L-Coor) frame.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -126,13 +128,17 @@ class ScenarioConfig:
 class PointCloudFrame:
     """Timestamped point set; columns x, y, z, reflectivity. `points` may be
     in either memory order: frames as read are row-major, leveled and fenced
-    frames column-major."""
+    frames column-major. Float32 points, as sampled and read, are kept as
+    given; any other input becomes float64."""
 
     t: float
-    points: np.ndarray  # (N, 4) float64, i in [0, 1]
+    points: np.ndarray  # (N, 4) float32 raw, float64 once leveled; i in [0, 1]
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 4)
+        pts = np.asarray(self.points)
+        if pts.dtype != np.float32:
+            pts = pts.astype(float, copy=False)
+        self.points = pts.reshape(-1, 4)
 
     @property
     def xyz(self) -> np.ndarray:
@@ -226,8 +232,8 @@ def sample_point_cloud(
 ) -> PointCloudFrame:
     """Sample one frame in L-Coor: agent surfaces plus ground plane points.
 
-    Per-agent counts fall off with 1/max(1, range^2/100). Output coordinates
-    and reflectivities are quantized to the float32 grid so frame files
+    Per-agent counts fall off with 1/max(1, range^2/100). Coordinates and
+    reflectivities are float32, the frame file's precision, so frame files
     round-trip bit-exactly.
     """
     rng = np.random.default_rng([config.rng_seed & 0xFFFFFFFF, 0x5CE4E, frame_index])
@@ -248,9 +254,9 @@ def sample_point_cloud(
         world = np.vstack(chunks)
         lcoor = config.sensor_pose.apply_points(world)
         refl = rng.uniform(0.0, 1.0, len(world))
-        pts = np.column_stack([lcoor, refl]).astype(np.float32).astype(np.float64)
+        pts = np.column_stack([lcoor, refl]).astype(np.float32)
     else:
-        pts = np.empty((0, 4))
+        pts = np.empty((0, 4), np.float32)
     return PointCloudFrame(t=t, points=pts)
 
 
@@ -277,71 +283,115 @@ _GT_RECORD = np.dtype([
 ])
 
 
-def _write_container(path, magic: bytes, frames: list, records) -> None:
-    """Write `frames` (each with a `.t`), `records(frame)` giving each one's array."""
-    for a, b in zip(frames, frames[1:]):
-        if b.t < a.t:
-            raise ValueError(f"frame timestamps decrease: {a.t} -> {b.t}")
-    with open(path, "wb") as f:
-        f.write(_FILE_HEADER.pack(magic, len(frames)))
-        for fr in frames:
+@contextlib.contextmanager
+def _container_writer(path, magic: bytes, records):
+    """Write a container file frame by frame: the block gets `write(frame)`
+    for frames with a `.t`, `records(frame)` giving each one's array, and a
+    time below the last one written is refused. The file is written beside
+    `path` and moved onto it only when the block ends without an error, so a
+    refused write leaves any file at `path` as it was."""
+    part = f"{os.fspath(path)}.part"
+    f = open(part, "wb")
+    try:
+        f.write(_FILE_HEADER.pack(magic, 0))  # the count is patched at the end
+        count, last_t = 0, -math.inf
+
+        def write(fr) -> None:
+            nonlocal count, last_t
+            if fr.t < last_t:
+                raise ValueError(f"frame timestamps decrease: {last_t} -> {fr.t}")
             recs = records(fr)
             f.write(_FRAME_HEADER.pack(fr.t, len(recs)))
             f.write(recs.tobytes())
+            count, last_t = count + 1, fr.t
+
+        yield write
+        f.seek(0)
+        f.write(_FILE_HEADER.pack(magic, count))
+        f.close()
+        os.replace(part, path)
+    except BaseException:
+        f.close()
+        with contextlib.suppress(OSError):
+            os.unlink(part)
+        raise
 
 
-def _need(buf: bytes, offset: int, count: int, what: str) -> None:
-    if offset + count > len(buf):
+def _need(size: int, offset: int, count: int, what: str) -> None:
+    if offset + count > size:
         raise FrameFormatError(
             f"truncated file: need {count} bytes for {what} at byte {offset}, "
-            f"have {len(buf) - offset}"
+            f"have {size - offset}"
         )
 
 
-def _read_container(path, magic: bytes, dtype: np.dtype) -> list[tuple[float, np.ndarray]]:
-    """(timestamp, read-only record array) for each frame of a container file."""
+def _read_container(path, magic: bytes, dtype: np.dtype):
+    """The frame times of a container file, and an iterator that reads its
+    frames one at a time as (timestamp, read-only record array). The whole
+    file's framing is checked first, from the headers alone, seeking past
+    the records, so a malformed file raises here before any frame is read."""
+    index = []  # (timestamp, byte offset, record count) per frame
     with open(path, "rb") as f:
-        buf = f.read()
-    _need(buf, 0, _FILE_HEADER.size, "header")
-    found, count = _FILE_HEADER.unpack_from(buf)
-    if found != magic:
-        raise FrameFormatError(f"bad magic at byte 0: {found!r}")
-    off = _FILE_HEADER.size
-    frames = []
-    for k in range(count):
-        _need(buf, off, _FRAME_HEADER.size, f"frame {k} header")
-        t, n = _FRAME_HEADER.unpack_from(buf, off)
-        off += _FRAME_HEADER.size
-        if not math.isfinite(t):
-            raise FrameFormatError(f"frame {k} timestamp {t} is not finite")
-        _need(buf, off, n * dtype.itemsize, f"frame {k} records")
-        frames.append((t, np.frombuffer(buf, dtype=dtype, count=n, offset=off)))
-        off += n * dtype.itemsize
-    if off != len(buf):
-        raise FrameFormatError(f"trailing bytes at byte {off}")
-    return frames
+        size = os.fstat(f.fileno()).st_size
+        _need(size, 0, _FILE_HEADER.size, "header")
+        found, count = _FILE_HEADER.unpack(f.read(_FILE_HEADER.size))
+        if found != magic:
+            raise FrameFormatError(f"bad magic at byte 0: {found!r}")
+        off = _FILE_HEADER.size
+        for k in range(count):
+            _need(size, off, _FRAME_HEADER.size, f"frame {k} header")
+            f.seek(off)
+            t, n = _FRAME_HEADER.unpack(f.read(_FRAME_HEADER.size))
+            off += _FRAME_HEADER.size
+            if not math.isfinite(t):
+                raise FrameFormatError(f"frame {k} timestamp {t} is not finite")
+            _need(size, off, n * dtype.itemsize, f"frame {k} records")
+            index.append((t, off, n))
+            off += n * dtype.itemsize
+        if off != size:
+            raise FrameFormatError(f"trailing bytes at byte {off}")
+
+    def frames():
+        with open(path, "rb") as f:
+            for t, off, n in index:
+                f.seek(off)
+                yield t, np.frombuffer(f.read(n * dtype.itemsize), dtype=dtype, count=n)
+
+    return [t for t, _, _ in index], frames()
 
 
-def kept_frames(frames) -> list[int]:
-    """Indices of the frames (each with a `.t`) a run keeps: each one later
-    than the last kept frame, so the first of a repeated time is kept and a
-    frame whose time goes back is dropped."""
+def kept_frames(times) -> list[int]:
+    """Indices of the frame times a run keeps: each one later than the last
+    kept time, so the first of a repeated time is kept and a frame whose time
+    goes back is dropped."""
     kept = []
-    for k, fr in enumerate(frames):
-        if not kept or fr.t > frames[kept[-1]].t:
+    for k, t in enumerate(times):
+        if not kept or t > times[kept[-1]]:
             kept.append(k)
     return kept
 
 
-def write_frames(frames: list[PointCloudFrame], path) -> None:
-    _write_container(path, FRAME_MAGIC, frames, lambda fr: fr.points.astype("<f4"))
+def _point_records(fr: PointCloudFrame) -> np.ndarray:
+    return fr.points.astype("<f4", copy=False)
+
+
+def write_frames(frames, path) -> None:
+    """Write an iterable of frames to a frame file, one frame at a time."""
+    with _container_writer(path, FRAME_MAGIC, _point_records) as write:
+        for fr in frames:
+            write(fr)
+
+
+def stream_frames(path):
+    """The frame times of a frame file, and an iterator over its frames read
+    one at a time. Points are the file's float32 records, read-only, with no
+    copy."""
+    times, records = _read_container(path, FRAME_MAGIC, _POINT)
+    return times, (PointCloudFrame(t=t, points=pts) for t, pts in records)
 
 
 def read_frames(path) -> list[PointCloudFrame]:
-    return [
-        PointCloudFrame(t=t, points=pts.astype(np.float64))
-        for t, pts in _read_container(path, FRAME_MAGIC, _POINT)
-    ]
+    return list(stream_frames(path)[1])
 
 
 def _gt_records(fr: GroundTruthFrame) -> np.ndarray:
@@ -352,8 +402,25 @@ def _gt_records(fr: GroundTruthFrame) -> np.ndarray:
     return np.array(rows, dtype=_GT_RECORD)
 
 
-def write_ground_truth(frames: list[GroundTruthFrame], path) -> None:
-    _write_container(path, GROUND_TRUTH_MAGIC, frames, _gt_records)
+def write_ground_truth(frames, path) -> None:
+    """Write an iterable of ground-truth frames, one frame at a time."""
+    with _container_writer(path, GROUND_TRUTH_MAGIC, _gt_records) as write:
+        for fr in frames:
+            write(fr)
+
+
+def write_scenario(config: ScenarioConfig, frames_path, gt_path) -> int:
+    """Simulate `config` into a frame file and a ground-truth file, writing
+    each frame as it is sampled; returns the frame count. Neither file is
+    replaced unless both are written whole."""
+    count = 0
+    with (_container_writer(frames_path, FRAME_MAGIC, _point_records) as write_frame,
+          _container_writer(gt_path, GROUND_TRUTH_MAGIC, _gt_records) as write_gt):
+        for agents, frame in scenario_frames(config):
+            write_frame(frame)
+            write_gt(GroundTruthFrame(t=frame.t, agents=agents))
+            count += 1
+    return count
 
 
 def _gt_agent(aid, code, x, y, z, w, l, h, heading, speed) -> AgentState:
@@ -366,18 +433,25 @@ def _gt_agent(aid, code, x, y, z, w, l, h, heading, speed) -> AgentState:
     return AgentState(aid, CLASSES[code], np.array([x, y, z]), (w, l, h), heading, speed)
 
 
+def _gt_frame(k: int, t: float, recs: np.ndarray) -> GroundTruthFrame:
+    agents = []
+    for i, rec in enumerate(recs.tolist()):
+        try:
+            agents.append(_gt_agent(*rec))
+        except ValueError as e:
+            raise FrameFormatError(f"frame {k} record {i}: {e}") from None
+    return GroundTruthFrame(t=t, agents=agents)
+
+
+def stream_ground_truth(path):
+    """The frame times of a ground-truth file, and an iterator over its
+    frames read one at a time. A record that is no valid agent (no class
+    code, a position, heading or speed that is not finite, or dims outside
+    its class's ranges) raises a FrameFormatError naming its frame and
+    record when its frame is read."""
+    times, records = _read_container(path, GROUND_TRUTH_MAGIC, _GT_RECORD)
+    return times, (_gt_frame(k, t, recs) for k, (t, recs) in enumerate(records))
+
+
 def read_ground_truth(path) -> list[GroundTruthFrame]:
-    """The frames of a ground-truth file. A record that is no valid agent (no
-    class code, a position, heading or speed that is not finite, or dims
-    outside its class's ranges) raises a FrameFormatError naming its frame
-    and record."""
-    out = []
-    for k, (t, recs) in enumerate(_read_container(path, GROUND_TRUTH_MAGIC, _GT_RECORD)):
-        agents = []
-        for i, rec in enumerate(recs.tolist()):
-            try:
-                agents.append(_gt_agent(*rec))
-            except ValueError as e:
-                raise FrameFormatError(f"frame {k} record {i}: {e}") from None
-        out.append(GroundTruthFrame(t=t, agents=agents))
-    return out
+    return list(stream_ground_truth(path)[1])

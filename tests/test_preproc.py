@@ -208,7 +208,28 @@ def test_leveled_frame_file_roundtrip(tmp_path, rng):
     write_frames([row_major], tmp_path / "row_major.bin")
     assert (tmp_path / "leveled.bin").read_bytes() == (tmp_path / "row_major.bin").read_bytes()
     back = read_frames(tmp_path / "leveled.bin")[0]
-    assert _same_bits(back.points, leveled.points.astype(np.float32).astype(np.float64))
+    assert _same_bits(back.points, leveled.points.astype(np.float32))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_frame_levels_and_calibrates_like_its_float64_copy(seed, order):
+    # Frames arrive as float32; calibration and leveling widen them to
+    # float64 themselves, so the result is the float64 copy's, bit for bit.
+    rng = np.random.default_rng(seed)
+    ground = np.column_stack([rng.uniform(-40, 40, (3000, 2)), rng.normal(-4.74, 0.02, 3000)])
+    objects = np.column_stack([rng.uniform(-40, 40, (800, 2)), rng.uniform(-4.7, -2.5, 800)])
+    xyz = np.vstack([ground, objects]) @ _leveling(rng).rotation.T
+    pts = np.column_stack([xyz, rng.uniform(0, 1, len(xyz))]).astype(np.float32)
+    f32 = PointCloudFrame(t=0.0, points=np.array(pts, order=order))
+    f64 = PointCloudFrame(t=0.0, points=np.array(pts, dtype=np.float64, order=order))
+    assert f32.points.dtype == np.float32
+    cal = estimate_ground_calibration(f32, 4.74, seed)
+    assert _same_bits(cal.matrix, estimate_ground_calibration(f64, 4.74, seed).matrix)
+    leveled = apply_transform(f32, cal)
+    assert leveled.points.dtype == np.float64 and leveled.points.T.flags.c_contiguous
+    assert _same_bits(leveled.points, apply_transform(f64, cal).points)
+    assert _same_bits(leveled.points, _level_reference(f64.points, cal))
 
 
 def _ground_frame(rng, n=2000, tilt=None, extra=None):

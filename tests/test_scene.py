@@ -184,6 +184,36 @@ def test_empty_frame_without_agents_or_ground():
     assert len(frame) == 0
 
 
+def test_sampled_and_read_frames_are_float32_and_read_only(tmp_path):
+    # Frames keep the file's precision from the sampler to leveling; a read
+    # frame's points are the file's bytes, not a copy.
+    cfg = _single_vehicle_config(ground_point_density=0.05)
+    frame = sample_point_cloud(step_scenario(cfg, 1.0), cfg, frame_index=3, t=1.0)
+    empty = sample_point_cloud([], dataclasses.replace(cfg, ground_point_density=0.0), t=2.0)
+    assert frame.points.dtype == empty.points.dtype == np.float32
+    assert empty.points.shape == (0, 4)
+    path = tmp_path / "frames.bin"
+    write_frames([frame, empty], path)
+    back = read_frames(path)
+    assert [fr.points.dtype for fr in back] == [np.float32, np.float32]
+    assert back[0].points.tobytes() == frame.points.tobytes()
+    assert not back[0].points.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        back[0].points[0, 0] = 0.0
+
+
+def test_point_cloud_frame_keeps_float32_and_widens_the_rest():
+    f32 = np.arange(8, dtype=np.float32).reshape(2, 4)
+    kept = PointCloudFrame(t=0.0, points=f32).points
+    assert kept.dtype == np.float32 and np.shares_memory(kept, f32)
+    for given in (f32.astype(np.float16), f32.astype(np.int32), f32.tolist()):
+        pts = PointCloudFrame(t=0.0, points=given).points
+        assert pts.dtype == np.float64
+        assert np.array_equal(pts, f32)
+    f64 = np.asfortranarray(f32, dtype=np.float64)
+    assert np.shares_memory(PointCloudFrame(t=0.0, points=f64).points, f64)
+
+
 def test_range_attenuation_monotone():
     near = AgentState(0, ObjectClass.VEHICLE, np.array([10.0, 0, 0.8]), VEHICLE_DIMS, 0.0, 0.0)
     far = AgentState(1, ObjectClass.VEHICLE, np.array([50.0, 0, 0.8]), VEHICLE_DIMS, 0.0, 0.0)
@@ -340,7 +370,7 @@ def test_ground_truth_decreasing_timestamps_rejected(tmp_path):
     path.write_bytes(bytes(data))
     back = read_ground_truth(path)
     assert [g.t for g in back] == [0.0, -1.0, 2.0]
-    assert kept_frames(back) == [0, 2]
+    assert kept_frames([g.t for g in back]) == [0, 2]
 
 
 def test_ground_truth_non_finite_time_rejected(tmp_path):
