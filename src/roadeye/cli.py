@@ -36,7 +36,6 @@ from .pipeline import EdgePipeline, PipelineStageError
 from .relay import connect_publisher, connect_subscriber, relay_serve
 from .scene import (
     kept_frames,
-    read_ground_truth,
     scenario_frames,
     stream_frames,
     stream_ground_truth,
@@ -81,6 +80,15 @@ def cmd_simulate(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
+def _checked_ground_truth(path):
+    """`stream_ground_truth(path)`, after a first pass has read and checked
+    every record, so a bad one is refused before any frame is used. Both
+    passes hold one frame at a time."""
+    for _ in stream_ground_truth(path)[1]:
+        pass
+    return stream_ground_truth(path)
+
+
 def cmd_perceive(cfg: PipelineConfig, args) -> int:
     if not (args.out or args.relay):
         raise ValueError("need --out FILE and/or --relay HOST:PORT")
@@ -90,9 +98,7 @@ def cmd_perceive(cfg: PipelineConfig, args) -> int:
     times, frames = stream_frames(args.frames)
     gt_times, truths = [], itertools.repeat(None)
     if args.gt:
-        gt_times, truths = stream_ground_truth(args.gt)
-        for _ in stream_ground_truth(args.gt)[1]:
-            pass
+        gt_times, truths = _checked_ground_truth(args.gt)
     if cfg["detector.backend"] == "oracle" and not args.gt:
         raise ValueError("oracle detector backend needs --gt GROUND_TRUTH")
     if args.gt and len(gt_times) != len(times):
@@ -216,14 +222,16 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
     else:
         if not (args.gt and args.results):
             raise ValueError("need --gt and --results, or --counts")
-        # The truth frames `perceive` kept pair with the results in order.
-        gt_all = read_ground_truth(args.gt)
-        gt_frames = [gt_all[k] for k in kept_frames([fr.t for fr in gt_all])]
+        # The truth frames `perceive` kept pair with the results in order,
+        # both read one frame at a time.
+        gt_times, truths = _checked_ground_truth(args.gt)
+        kept = set(kept_frames(gt_times))
+        kept_truths = (truth for k, truth in enumerate(truths) if k in kept)
         counts = ConfusionCounts(tp=0, fp=0, fn=0)
         n_results = 0
         for raw in iter_frames_from_file(args.results):
-            if n_results < len(gt_frames):
-                decoded, truth = decode_frame(raw), gt_frames[n_results]
+            if n_results < len(kept):
+                decoded, truth = decode_frame(raw), next(kept_truths)
                 if decoded.t_frame != truth.t:
                     raise ValueError(f"result frame {n_results} is at t={decoded.t_frame} "
                                      f"but its ground truth at t={truth.t}")
@@ -231,10 +239,8 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
                 boxes = [a.as_box() for a in truth.agents]
                 counts = counts + match_detections(boxes, dets, threshold)
             n_results += 1
-        if n_results != len(gt_frames):
-            raise ValueError(
-                f"{n_results} result frames but {len(gt_frames)} ground-truth frames"
-            )
+        if n_results != len(kept):
+            raise ValueError(f"{n_results} result frames but {len(kept)} ground-truth frames")
     report = compute_metrics(counts)
     text = format_metric_report(counts, report)
     print(text, end="")

@@ -22,7 +22,7 @@ from .geometry import (
     CLASSES, ObjectClass, OrientedBox3D, connected_components, wrap_angles,
 )
 from .preproc import GeofenceBounds
-from .scene import PEDESTRIAN_DIM_RANGE, VEHICLE_DIM_RANGE, AgentState, ScenarioConfig
+from .scene import AGENT, PEDESTRIAN_DIM_RANGE, VEHICLE_DIM_RANGE, ScenarioConfig
 
 # A cluster or clutter box under both limits is a pedestrian, else a vehicle.
 PEDESTRIAN_MAX_FOOTPRINT = 1.2  # m, longer side
@@ -125,13 +125,19 @@ class LossWeights:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def truth_boxes(agents: list[AgentState]) -> np.recarray:
-    """The agents' boxes as DETECTION rows, in order: score 1, id -1."""
-    rows = [
-        ((*a.center.tolist(), *a.dims, a.heading), CLASSES.index(a.cls), 1.0, -1)
-        for a in agents
-    ]
-    return np.array(rows, dtype=DETECTION).view(np.recarray)
+def truth_boxes(agents) -> np.recarray:
+    """The boxes of `AGENT` rows as DETECTION rows, in order: the centre,
+    dims and heading, the class, score 1 and id -1, copied column by column."""
+    agents = np.asarray(agents, AGENT)
+    out = np.empty(len(agents), DETECTION)
+    box = out["box"]
+    for name in ("x", "y", "z", "w", "l", "h"):
+        box[name] = agents[name]
+    box["theta"] = agents["heading"]
+    out["cls"] = agents["cls"]
+    out["score"] = 1.0
+    out["id"] = -1
+    return out.view(np.recarray)
 
 
 def _clutter(rng: np.random.Generator, bounds: GeofenceBounds, n: int) -> np.ndarray:
@@ -160,7 +166,8 @@ def detect_oracle(
 ) -> np.recarray:
     """Ground-truth detector: drop, perturb, and add Poisson clutter.
 
-    `truth` is a list of agents or their `truth_boxes` rows. Boxes come out
+    `truth` is DETECTION rows, as `truth_boxes` gives; `AGENT` rows, as
+    `step_scenario` gives, are put through `truth_boxes` first. Boxes come out
     in the frame of `truth`, survivors first and in order; clutter lies
     inside `bounds`, which must be given in that same frame. The pipeline
     passes H-Coor truth and the geofence, whose bounds hold in H-Coor
@@ -171,8 +178,10 @@ def detect_oracle(
     rng = np.random.default_rng(seed)
     if bounds is None:
         bounds = GeofenceBounds()
+    if truth.dtype == AGENT:
+        truth = truth_boxes(truth)
     # Plain field access inside, a recarray view out.
-    truth = (truth if isinstance(truth, np.ndarray) else truth_boxes(truth)).view(np.ndarray)
+    truth = truth.view(np.ndarray)
     dets = truth[rng.random(len(truth)) >= noise.p_miss] if noise.p_miss > 0 else truth.copy()
     box = dets["box"]
     if noise.sigma_pos > 0:

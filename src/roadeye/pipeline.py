@@ -19,7 +19,7 @@ from .detect import detect_cluster, detect_oracle, truth_boxes
 from .geoloc import enu_to_ecef_transform, estimate_ecef_transform, georeference_tracks, load_gcp_file
 from .geometry import RigidTransform, wrap_angles
 from .preproc import apply_transform, estimate_ground_calibration, geofence
-from .scene import AgentState, PointCloudFrame
+from .scene import PointCloudFrame
 from .track import Tracker2D, track_frame
 from .wire import PhaseStamps, encode_frame
 
@@ -109,8 +109,9 @@ class EdgePipeline:
     def _now(self, frame_t: float) -> float:
         return time.time() if self.wall_stamps else frame_t
 
-    def process(self, frame: PointCloudFrame, gt_agents: list[AgentState] | None = None) -> FrameResult:
-        """Run one frame through the full edge chain and encode it."""
+    def process(self, frame: PointCloudFrame, gt_agents: np.ndarray | None = None) -> FrameResult:
+        """Run one frame through the full edge chain and encode it; the oracle
+        backend reads the frame's ground truth, `gt_agents`, as `AGENT` rows."""
         seconds: dict[str, float] = {}
         t_in = self._now(frame.t)
 
@@ -147,7 +148,7 @@ class EdgePipeline:
         self.frame_index += 1
         return FrameResult(encoded=encoded, stage_seconds=seconds)
 
-    def _truth_in_h(self, gt_agents: list[AgentState]) -> np.recarray:
+    def _truth_in_h(self, gt_agents: np.ndarray) -> np.recarray:
         """The agents' boxes in H-Coor, where the oracle's geofence and output live."""
         truth = truth_boxes(gt_agents)
         box = truth.view(np.ndarray)["box"]

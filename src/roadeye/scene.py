@@ -49,25 +49,26 @@ def check_dims(cls: ObjectClass, dims) -> tuple:
     return tuple(dims)
 
 
-@dataclass
-class AgentState:
-    """Pose snapshot of one simulated traffic agent."""
+class AgentRow(np.record):
+    """One ground-truth agent, an `AGENT` row: the id, the class as an index
+    into CLASSES, the world-frame centre x, y, z in meters, the dims w, l, h,
+    the heading in (-pi, pi] and the speed in m/s, each read as an attribute.
+    `agent_id`, `center` and `dims` read them as the scalar, the (3,) array
+    and the tuple that the per-agent code takes, and `as_box` gives the box."""
 
-    agent_id: int
-    cls: ObjectClass
-    center: np.ndarray  # (3,) world-frame meters
-    dims: tuple[float, float, float]  # (w, l, h)
-    heading: float  # radians, (-pi, pi]
-    speed: float  # m/s
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        self.dims = check_dims(self.cls, self.dims)
-        self.heading = normalize_angle(self.heading)
+    agent_id = property(lambda self: int(self["id"]))
+    center = property(lambda self: np.array([self["x"], self["y"], self["z"]]))
+    dims = property(lambda self: (self["w"], self["l"], self["h"]))
 
     def as_box(self) -> OrientedBox3D:
-        w, l, h = self.dims
-        return OrientedBox3D(*self.center, w, l, h, self.heading)
+        return OrientedBox3D(*self.item()[2:9])
+
+
+# One agent per row, packed: 69 bytes, the ground-truth file's record.
+AGENT = np.dtype((AgentRow, [
+    ("id", "<i4"), ("cls", "u1"), ("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
+    ("w", "<f8"), ("l", "<f8"), ("h", "<f8"), ("heading", "<f8"), ("speed", "<f8"),
+]))
 
 
 @dataclass
@@ -150,8 +151,10 @@ class PointCloudFrame:
 
 @dataclass
 class GroundTruthFrame:
+    """The agents at time t: `AGENT` rows, or a list of `AgentRow`s to write."""
+
     t: float
-    agents: list[AgentState]
+    agents: np.ndarray
 
 
 def _agent_dims(spec: AgentSpec, index: int, seed: int) -> tuple[float, float, float]:
@@ -186,17 +189,19 @@ def _walk_route(route: np.ndarray, distance: float) -> tuple[np.ndarray, float]:
     return pos, heading
 
 
-def step_scenario(config: ScenarioConfig, t: float) -> list[AgentState]:
-    """Agent states at time t: arc-length advance speed*t along each route."""
+def step_scenario(config: ScenarioConfig, t: float) -> np.ndarray:
+    """The agents at time t as `AGENT` rows, in spec order with the spec's
+    index as id: arc-length advance speed*t along each route, the box resting
+    on the ground, the heading in (-pi, pi]."""
     if not (0.0 <= t <= config.duration):
         raise ValueError(f"t={t} outside [0, {config.duration}]")
-    states = []
+    rows = []
     for i, spec in enumerate(config.agents):
-        pos, heading = _walk_route(spec.route, spec.speed * t)
-        dims = _agent_dims(spec, i, config.rng_seed)
-        center = np.array([pos[0], pos[1], dims[2] / 2.0])
-        states.append(AgentState(i, spec.cls, center, dims, heading, spec.speed))
-    return states
+        (x, y), heading = _walk_route(spec.route, spec.speed * t)
+        w, l, h = _agent_dims(spec, i, config.rng_seed)
+        rows.append((i, CLASSES.index(spec.cls), x, y, h / 2.0, w, l, h,
+                     normalize_angle(heading), spec.speed))
+    return np.array(rows, AGENT)
 
 
 # Face 2k and 2k+1 are normal to local axis k (x length, y lateral, z up),
@@ -225,12 +230,13 @@ def _agent_point_count(base: int, range_m: float) -> int:
 
 
 def sample_point_cloud(
-    agents: list[AgentState],
+    agents,
     config: ScenarioConfig,
     frame_index: int = 0,
     t: float = 0.0,
 ) -> PointCloudFrame:
     """Sample one frame in L-Coor: agent surfaces plus ground plane points.
+    `agents` are `AgentRow`s, as an `AGENT` array or a list.
 
     Per-agent counts fall off with 1/max(1, range^2/100). Coordinates and
     reflectivities are float32, the frame file's precision, so frame files
@@ -261,7 +267,7 @@ def sample_point_cloud(
 
 
 def scenario_frames(config: ScenarioConfig):
-    """Yield (agent states, sampled frame) at each of the scenario's frame times."""
+    """Yield (agent rows, sampled frame) at each of the scenario's frame times."""
     for k, t in enumerate(config.frame_times()):
         agents = step_scenario(config, float(t))
         yield agents, sample_point_cloud(agents, config, frame_index=k, t=float(t))
@@ -271,16 +277,12 @@ def scenario_frames(config: ScenarioConfig):
 # Frame and ground-truth files share one container, all little-endian:
 # 4-byte magic, u32 frame count; per frame f64 timestamp, u32 record count,
 # then the records. Frame files ("CMMF") hold `_POINT` records, ground-truth
-# files ("CMMG") hold packed `_GT_RECORD` records.
+# files ("CMMG") hold packed `AGENT` records.
 # ---------------------------------------------------------------------------
 
 _FILE_HEADER = struct.Struct("<4sI")  # magic, frame count
 _FRAME_HEADER = struct.Struct("<dI")
 _POINT = np.dtype(("<f4", (4,)))  # x, y, z, reflectivity
-_GT_RECORD = np.dtype([
-    ("id", "<i4"), ("cls", "u1"), ("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
-    ("w", "<f8"), ("l", "<f8"), ("h", "<f8"), ("heading", "<f8"), ("speed", "<f8"),
-])
 
 
 @contextlib.contextmanager
@@ -395,11 +397,7 @@ def read_frames(path) -> list[PointCloudFrame]:
 
 
 def _gt_records(fr: GroundTruthFrame) -> np.ndarray:
-    rows = [
-        (a.agent_id, CLASSES.index(a.cls), *a.center, *a.dims, a.heading, a.speed)
-        for a in fr.agents
-    ]
-    return np.array(rows, dtype=_GT_RECORD)
+    return np.asarray(fr.agents, AGENT)
 
 
 def write_ground_truth(frames, path) -> None:
@@ -423,33 +421,65 @@ def write_scenario(config: ScenarioConfig, frames_path, gt_path) -> int:
     return count
 
 
-def _gt_agent(aid, code, x, y, z, w, l, h, heading, speed) -> AgentState:
-    """One ground-truth record as an agent; ValueError says what it breaks."""
+# Closed (w, l, h) ranges per class code, one row per entry of CLASSES.
+_DIM_LO, _DIM_HI = np.array([dim_range(c) for c in CLASSES]).transpose(2, 0, 1)
+
+
+def _check_agent(code, x, y, z, w, l, h, heading, speed) -> None:
+    """The rule for one agent record, its values after the id as Python numbers:
+    ValueError says the first thing it breaks."""
     if code >= len(CLASSES):
         raise ValueError(f"cls {code} is not a class code (< {len(CLASSES)})")
     if not all(map(math.isfinite, (x, y, z, heading, speed))):
         raise ValueError(f"x, y, z, heading and speed must be finite, got "
                          f"{x}, {y}, {z}, {heading}, {speed}")
-    return AgentState(aid, CLASSES[code], np.array([x, y, z]), (w, l, h), heading, speed)
+    check_dims(CLASSES[code], (w, l, h))
+
+
+def checked_agents(rows) -> np.ndarray:
+    """`rows` as `AGENT` rows that are valid agents: a class code, a finite
+    position, heading and speed, and dims inside the class's ranges. The
+    whole array is checked with masks; the first record that fails is run
+    through the one-record rule, and the ValueError names it and the rule's
+    reason. Headings outside (-pi, pi] are normalised, in a copy, one by one
+    as `normalize_angle` does; the rest are kept bit for bit."""
+    rows = np.asarray(rows, AGENT)
+    code = rows["cls"]
+    ok = code < len(CLASSES)
+    for name in ("x", "y", "z", "heading", "speed"):
+        ok &= np.isfinite(rows[name])
+    known = np.minimum(code, len(CLASSES) - 1)
+    for j, name in enumerate("wlh"):
+        v = rows[name]
+        ok &= (_DIM_LO[known, j] <= v) & (v <= _DIM_HI[known, j])
+    if not ok.all():
+        i = int(np.argmin(ok))
+        try:
+            _check_agent(*rows[i].item()[1:])
+        except ValueError as e:
+            raise ValueError(f"record {i}: {e}") from None
+    heading = rows["heading"]
+    wrap = np.flatnonzero(~((heading > -math.pi) & (heading <= math.pi)))
+    if len(wrap):
+        rows = rows.copy()
+        rows["heading"][wrap] = [normalize_angle(v) for v in heading[wrap].tolist()]
+    return rows
 
 
 def _gt_frame(k: int, t: float, recs: np.ndarray) -> GroundTruthFrame:
-    agents = []
-    for i, rec in enumerate(recs.tolist()):
-        try:
-            agents.append(_gt_agent(*rec))
-        except ValueError as e:
-            raise FrameFormatError(f"frame {k} record {i}: {e}") from None
-    return GroundTruthFrame(t=t, agents=agents)
+    try:
+        return GroundTruthFrame(t=t, agents=checked_agents(recs))
+    except ValueError as e:
+        raise FrameFormatError(f"frame {k} {e}") from None
 
 
 def stream_ground_truth(path):
     """The frame times of a ground-truth file, and an iterator over its
-    frames read one at a time. A record that is no valid agent (no class
-    code, a position, heading or speed that is not finite, or dims outside
-    its class's ranges) raises a FrameFormatError naming its frame and
-    record when its frame is read."""
-    times, records = _read_container(path, GROUND_TRUTH_MAGIC, _GT_RECORD)
+    frames read one at a time, each frame's agents one `AGENT` array. A
+    record that is no valid agent (see `checked_agents`)
+    raises a FrameFormatError naming its frame and record when its frame is
+    read."""
+    times, records = _read_container(path, GROUND_TRUTH_MAGIC, AGENT)
     return times, (_gt_frame(k, t, recs) for k, (t, recs) in enumerate(records))
 
 

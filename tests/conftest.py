@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from roadeye.detect import DETECTION
-from roadeye.geometry import RigidTransform
+from roadeye.geometry import CLASSES, RigidTransform
+from roadeye.scene import AGENT, AgentRow, checked_agents
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:
@@ -23,6 +24,13 @@ def random_rigid(rng: np.random.Generator, t_scale: float = 100.0) -> RigidTrans
 def detections(rows) -> np.recarray:
     """DETECTION rows from ((x, y, z, w, l, h, theta), cls, score, id) tuples."""
     return np.array(list(rows), dtype=DETECTION).view(np.recarray)
+
+
+def agent(agent_id, cls, center, dims, heading, speed) -> AgentRow:
+    """One agent as an `AGENT` row, checked by the ground-truth reader's
+    rule: ValueError where the reader would refuse the record."""
+    row = (agent_id, CLASSES.index(cls), *center, *dims, heading, speed)
+    return checked_agents(np.array([row], AGENT))[0]
 
 
 @pytest.fixture

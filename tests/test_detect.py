@@ -11,6 +11,7 @@ from roadeye.detect import (
     BOX,
     MIN_CLUSTER_EXTENT,
     CLASSES,
+    DETECTION,
     BoxResiduals,
     ClusterParams,
     DetectorNoise,
@@ -31,15 +32,16 @@ from roadeye.detect import (
 )
 from roadeye.geometry import ObjectClass, OrientedBox3D, normalize_angle, wrap_angles
 from roadeye.preproc import GeofenceBounds
-from roadeye.scene import AgentState, PointCloudFrame, ScenarioConfig, sample_box_surface
+from roadeye.scene import PointCloudFrame, ScenarioConfig, sample_box_surface
 
-from conftest import detections
+from conftest import agent, detections
 
 VEHICLE_DIMS = (2.0, 4.5, 1.6)
+PED_DIMS = (0.6, 0.6, 1.7)
 
 
 def _agent(x=0.0, y=0.0, cls=ObjectClass.VEHICLE, dims=VEHICLE_DIMS, heading=0.0):
-    return AgentState(0, cls, np.array([x, y, dims[2] / 2]), dims, heading, 0.0)
+    return agent(0, cls, [x, y, dims[2] / 2], dims, heading, 0.0)
 
 
 # --- oracle backend ---------------------------------------------------------
@@ -50,16 +52,38 @@ def test_oracle_zero_noise_is_identity(rng):
         _agent(*rng.uniform(-40, 40, 2), heading=rng.uniform(-math.pi, math.pi))
         for _ in range(40)
     ]
-    dets = detect_oracle(agents, DetectorNoise(), seed=7)
+    dets = detect_oracle(truth_boxes(agents), DetectorNoise(), seed=7)
     assert len(dets) == len(agents)
-    for det, agent in zip(dets, agents):
-        assert (det.box.x, det.box.y, det.box.z) == tuple(agent.center)
-        assert (det.box.w, det.box.l, det.box.h) == agent.dims
-        assert det.box.theta == agent.heading
-        assert CLASSES[det.cls] is agent.cls
+    for det, a in zip(dets, agents):
+        assert (det.box.x, det.box.y, det.box.z) == tuple(a.center)
+        assert (det.box.w, det.box.l, det.box.h) == a.dims
+        assert det.box.theta == a.heading
+        assert det.cls == a.cls
         assert det.score == 1.0 and det.id == -1
-    # The truth-box form gives the same rows.
-    assert detect_oracle(truth_boxes(agents), DetectorNoise(), seed=7).tolist() == dets.tolist()
+    # AGENT rows, as the simulator gives them, are boxed the same way.
+    assert detect_oracle(np.array(agents), DetectorNoise(), seed=7).tolist() == dets.tolist()
+
+
+# The DETECTION layout `truth_boxes` filled one agent at a time, before
+# agents became AGENT rows: the reference its column copy must equal.
+_PER_AGENT_DETECTION = np.dtype([
+    ("box", [(name, "<f8") for name in ("x", "y", "z", "w", "l", "h", "theta")]),
+    ("cls", "u1"), ("score", "<f8"), ("id", "<i8"),
+])
+
+
+def test_truth_boxes_is_bit_equal_to_the_per_agent_loop(rng):
+    agents = [
+        agent(k, cls, [*rng.uniform(-50, 50, 2), dims[2] / 2], dims, rng.uniform(-4, 4), 5.0)
+        for k in range(50)
+        for cls, dims in [(ObjectClass.VEHICLE, VEHICLE_DIMS), (ObjectClass.PEDESTRIAN, PED_DIMS)]
+    ]
+    reference = np.array([
+        ((*a.center.tolist(), *a.dims, a.heading), int(a.cls), 1.0, -1) for a in agents
+    ], _PER_AGENT_DETECTION)
+    assert truth_boxes(agents).tobytes() == reference.tobytes()
+    assert truth_boxes(np.array(agents)).tobytes() == reference.tobytes()
+    assert truth_boxes([]).dtype == DETECTION and len(truth_boxes([])) == 0
 
 
 def test_oracle_noise_statistics():
@@ -69,7 +93,7 @@ def test_oracle_noise_statistics():
     noise = DetectorNoise(sigma_pos=0.1, p_miss=0.2, fp_rate=3.0)
     offsets, survivors, clutter = [], 0, []
     for seed in range(100):
-        dets = detect_oracle(agents, noise, seed=seed)
+        dets = detect_oracle(truth_boxes(agents), noise, seed=seed)
         kept = dets[dets.score == 1.0]
         centers = np.column_stack([kept.box.x, kept.box.y, kept.box.z])
         k = np.round((centers[:, 0] + 1000.0) / 10.0).astype(int)
@@ -91,7 +115,8 @@ def test_oracle_clutter_lies_between_geofence_floor_and_ceiling():
     boxes = [
         d.box
         for seed in range(20)
-        for d in detect_oracle([], DetectorNoise(fp_rate=50.0), seed=seed, bounds=bounds)
+        for d in detect_oracle(truth_boxes([]), DetectorNoise(fp_rate=50.0), seed=seed,
+                               bounds=bounds)
     ]
     assert len(boxes) > 500
     bottoms = np.array([b.z - b.h / 2 for b in boxes])
@@ -103,7 +128,7 @@ def test_oracle_clutter_lies_between_geofence_floor_and_ceiling():
 
 def test_oracle_all_missed_returns_only_clutter():
     agents = [_agent(), _agent(5.0)]
-    dets = detect_oracle(agents, DetectorNoise(p_miss=1.0, fp_rate=2.0), seed=3)
+    dets = detect_oracle(truth_boxes(agents), DetectorNoise(p_miss=1.0, fp_rate=2.0), seed=3)
     # Survivor boxes would sit exactly on agent centers; clutter never does.
     for det in dets:
         assert all(
@@ -114,20 +139,20 @@ def test_oracle_all_missed_returns_only_clutter():
 def test_oracle_deterministic_under_seed():
     agents = [_agent(1.0, 1.0)]
     noise = DetectorNoise(sigma_pos=0.2, sigma_dim=0.1, sigma_theta=0.05, p_miss=0.3, fp_rate=1.0)
-    a = detect_oracle(agents, noise, seed=11)
-    b = detect_oracle(agents, noise, seed=11)
+    a = detect_oracle(truth_boxes(agents), noise, seed=11)
+    b = detect_oracle(truth_boxes(agents), noise, seed=11)
     assert len(a) == len(b)
     for da, db in zip(a, b):
         assert da.box == db.box and da.score == db.score
 
 
 def test_oracle_position_noise_std():
-    agent = _agent(0.0, 0.0)
+    car = _agent(0.0, 0.0)
     noise = DetectorNoise(sigma_pos=0.1)
     dx = []
     for seed in range(10000):
-        det = detect_oracle([agent], noise, seed=seed)[0]
-        dx.append(det.box.x - agent.center[0])
+        det = detect_oracle(truth_boxes([car]), noise, seed=seed)[0]
+        dx.append(det.box.x - car.center[0])
     std = float(np.std(dx))
     assert abs(std - 0.1) <= 0.005  # within 5% of sigma
 
@@ -227,7 +252,7 @@ def test_size_class_boundary_sweep():
 
 def test_oracle_clutter_takes_the_size_class():
     dets = np.concatenate([
-        detect_oracle([], DetectorNoise(fp_rate=50.0), seed=seed).view(np.ndarray)
+        detect_oracle(truth_boxes([]), DetectorNoise(fp_rate=50.0), seed=seed).view(np.ndarray)
         for seed in range(20)
     ])
     box = dets["box"]

@@ -199,7 +199,7 @@ def test_shrunken_oracle_vehicle_still_draws_a_vehicle():
         assert len(decoded.messages) == len(agents)
         shrunk = [
             m for m, a in zip(decoded.messages, agents)
-            if a.cls is ObjectClass.VEHICLE and max(m.w, m.l) < 1.2 and m.h < 2.2
+            if CLASSES[a.cls] is ObjectClass.VEHICLE and max(m.w, m.l) < 1.2 and m.h < 2.2
         ]
         icons = reconstruct_frame(shrunk, ego_feed.state_at(decoded.t_frame), pixel_map).icons
         assert (icons.kind[1:] == IconKind.VEHICLE).all()

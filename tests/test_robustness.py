@@ -8,7 +8,6 @@ import pytest
 from roadeye.detect import ClusterParams, detect_cluster
 from roadeye.geometry import ObjectClass
 from roadeye.scene import (
-    AgentState,
     FrameFormatError,
     GroundTruthFrame,
     PointCloudFrame,
@@ -24,6 +23,8 @@ from roadeye.wire import (
     decode_frame,
     encode_frame,
 )
+
+from conftest import agent
 
 
 def _wire_frame(rng):
@@ -72,8 +73,8 @@ def test_frame_file_rejects_every_truncation(tmp_path, rng):
 
 
 def test_ground_truth_file_rejects_every_truncation(tmp_path):
-    car = AgentState(7, ObjectClass.VEHICLE, [1.0, 2.0, 0.8], (2.0, 4.5, 1.6), 0.3, 8.0)
-    walker = AgentState(8, ObjectClass.PEDESTRIAN, [-3.0, 5.0, 0.9], (0.6, 0.6, 1.8), -1.2, 1.2)
+    car = agent(7, ObjectClass.VEHICLE, [1.0, 2.0, 0.8], (2.0, 4.5, 1.6), 0.3, 8.0)
+    walker = agent(8, ObjectClass.PEDESTRIAN, [-3.0, 5.0, 0.9], (0.6, 0.6, 1.8), -1.2, 1.2)
     frames = [GroundTruthFrame(t=0.0, agents=[car, walker]), GroundTruthFrame(t=0.1, agents=[car])]
     path = tmp_path / "gt.bin"
     write_ground_truth(frames, path)

@@ -6,10 +6,10 @@ import struct
 import numpy as np
 import pytest
 
-from roadeye.geometry import ObjectClass, OrientedBox3D, rotation_about_z
+from roadeye import scene
+from roadeye.geometry import CLASSES, ObjectClass, OrientedBox3D, normalize_angle, rotation_about_z
 from roadeye.scene import (
     AgentSpec,
-    AgentState,
     FrameFormatError,
     GroundTruthFrame,
     PEDESTRIAN_DIM_RANGE,
@@ -25,6 +25,8 @@ from roadeye.scene import (
     write_frames,
     write_ground_truth,
 )
+
+from conftest import agent
 
 VEHICLE_DIMS = (2.0, 4.5, 1.6)
 PED_DIMS = (0.6, 0.6, 1.7)
@@ -108,10 +110,81 @@ def test_route_clamps_at_end():
 
 
 def test_agent_dims_validated():
-    with pytest.raises(ValueError):
-        AgentState(0, ObjectClass.VEHICLE, np.zeros(3), (0.5, 4.0, 1.5), 0.0, 0.0)
-    with pytest.raises(ValueError):
-        AgentState(0, ObjectClass.PEDESTRIAN, np.zeros(3), (2.0, 0.6, 1.7), 0.0, 0.0)
+    with pytest.raises(ValueError, match=re.escape("vehicle dim w=0.5 outside [1.5, 2.6]")):
+        agent(0, ObjectClass.VEHICLE, np.zeros(3), (0.5, 4.0, 1.5), 0.0, 0.0)
+    with pytest.raises(ValueError, match=re.escape("pedestrian dim w=2.0 outside [0.4, 0.9]")):
+        agent(0, ObjectClass.PEDESTRIAN, np.zeros(3), (2.0, 0.6, 1.7), 0.0, 0.0)
+
+
+# The ground-truth record as it was packed one agent at a time, before agents
+# became AGENT rows: the layout the references below are built in.
+_PER_AGENT_RECORD = np.dtype([
+    ("id", "<i4"), ("cls", "u1"), ("x", "<f8"), ("y", "<f8"), ("z", "<f8"),
+    ("w", "<f8"), ("l", "<f8"), ("h", "<f8"), ("heading", "<f8"), ("speed", "<f8"),
+])
+
+
+def _per_agent_step(config, t):
+    """step_scenario's rows as the per-agent simulator built them: one agent
+    object per spec, its heading through normalize_angle, packed one by one."""
+    rows = []
+    for i, spec in enumerate(config.agents):
+        pos, heading = scene._walk_route(spec.route, spec.speed * t)
+        dims = scene._agent_dims(spec, i, config.rng_seed)
+        center = np.asarray(np.array([pos[0], pos[1], dims[2] / 2.0]), dtype=float)
+        rows.append((i, CLASSES.index(spec.cls), *center, *dims, normalize_angle(heading),
+                     spec.speed))
+    return np.array(rows, dtype=_PER_AGENT_RECORD)
+
+
+def test_step_scenario_rows_are_bit_equal_to_the_per_agent_simulator():
+    rng = np.random.default_rng(5)
+    specs = [
+        AgentSpec(cls=CLASSES[k % 2], route=rng.uniform(-50, 50, (4, 2)), speed=rng.uniform(0, 9))
+        for k in range(30)
+    ]
+    # Due west along y = -0.0: arctan2 gives -pi, which normalises to pi.
+    specs.append(AgentSpec(cls=ObjectClass.VEHICLE, route=[[10.0, 0.0], [-10.0, -0.0]], speed=1.0))
+    specs.append(AgentSpec(cls=ObjectClass.PEDESTRIAN, route=[[3.0, 4.0]], speed=0.0,
+                           dims=(0.5, 0.5, 2.0)))
+    cfg = ScenarioConfig(agents=specs, duration=8.0, rng_seed=17)
+    for t in (0.0, 0.1, 2.5, 8.0):
+        rows = step_scenario(cfg, t)
+        assert rows.dtype == scene.AGENT and rows.dtype.itemsize == 69
+        assert rows.tobytes() == _per_agent_step(cfg, t).tobytes()
+    assert step_scenario(cfg, 1.0)[30].heading == math.pi
+    empty = step_scenario(ScenarioConfig(agents=[], duration=1.0), 0.5)
+    assert empty.dtype == scene.AGENT and empty.shape == (0,)
+
+
+def test_read_headings_are_normalised_as_the_per_agent_reader_did(tmp_path):
+    headings = [3 * math.pi / 2, -7.0, math.pi, -math.pi, 0.3, -math.pi + 1e-15, 1e6]
+    records = np.array([(k, 0, k, 1.0, 0.8, 2.0, 4.5, 1.6, h, 3.0) for k, h in enumerate(headings)],
+                       _PER_AGENT_RECORD)
+    path = tmp_path / "gt.bin"
+    write_ground_truth([GroundTruthFrame(t=0.0, agents=records.view(scene.AGENT))], path)
+    (back,) = read_ground_truth(path)
+    # Each agent object normalised its heading, in range or not.
+    reference = records.copy()
+    reference["heading"] = [normalize_angle(h) for h in headings]
+    assert back.agents.tobytes() == reference.tobytes()
+    assert back.agents["heading"][0] == -math.pi / 2 and back.agents["heading"][3] == math.pi
+
+
+def test_ground_truth_frame_with_two_bad_records_names_the_first(tmp_path):
+    # Record 1 breaks both the finite rule and its dims, record 3 the class
+    # code: the message names record 1, with the reason the one-record rule
+    # checks first.
+    car = agent(0, ObjectClass.VEHICLE, [1.0, 2.0, 0.8], VEHICLE_DIMS, 0.0, 5.0)
+    rows = np.array([car] * 4)
+    rows[1]["speed"], rows[1]["w"] = math.nan, 9.0
+    rows[3]["cls"] = 7
+    path = tmp_path / "gt.bin"
+    write_ground_truth([GroundTruthFrame(t=0.0, agents=rows)], path)
+    with pytest.raises(FrameFormatError, match=re.escape(
+            "frame 0 record 1: x, y, z, heading and speed must be finite, got "
+            "1.0, 2.0, 0.8, 0.0, nan")):
+        read_ground_truth(path)
 
 
 def test_sampled_dims_within_class_ranges():
@@ -215,8 +288,8 @@ def test_point_cloud_frame_keeps_float32_and_widens_the_rest():
 
 
 def test_range_attenuation_monotone():
-    near = AgentState(0, ObjectClass.VEHICLE, np.array([10.0, 0, 0.8]), VEHICLE_DIMS, 0.0, 0.0)
-    far = AgentState(1, ObjectClass.VEHICLE, np.array([50.0, 0, 0.8]), VEHICLE_DIMS, 0.0, 0.0)
+    near = agent(0, ObjectClass.VEHICLE, [10.0, 0, 0.8], VEHICLE_DIMS, 0.0, 0.0)
+    far = agent(1, ObjectClass.VEHICLE, [50.0, 0, 0.8], VEHICLE_DIMS, 0.0, 0.0)
     cfg = ScenarioConfig(agents=[], duration=1.0, ground_point_density=0.0)
     frame = sample_point_cloud([near, far], cfg)
     n_near = int(np.sum(np.abs(frame.xyz[:, 0] - 10.0) < 5.0))

@@ -1,5 +1,5 @@
-"""`perceive` and `simulate` hold one frame at a time, and the container
-reader and writer that let them.
+"""`perceive`, `simulate` and `eval` hold one frame at a time, and the
+container reader and writer that let them.
 
 The memory tests run each command in a fresh interpreter and read its own
 peak, `VmHWM` from /proc/self/status at exit. `ru_maxrss` would not do: on
@@ -17,6 +17,7 @@ import pytest
 
 from roadeye.cli import main
 from roadeye.scene import (
+    AGENT,
     FrameFormatError,
     GroundTruthFrame,
     PointCloudFrame,
@@ -27,6 +28,7 @@ from roadeye.scene import (
     write_frames,
     write_ground_truth,
 )
+from roadeye.wire import PhaseStamps, encode_frame
 
 # About 30k points a frame (480 KB as float32, 960 KB as float64), so that
 # four times the frames would add tens of MiB to a run that held them all.
@@ -103,6 +105,37 @@ for frame in stream_frames(sys.argv[2])[1]:
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(json.dumps(faults))
 """
+
+
+# 2,000 agents a frame (138 KB of records): a run that held every frame's
+# agents as per-agent objects would grow by tens of MiB over 60 more frames.
+CROWD_AGENTS = 2000
+
+
+def _crowd_truth(path, n_frames, rng):
+    """A ground-truth file of n_frames frames, 0.1 s apart, of CROWD_AGENTS
+    cars each, and a results file with one empty result frame per frame."""
+    rows = np.zeros(CROWD_AGENTS, AGENT)
+    rows["id"] = np.arange(CROWD_AGENTS)
+    rows["x"], rows["y"] = rng.uniform(-50, 50, (2, CROWD_AGENTS))
+    rows["z"], rows["w"], rows["l"], rows["h"], rows["speed"] = 0.8, 2.0, 4.5, 1.6, 5.0
+    times = 0.1 * np.arange(n_frames)
+    write_ground_truth((GroundTruthFrame(t=float(t), agents=rows) for t in times), path)
+    results = Path(f"{path}.results")
+    results.write_bytes(b"".join(encode_frame([], PhaseStamps(), float(t)) for t in times))
+    return results
+
+
+@needs_proc
+def test_eval_peak_memory_does_not_grow_with_the_file(tmp_path, rng):
+    # Measured: 33.2 and 32.5 MiB; a run that read the whole file into
+    # per-agent objects peaked at 53.5 and 117.7 MiB.
+    peaks = []
+    for n_frames in (20, 80):
+        gt = tmp_path / f"crowd{n_frames}.gt"
+        results = _crowd_truth(gt, n_frames, rng)
+        peaks.append(_peak_mib("eval", "--gt", gt, "--results", results))
+    assert peaks[1] <= peaks[0] + PEAK_MARGIN_MIB, peaks
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's allocator")
