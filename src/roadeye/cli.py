@@ -27,10 +27,9 @@ from .evaluate import (
     format_latency_report,
     format_metric_report,
     latency_report,
-    match_detections,
+    match_centres,
+    plan_enu,
 )
-from .detect import DETECTION
-from .geoloc import GeodeticPos, geodetic_to_ecef
 from .geometry import ObjectClass
 from .pipeline import EdgePipeline, PipelineStageError
 from .relay import connect_publisher, connect_subscriber, relay_serve
@@ -41,7 +40,7 @@ from .scene import (
     stream_ground_truth,
     write_scenario,
 )
-from .wire import decode_frame, iter_frames_from_file, read_frame_bytes
+from .wire import RECORD, decode_frame, iter_frames_from_file, read_frame_bytes
 
 log = logging.getLogger(__name__)
 
@@ -188,25 +187,6 @@ def cmd_onboard(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
-def _messages_to_world_detections(msgs, cfg: PipelineConfig) -> np.recarray:
-    """Decoded messages as world-frame DETECTION rows for evaluation: the box
-    centres, which matching reads, and each record's class and id. The closed
-    form shares no transform with the pipeline: ECEF offsets from the
-    surveyed sensor location rotated into east, north and up, plus the mount
-    height on up, since the world origin lies on the ground below the sensor."""
-    sensor = cfg.sensor_geodetic()
-    o = geodetic_to_ecef(sensor).as_array()
-    sp, cp = math.sin(math.radians(sensor.lat)), math.cos(math.radians(sensor.lat))
-    sl, cl = math.sin(math.radians(sensor.lon)), math.cos(math.radians(sensor.lon))
-    ecef_to_enu = np.array([[-sl, cl, 0.0], [-sp * cl, -sp * sl, cp], [cp * cl, cp * sl, sp]])
-    ecef = [geodetic_to_ecef(GeodeticPos(m.lat, m.lon, m.alt)).as_array() for m in msgs]
-    east, north, up = ((np.reshape(ecef, (-1, 3)) - o) @ ecef_to_enu.T).T
-    dets = np.zeros(len(msgs), DETECTION).view(np.recarray)
-    dets.box.x, dets.box.y, dets.box.z = east, north, up + cfg["scene.mount_height"]
-    dets.cls, dets.id = [m.cls for m in msgs], [m.id for m in msgs]
-    return dets
-
-
 def cmd_eval(cfg: PipelineConfig, args) -> int:
     threshold = args.dist_threshold
     if threshold is None:
@@ -214,11 +194,12 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
     if args.counts:
         with open(args.counts) as f:
             raw = json.load(f)
-        counts = ConfusionCounts(
-            tp=int(raw["tp"]),
-            fp=int(raw["fp"]),
-            fn=int(raw["ground_truth"]) - int(raw["tp"]),
-        )
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.counts}: expected a JSON object")
+        for key in ("tp", "fp", "ground_truth"):
+            if type(raw.get(key)) is not int:  # no bool, float or string
+                raise ValueError(f"counts key {key!r} must be an integer, got {raw.get(key)!r}")
+        counts = ConfusionCounts(tp=raw["tp"], fp=raw["fp"], fn=raw["ground_truth"] - raw["tp"])
     else:
         if not (args.gt and args.results):
             raise ValueError("need --gt and --results, or --counts")
@@ -235,9 +216,9 @@ def cmd_eval(cfg: PipelineConfig, args) -> int:
                 if decoded.t_frame != truth.t:
                     raise ValueError(f"result frame {n_results} is at t={decoded.t_frame} "
                                      f"but its ground truth at t={truth.t}")
-                dets = _messages_to_world_detections(decoded.messages, cfg)
-                boxes = [a.as_box() for a in truth.agents]
-                counts = counts + match_detections(boxes, dets, threshold)
+                det_xy = plan_enu(np.asarray(decoded.messages, RECORD), cfg.sensor_geodetic())
+                gt_xy = np.column_stack([truth.agents["x"], truth.agents["y"]])
+                counts = counts + match_centres(gt_xy, det_xy, threshold)
             n_results += 1
         if n_results != len(kept):
             raise ValueError(f"{n_results} result frames but {len(kept)} ground-truth frames")

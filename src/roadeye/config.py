@@ -9,17 +9,19 @@ accessors build those objects from their sections by field name. The other
 keys (seed, agents, geoloc, relay, the rest of onboard) have their defaults
 here. config.sample.json in the repository root mirrors DEFAULTS (enforced by
 a test). Unknown keys are rejected with their full dotted path, and a value
-must have its default's type: an integer default takes only integers, a null
-one a string or null, and a list one a list of its length, item by item.
-Each scene.agents entry is checked when the scenario is built: it takes only
-class, route, speed (a number) and dims (null, or three numbers inside the
-class's ranges).
+must have its default's type: an integer default takes only integers, a float
+one only finite numbers (`json` reads NaN and Infinity), a null one a string
+or null, and a list one a list of its length, item by item. Each
+scene.agents entry is checked when the scenario is built: it takes only
+class, route (finite points), speed (a finite number) and dims (null, or
+three numbers inside the class's ranges).
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import asdict, dataclass
 
 from .detect import ClusterParams, DetectorNoise
@@ -128,6 +130,8 @@ def _check_value(value, d, dotted: str):
     elif isinstance(d, float):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{dotted}: expected a number")
+        if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int past a float's range
+            raise ConfigError(f"{dotted}: expected a finite number, got {value}")
     elif isinstance(d, str):
         if not isinstance(value, str):
             raise ConfigError(f"{dotted}: expected a string")

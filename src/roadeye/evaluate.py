@@ -1,19 +1,22 @@
 """Detection accuracy bookkeeping and pipeline latency reporting.
 
 Detections match ground truth greedily by ascending plan-view center
-distance; precision, recall, and miss all use integer counts so a perfect
-run reports exactly 1.0. Latency sums each frame's timed stages into the
-three phases `roadeye bench` reports: the pre-processor, the edge
-perception chain and the onboard decode, reconstruct and render.
+distance, on the east-north centres `plan_enu` maps decoded records to;
+precision, recall, and miss all use integer counts so a perfect run reports
+exactly 1.0. Latency sums each frame's timed stages into the three phases
+`roadeye bench` reports: the pre-processor, the edge perception chain and
+the onboard decode, reconstruct and render.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import OrientedBox3D, plan_pairs
+from .geoloc import WGS84, GeodeticPos, geodetic_to_ecef
+from .geometry import plan_pairs
 
 DEFAULT_MATCH_THRESHOLD = 2.0  # m, plan-view center distance
 
@@ -51,22 +54,15 @@ class MetricReport:
         return {"precision": self.precision, "recall": self.recall, "miss": self.miss}
 
 
-def match_detections(
-    gt: list[OrientedBox3D],
-    dets,
-    dist_threshold: float = DEFAULT_MATCH_THRESHOLD,
-) -> ConfusionCounts:
-    """Greedy one-to-one matching by ascending plan-view center distance.
-
-    `dets` holds anything with `box.x` and `box.y`: `Detection`s or
-    DETECTION rows. Pairs within the threshold are taken in ascending
+def match_centres(gt_xy, det_xy, dist_threshold: float) -> ConfusionCounts:
+    """Greedy one-to-one matching of (n, 2) ground-truth and (m, 2) detection
+    plan-view centres. Pairs within the threshold are taken in ascending
     (distance, gt index, detection index) order and count as TP; leftover
-    detections are FP and leftover ground truth FN.
-    """
-    if dist_threshold <= 0:
-        raise ValueError("dist_threshold must be positive")
-    gt_xy = np.array([(g.x, g.y) for g in gt], dtype=float).reshape(-1, 2)
-    det_xy = np.array([(d.box.x, d.box.y) for d in dets], dtype=float).reshape(-1, 2)
+    detections are FP and leftover ground truth FN."""
+    if not 0.0 < dist_threshold < math.inf:
+        raise ValueError(f"dist_threshold must be positive and finite, got {dist_threshold}")
+    gt_xy = np.asarray(gt_xy, dtype=float).reshape(-1, 2)
+    det_xy = np.asarray(det_xy, dtype=float).reshape(-1, 2)
     i, j, d = plan_pairs(gt_xy, det_xy, dist_threshold)
     order = np.lexsort((j, i, d))
     used_gt, used_det = set(), set()
@@ -76,6 +72,30 @@ def match_detections(
             used_det.add(b)
     tp = len(used_gt)
     return ConfusionCounts(tp=tp, fp=len(det_xy) - tp, fn=len(gt_xy) - tp)
+
+
+def match_detections(gt, dets, dist_threshold: float = DEFAULT_MATCH_THRESHOLD) -> ConfusionCounts:
+    """`match_centres` on the centres of `OrientedBox3D`s and of anything with
+    `box.x` and `box.y` (`Detection`s, DETECTION rows)."""
+    return match_centres([(g.x, g.y) for g in gt], [(d.box.x, d.box.y) for d in dets],
+                         dist_threshold)
+
+
+def plan_enu(records, origin: GeodeticPos) -> np.ndarray:
+    """(n, 2) east and north metres of RECORD rows about `origin`, the
+    surveyed sensor: `geodetic_to_ecef`'s closed form on the lat/lon/alt
+    columns, then each ECEF offset from the origin rotated into east and
+    north. It builds no transform of the pipeline's, so scoring shares
+    nothing with the chain under test."""
+    phi, lam, alt = np.radians(records["lat"]), np.radians(records["lon"]), records["alt"]
+    n = WGS84.R / np.sqrt(1.0 - WGS84.e2 * np.sin(phi) ** 2)
+    r = (n + alt) * np.cos(phi)
+    ecef = np.column_stack([r * np.cos(lam), r * np.sin(lam),
+                            (n * (1.0 - WGS84.e2) + alt) * np.sin(phi)])
+    sp, cp = math.sin(math.radians(origin.lat)), math.cos(math.radians(origin.lat))
+    sl, cl = math.sin(math.radians(origin.lon)), math.cos(math.radians(origin.lon))
+    ecef_to_en = np.array([[-sl, cl, 0.0], [-sp * cl, -sp * sl, cp]])
+    return (ecef - geodetic_to_ecef(origin).as_array()) @ ecef_to_en.T
 
 
 def count_id_switches(frames) -> int:

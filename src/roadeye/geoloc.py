@@ -4,9 +4,9 @@ The ECEF-to-geodetic direction runs the iterated reduced-latitude scheme
 (Bowring): per point to convergence in `ecef_to_geodetic`, the oracle, and
 a fixed number of steps over whole arrays in `ecef_to_geodetic_points`,
 which georeferencing uses. The forward closed form, `geodetic_to_ecef`, is
-their test oracle; it also places the surveyed sensor in
-`enu_to_ecef_transform`, the pipeline's path without GCPs, and carries
-decoded positions to ENU in `roadeye eval`. The sensor-to-ECEF transform
+their test oracle, and `evaluate.plan_enu`'s, which runs it over columns;
+it also places the surveyed sensor in `enu_to_ecef_transform`, the
+pipeline's path without GCPs, and in `plan_enu`. The sensor-to-ECEF transform
 comes either from ground-control-point correspondences or from a surveyed
 sensor location.
 """

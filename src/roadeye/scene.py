@@ -84,10 +84,12 @@ class AgentSpec:
         self.route = np.asarray(self.route, dtype=float).reshape(-1, 2)
         if len(self.route) < 1:
             raise ValueError("route needs at least one waypoint")
+        if not np.all(np.isfinite(self.route)):
+            raise ValueError("route points must be finite")
         if np.any(np.abs(self.route) > AREA_HALF_EXTENT):
             raise ValueError(f"route leaves the {2 * AREA_HALF_EXTENT} m square")
-        if self.speed < 0:
-            raise ValueError("speed must be nonnegative")
+        if not 0 <= self.speed < math.inf:
+            raise ValueError(f"speed must be nonnegative and finite, got {self.speed}")
         if self.dims is not None:
             self.dims = check_dims(self.cls, self.dims)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import socket
 import struct
 import subprocess
@@ -79,6 +80,22 @@ def test_integer_key_takes_only_integers(dotted, value):
     # A cast would silently truncate: max_age 4.9 would drop a track after 4 misses.
     with pytest.raises(ConfigError, match=dotted.replace(".", r"\.") + ": expected an integer"):
         load_config(overrides=_nested(dotted, value))
+
+
+@pytest.mark.parametrize("dotted, value, key", [
+    ("tracker.gate_assoc", math.nan, r"tracker\.gate_assoc"),
+    ("tracker.d_o", math.inf, r"tracker\.d_o"),
+    ("detector.cluster.voxel", math.nan, r"detector\.cluster\.voxel"),
+    ("eval.dist_threshold", math.nan, r"eval\.dist_threshold"),
+    ("geoloc.sensor_lat", -math.inf, r"geoloc\.sensor_lat"),
+    ("onboard.viewport", [800.0, math.nan], r"onboard\.viewport\[1\]"),
+])
+def test_number_key_takes_only_finite_numbers(tmp_path, dotted, value, key):
+    # `json` writes and reads NaN and Infinity; a NaN gate matched nothing.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_nested(dotted, value)))
+    with pytest.raises(ConfigError, match=key + ": expected a finite number"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("value", [7, 0, ["gcps.txt"]])
@@ -177,7 +194,12 @@ _VEHICLE = {"class": "vehicle", "route": [[0.0, 0.0]], "speed": 1.0}
     ([{**_VEHICLE, "dims": [2.0, 20.0, 1.5]}], r"scene\.agents\[0\]: vehicle dim l=20.0 outside"),
     ({"x": 1}, r"scene\.agents: expected a list"),
     ([5], r"scene\.agents\[0\]: expected an object"),
-], ids=["unknown-key", "bool-speed", "two-dims", "dims-out-of-range", "not-a-list", "not-an-object"])
+    ([{**_VEHICLE, "route": [[0.0, 0.0], [math.nan, 1.0]]}],
+     r"scene\.agents\[0\]: route points must be finite"),
+    ([{**_VEHICLE, "speed": math.nan}], r"scene\.agents\[0\]\.speed: expected a finite"),
+    ([{**_VEHICLE, "speed": math.inf}], r"scene\.agents\[0\]\.speed: expected a finite"),
+], ids=["unknown-key", "bool-speed", "two-dims", "dims-out-of-range", "not-a-list", "not-an-object",
+        "nan-route", "nan-speed", "inf-speed"])
 def test_agent_entry_checked_at_load(tmp_path, agents, match):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"scene": {"agents": agents}}))
@@ -531,15 +553,18 @@ def test_perceive_wall_stamps(tmp_path):
         assert s.t_sensor > 1e9  # epoch seconds, not simulated time
 
 
-def test_eval_zero_dist_threshold_rejected(tmp_path):
+@pytest.mark.parametrize("threshold", ["0", "nan", "inf"])
+def test_eval_zero_dist_threshold_rejected(tmp_path, capsys, threshold):
     cfg = _write_cfg(tmp_path)
     frames = tmp_path / "f.bin"
     results = tmp_path / "r.bin"
     main(["--config", str(cfg), "simulate", "--out", str(frames)])
     main(["--config", str(cfg), "perceive", "--frames", str(frames),
           "--gt", str(frames) + ".gt", "--out", str(results)])
+    capsys.readouterr()
     assert main(["--config", str(cfg), "eval", "--gt", str(frames) + ".gt",
-                 "--results", str(results), "--dist-threshold", "0"]) == 2
+                 "--results", str(results), "--dist-threshold", threshold]) == 2
+    assert "dist_threshold must be positive and finite" in capsys.readouterr().err
 
 
 def test_eval_scores_a_run_that_skipped_a_repeated_frame(tmp_path, capsys):
@@ -610,29 +635,50 @@ def test_perceive_and_eval_skip_a_frame_whose_time_goes_back(tmp_path, capsys):
     assert runs[0][1]["ground_truth"] == sum(len(g.agents) for g in gt[:5] + gt[6:])
 
 
-def test_eval_detections_carry_each_record_class_and_id(tmp_path):
-    from roadeye.cli import _messages_to_world_detections
-    from roadeye.evaluate import match_detections
-    from roadeye.wire import decode_frame, iter_frames_from_file
+def test_eval_scores_the_plan_enu_row_of_each_record(tmp_path):
+    import numpy as np
+
+    from roadeye.detect import Detection
+    from roadeye.evaluate import ConfusionCounts, match_detections, plan_enu
+    from roadeye.geoloc import GeodeticPos, geodetic_to_ecef
+    from roadeye.geometry import ObjectClass, OrientedBox3D
+    from roadeye.wire import RECORD, decode_frame, iter_frames_from_file
 
     cfg = _write_cfg(tmp_path)
     frames, results = tmp_path / "f.bin", tmp_path / "r.bin"
     main(["--config", str(cfg), "simulate", "--out", str(frames)])
     main(["--config", str(cfg), "perceive", "--frames", str(frames),
           "--gt", str(frames) + ".gt", "--out", str(results)])
-    gt, seen = read_ground_truth(str(frames) + ".gt"), set()
-    for raw, truth in zip(iter_frames_from_file(results), gt):
+    report = tmp_path / "report.json"
+    assert main(["--config", str(cfg), "eval", "--gt", str(frames) + ".gt",
+                 "--results", str(results), "--json", str(report)]) == 0
+    # The per-message reference: each record through the scalar closed form,
+    # its ECEF offset from the sensor rotated into east and north, scored as
+    # box and `Detection` objects.
+    origin = load_config(cfg).sensor_geodetic()
+    o = geodetic_to_ecef(origin)
+    sp, cp = math.sin(math.radians(origin.lat)), math.cos(math.radians(origin.lat))
+    sl, cl = math.sin(math.radians(origin.lon)), math.cos(math.radians(origin.lon))
+    reference = ConfusionCounts(tp=0, fp=0, fn=0)
+    n_records = 0
+    for raw, truth in zip(iter_frames_from_file(results), read_ground_truth(str(frames) + ".gt")):
         msgs = decode_frame(raw).messages
-        dets = _messages_to_world_detections(msgs, load_config(cfg))
-        assert dets.cls.tolist() == [m.cls for m in msgs]
-        assert dets.id.tolist() == [m.id for m in msgs]
-        seen.update(zip(dets.cls.tolist(), dets.id.tolist()))
-        # Matching reads neither field.
-        blank = dets.copy()
-        blank.cls, blank.id = 0, 0
-        boxes = [a.as_box() for a in truth.agents]
-        assert match_detections(boxes, dets) == match_detections(boxes, blank)
-    assert {c for c, _ in seen} == {0, 1} and len({i for _, i in seen}) > 1
+        got = plan_enu(np.asarray(msgs, RECORD), origin)
+        assert got.shape == (len(msgs), 2)
+        dets = []
+        for k, m in enumerate(msgs):
+            e = geodetic_to_ecef(GeodeticPos(m.lat, m.lon, m.alt))
+            dx, dy, dz = e.X - o.X, e.Y - o.Y, e.Z - o.Z
+            east, north = -sl * dx + cl * dy, -sp * cl * dx - sp * sl * dy + cp * dz
+            assert abs(got[k, 0] - east) <= 1e-9 and abs(got[k, 1] - north) <= 1e-9
+            box = OrientedBox3D(east, north, 0.0, m.w, m.l, m.h, 0.0)
+            dets.append(Detection(box=box, cls=ObjectClass.VEHICLE, score=1.0))
+        n_records += len(msgs)
+        reference = reference + match_detections([a.as_box() for a in truth.agents], dets)
+    counts = json.loads(report.read_text())["counts"]
+    assert n_records > 30 and reference.tp > 30
+    assert counts == {"tp": reference.tp, "fp": reference.fp, "fn": reference.fn,
+                      "ground_truth": reference.ground_truth_total}
 
 
 @pytest.mark.parametrize("order, skipped", [
@@ -732,6 +778,20 @@ def test_eval_counts_mode(tmp_path):
     assert abs(100 * data["precision"] - 96.99) <= 0.01
     assert abs(100 * data["recall"] - 83.62) <= 0.01
     assert abs(100 * data["miss"] - 16.38) <= 0.01
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tp", 3.7), ("fp", True), ("ground_truth", "9"), ("tp", None), ("ground_truth", 9.0),
+])
+def test_eval_counts_must_be_integers(tmp_path, capsys, key, value):
+    # Each used to be cast: 3.7 scored as 3, true as 1, "9" as 9.
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps({"tp": 3, "fp": 1, "ground_truth": 9, key: value}))
+    assert main(["eval", "--counts", str(counts)]) == 2
+    assert f"counts key '{key}' must be an integer, got {value!r}" in capsys.readouterr().err
+    counts.write_text(json.dumps([3, 1, 9]))
+    assert main(["eval", "--counts", str(counts)]) == 2
+    assert f"{counts}: expected a JSON object" in capsys.readouterr().err
 
 
 def test_onboard_without_relay_reports_connection_refused(tmp_path):

@@ -12,9 +12,13 @@ from roadeye.evaluate import (
     format_latency_report,
     format_metric_report,
     latency_report,
+    match_centres,
     match_detections,
+    plan_enu,
 )
+from roadeye.geoloc import GeodeticPos, geodetic_to_ecef
 from roadeye.geometry import ObjectClass, OrientedBox3D
+from roadeye.wire import RECORD
 
 
 def _box(x, y):
@@ -25,47 +29,57 @@ def _det(x, y):
     return Detection(box=_box(x, y), cls=ObjectClass.VEHICLE, score=1.0)
 
 
+def _counts(c):
+    return (c.tp, c.fp, c.fn)
+
+
 # --- matching ----------------------------------------------------------------
 
 def test_identical_sets_all_tp():
-    gt = [_box(0, 0), _box(10, 0), _box(0, 10)]
-    dets = [_det(0, 0), _det(10, 0), _det(0, 10)]
-    c = match_detections(gt, dets, 2.0)
-    assert (c.tp, c.fp, c.fn) == (3, 0, 0)
+    xy = np.array([(0, 0), (10, 0), (0, 10)], dtype=float)
+    c = match_centres(xy, xy, 2.0)
+    assert _counts(c) == (3, 0, 0)
     assert c.ground_truth_total == 3
 
 
 def test_empty_detections_all_fn():
-    gt = [_box(0, 0), _box(5, 5)]
-    c = match_detections(gt, [], 2.0)
-    assert (c.tp, c.fp, c.fn) == (0, 0, 2)
+    c = match_centres([(0, 0), (5, 5)], np.empty((0, 2)), 2.0)
+    assert _counts(c) == (0, 0, 2)
+    assert _counts(match_centres(np.empty((0, 2)), [(0, 0)], 2.0)) == (0, 1, 0)
 
 
 def test_clutter_counts_fp():
-    c = match_detections([_box(0, 0)], [_det(0.1, 0), _det(30, 30)], 2.0)
-    assert (c.tp, c.fp, c.fn) == (1, 1, 0)
+    c = match_centres([(0, 0)], [(0.1, 0), (30, 30)], 2.0)
+    assert _counts(c) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_threshold_must_be_positive_and_finite(threshold):
+    # A NaN gate used to match nothing and an infinite one everything.
+    with pytest.raises(ValueError, match="positive and finite"):
+        match_centres([(0, 0)], [(0, 0)], threshold)
+    with pytest.raises(ValueError, match="positive and finite"):
+        match_detections([_box(0, 0)], [_det(0, 0)], threshold)
 
 
 def test_count_identities(rng):
     for _ in range(50):
         n_gt = int(rng.integers(0, 10))
         n_det = int(rng.integers(0, 10))
-        gt = [_box(*rng.uniform(-40, 40, 2)) for _ in range(n_gt)]
-        dets = [_det(*rng.uniform(-40, 40, 2)) for _ in range(n_det)]
-        c = match_detections(gt, dets, 2.0)
+        c = match_centres(rng.uniform(-40, 40, (n_gt, 2)), rng.uniform(-40, 40, (n_det, 2)), 2.0)
         assert c.tp + c.fn == n_gt
         assert c.tp + c.fp == n_det
 
 
-def _bruteforce_max_matching(gt, dets, threshold):
+def _bruteforce_max_matching(gt_xy, det_xy, threshold):
     """Exhaustive maximum number of one-to-one pairs within the threshold."""
     best = 0
-    n, m = len(gt), len(dets)
+    n, m = len(gt_xy), len(det_xy)
     for k in range(min(n, m), -1, -1):
         for gs in itertools.combinations(range(n), k):
             for ds in itertools.permutations(range(m), k):
                 ok = all(
-                    math.hypot(gt[i].x - dets[j].box.x, gt[i].y - dets[j].box.y) <= threshold
+                    math.hypot(gt_xy[i][0] - det_xy[j][0], gt_xy[i][1] - det_xy[j][1]) <= threshold
                     for i, j in zip(gs, ds)
                 )
                 if ok:
@@ -73,14 +87,14 @@ def _bruteforce_max_matching(gt, dets, threshold):
     return best
 
 
-def _pair_list_counts(gt, dets, threshold):
-    """The O(n*m) Python pair list `match_detections` replaced: every pair
+def _pair_list_counts(gt_xy, det_xy, threshold):
+    """The O(n*m) Python pair list `match_centres` replaced: every pair
     within the threshold, sorted by (distance, gt index, detection index),
     taken greedily."""
     pairs = []
-    for i, g in enumerate(gt):
-        for j, d in enumerate(dets):
-            dist = math.hypot(g.x - d.box.x, g.y - d.box.y)
+    for i, (gx, gy) in enumerate(gt_xy):
+        for j, (dx, dy) in enumerate(det_xy):
+            dist = math.hypot(gx - dx, gy - dy)
             if dist <= threshold:
                 pairs.append((dist, i, j))
     pairs.sort()
@@ -90,28 +104,38 @@ def _pair_list_counts(gt, dets, threshold):
             used_gt.add(i)
             used_det.add(j)
     tp = len(used_gt)
-    return (tp, len(dets) - tp, len(gt) - tp)
+    return (tp, len(det_xy) - tp, len(gt_xy) - tp)
 
 
-def test_counts_equal_pair_list_reference(rng):
+def _scenes(rng):
+    """300 (gt, detection) centre-array scenes, some empty on either side.
+    Half sit on a 0.5 m grid, where equal distances tie and pairs land
+    exactly on the 2 m threshold."""
     for trial in range(300):
         n_gt = 0 if trial % 10 == 0 else int(rng.integers(0, 40))
         n_det = 0 if trial % 10 == 5 else int(rng.integers(0, 40))
-        # Half the scenes sit on a 0.5 m grid, where equal distances tie and
-        # pairs land exactly on the 2 m threshold.
-        step = 0.5 if trial % 2 else None
-        def xy():
-            p = rng.uniform(-15, 15, 2)
-            return np.round(p / step) * step if step else p
-        gt = [_box(*xy()) for _ in range(n_gt)]
-        dets = [_det(*xy()) for _ in range(n_det)]
-        c = match_detections(gt, dets, 2.0)
-        assert (c.tp, c.fp, c.fn) == _pair_list_counts(gt, dets, 2.0)
-    # Three detections tie at 1 m from one truth box: the lowest index wins.
-    gt = [_box(0, 0), _box(0, 3)]
-    dets = [_det(1, 0), _det(0, 1), _det(-1, 0)]
-    c = match_detections(gt, dets, 2.0)
-    assert (c.tp, c.fp, c.fn) == _pair_list_counts(gt, dets, 2.0) == (2, 1, 0)
+        gt_xy, det_xy = rng.uniform(-15, 15, (n_gt, 2)), rng.uniform(-15, 15, (n_det, 2))
+        if trial % 2:
+            gt_xy, det_xy = np.round(gt_xy / 0.5) * 0.5, np.round(det_xy / 0.5) * 0.5
+        yield gt_xy, det_xy
+
+
+def test_counts_equal_pair_list_reference(rng):
+    for gt_xy, det_xy in _scenes(rng):
+        c = match_centres(gt_xy, det_xy, 2.0)
+        assert _counts(c) == _pair_list_counts(gt_xy, det_xy, 2.0)
+    # Three detections tie at 1 m from one truth centre: the lowest index wins.
+    gt_xy = [(0, 0), (0, 3)]
+    det_xy = [(1, 0), (0, 1), (-1, 0)]
+    c = match_centres(gt_xy, det_xy, 2.0)
+    assert _counts(c) == _pair_list_counts(gt_xy, det_xy, 2.0) == (2, 1, 0)
+
+
+def test_match_detections_is_match_centres_on_the_object_centres(rng):
+    # The object adapter: boxes and `Detection`s score as their centres do.
+    for gt_xy, det_xy in _scenes(rng):
+        boxes, dets = [_box(*p) for p in gt_xy], [_det(*p) for p in det_xy]
+        assert match_detections(boxes, dets, 2.0) == match_centres(gt_xy, det_xy, 2.0)
 
 
 def test_greedy_matches_exhaustive_on_small_instances(rng):
@@ -121,10 +145,38 @@ def test_greedy_matches_exhaustive_on_small_instances(rng):
         # Well-separated anchors with small perturbations keep distances
         # unambiguous, where greedy is provably optimal.
         anchors = rng.uniform(-40, 40, (max(n, m), 2))
-        gt = [_box(*anchors[i]) for i in range(n)]
-        dets = [_det(*(anchors[j] + rng.normal(0, 0.3, 2))) for j in range(m)]
-        c = match_detections(gt, dets, 2.0)
-        assert c.tp == _bruteforce_max_matching(gt, dets, 2.0)
+        gt_xy = anchors[:n]
+        det_xy = anchors[:m] + rng.normal(0, 0.3, (m, 2))
+        c = match_centres(gt_xy, det_xy, 2.0)
+        assert c.tp == _bruteforce_max_matching(gt_xy, det_xy, 2.0)
+
+
+# --- ENU mapping ---------------------------------------------------------------
+
+def test_plan_enu_matches_the_scalar_closed_form(rng):
+    # Reference: `geodetic_to_ecef` per row, the offset from the origin
+    # rotated into east and north one row at a time.
+    for lat0, lon0, alt0 in [(40.0, -105.0, 1600.0), (-33.9, 151.2, 20.0), (0.0, 180.0, 0.0),
+                             (89.5, -179.9, 3000.0)]:
+        origin = GeodeticPos(lat0, lon0, alt0)
+        o = geodetic_to_ecef(origin)
+        sp, cp = math.sin(math.radians(lat0)), math.cos(math.radians(lat0))
+        sl, cl = math.sin(math.radians(lon0)), math.cos(math.radians(lon0))
+        rows = np.zeros(200, RECORD)
+        rows["lat"] = np.clip(lat0 + rng.uniform(-0.01, 0.01, 200), -90.0, 90.0)
+        rows["lon"] = lon0 + rng.uniform(-0.01, 0.0, 200)
+        rows["alt"] = alt0 + rng.uniform(-10.0, 10.0, 200)
+        got = plan_enu(rows, origin)
+        assert got.shape == (200, 2)
+        for (east, north), r in zip(got, rows):
+            e = geodetic_to_ecef(GeodeticPos(float(r["lat"]), float(r["lon"]), float(r["alt"])))
+            dx, dy, dz = e.X - o.X, e.Y - o.Y, e.Z - o.Z
+            assert abs(east - (-sl * dx + cl * dy)) <= 1e-8
+            assert abs(north - (-sp * cl * dx - sp * sl * dy + cp * dz)) <= 1e-8
+    assert plan_enu(np.zeros(0, RECORD), origin).shape == (0, 2)
+    # The origin itself, at any height, lies at (0, 0).
+    above = np.array([(0.0, 0, lat0, lon0, alt0 + 50.0, 1, 1, 1, 0, 0)], RECORD)
+    assert np.abs(plan_enu(above, origin)).max() <= 1e-8
 
 
 # --- metrics -----------------------------------------------------------------

@@ -203,6 +203,18 @@ def test_route_outside_square_rejected():
         AgentSpec(cls=ObjectClass.VEHICLE, route=[[0.0, 0.0], [60.0, 0.0]], speed=1.0)
 
 
+@pytest.mark.parametrize("route, speed, match", [
+    ([[0.0, 0.0], [math.nan, 1.0]], 1.0, "route points must be finite"),
+    ([[0.0, math.inf]], 1.0, "route points must be finite"),
+    ([[0.0, 0.0]], math.nan, "speed must be nonnegative and finite"),
+    ([[0.0, 0.0]], math.inf, "speed must be nonnegative and finite"),
+])
+def test_non_finite_route_or_speed_rejected(route, speed, match):
+    # Accepted, they made `simulate` write ground truth its own reader refuses.
+    with pytest.raises(ValueError, match=match):
+        AgentSpec(cls=ObjectClass.VEHICLE, route=route, speed=speed)
+
+
 def _surface_distance(box: OrientedBox3D, pts: np.ndarray) -> np.ndarray:
     """Distance of points to the box surface (0 when exactly on it)."""
     local = (np.asarray(pts, dtype=float) - box.center) @ rotation_about_z(box.theta)
