@@ -1,6 +1,6 @@
 """Oriented 3D detection: pluggable backends plus box-encoding/loss math.
 
-Two detector backends share one output type, a `DETECTION` record array:
+Two detector backends share one output type, an array of `DETECTION` rows:
 a ground-truth oracle with configurable corruption, and a voxel-clustering
 baseline. Both work in whole-frame array passes: the cluster detector builds
 its voxel graph from one sort of the voxel keys and fits every cluster's box
@@ -33,9 +33,10 @@ CLUTTER_DIM_RANGE = tuple((min(v[0], p[0]), max(v[1], p[1]))
                           for v, p in zip(VEHICLE_DIM_RANGE, PEDESTRIAN_DIM_RANGE))
 
 # One detected object per row: the box as `OrientedBox3D` names it, the class
-# as an index into CLASSES, the score, and the track id (-1 until tracked).
+# as an index into CLASSES, the score, and the track id (-1 until tracked). A
+# row reads its fields as attributes (`d.box.x`, `d.id`); an array, by name.
 BOX = np.dtype([(name, "<f8") for name in ("x", "y", "z", "w", "l", "h", "theta")])
-DETECTION = np.dtype([("box", BOX), ("cls", "u1"), ("score", "<f8"), ("id", "<i8")])
+DETECTION = np.dtype((np.record, [("box", BOX), ("cls", "u1"), ("score", "<f8"), ("id", "<i8")]))
 
 
 def size_class(box) -> np.ndarray:
@@ -74,8 +75,9 @@ class DetectorNoise:
     def __post_init__(self):
         if not 0.0 <= self.p_miss <= 1.0:
             raise ValueError("p_miss must be in [0, 1]")
-        if self.fp_rate < 0:
-            raise ValueError("fp_rate must be nonnegative")
+        for name in ("sigma_pos", "sigma_dim", "sigma_theta", "fp_rate"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 @dataclass
@@ -125,7 +127,7 @@ class LossWeights:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-def truth_boxes(agents) -> np.recarray:
+def truth_boxes(agents) -> np.ndarray:
     """The boxes of `AGENT` rows as DETECTION rows, in order: the centre,
     dims and heading, the class, score 1 and id -1, copied column by column."""
     agents = np.asarray(agents, AGENT)
@@ -137,7 +139,7 @@ def truth_boxes(agents) -> np.recarray:
     out["cls"] = agents["cls"]
     out["score"] = 1.0
     out["id"] = -1
-    return out.view(np.recarray)
+    return out
 
 
 def _clutter(rng: np.random.Generator, bounds: GeofenceBounds, n: int) -> np.ndarray:
@@ -159,30 +161,25 @@ def _clutter(rng: np.random.Generator, bounds: GeofenceBounds, n: int) -> np.nda
 
 
 def detect_oracle(
-    truth,
+    agents,
     noise: DetectorNoise,
     seed,
     bounds: GeofenceBounds | None = None,
-) -> np.recarray:
-    """Ground-truth detector: drop, perturb, and add Poisson clutter.
-
-    `truth` is DETECTION rows, as `truth_boxes` gives; `AGENT` rows, as
-    `step_scenario` gives, are put through `truth_boxes` first. Boxes come out
-    in the frame of `truth`, survivors first and in order; clutter lies
-    inside `bounds`, which must be given in that same frame. The pipeline
-    passes H-Coor truth and the geofence, whose bounds hold in H-Coor
-    (level, sensor at the origin, ground at -mount_height). Deterministic
-    under `seed`. With all-zero noise the survivors equal the truth boxes
-    exactly.
+) -> np.ndarray:
+    """Ground-truth detector: box `AGENT` rows, as `step_scenario` and the
+    ground-truth reader give them, with `truth_boxes`; then drop, perturb,
+    and add Poisson clutter. Boxes come out in the frame of `agents`,
+    survivors first and in order; clutter lies inside `bounds`, which must
+    be given in that same frame. The pipeline passes agents moved into
+    H-Coor and the geofence, whose bounds hold in H-Coor (level, sensor at
+    the origin, ground at -mount_height). Deterministic under `seed`. With
+    all-zero noise the survivors equal the truth boxes exactly.
     """
     rng = np.random.default_rng(seed)
     if bounds is None:
         bounds = GeofenceBounds()
-    if truth.dtype == AGENT:
-        truth = truth_boxes(truth)
-    # Plain field access inside, a recarray view out.
-    truth = truth.view(np.ndarray)
-    dets = truth[rng.random(len(truth)) >= noise.p_miss] if noise.p_miss > 0 else truth.copy()
+    truth = truth_boxes(agents)
+    dets = truth[rng.random(len(truth)) >= noise.p_miss] if noise.p_miss > 0 else truth
     box = dets["box"]
     if noise.sigma_pos > 0:
         for name, offset in zip("xyz", rng.normal(0.0, noise.sigma_pos, (len(dets), 3)).T):
@@ -193,7 +190,7 @@ def detect_oracle(
     if noise.sigma_theta > 0:
         box["theta"] = wrap_angles(box["theta"] + rng.normal(0.0, noise.sigma_theta, len(dets)))
     clutter = _clutter(rng, bounds, int(rng.poisson(noise.fp_rate)))
-    return np.concatenate([dets, clutter]).view(np.recarray)
+    return np.concatenate([dets, clutter])
 
 
 # Key offset of the dx = -1 voxel in each (dy, dz) row above a voxel's own:
@@ -247,7 +244,7 @@ def _voxel_components(vox: np.ndarray) -> np.ndarray:
     return connected_components(n, np.concatenate(rows), np.concatenate(cols))[inverse]
 
 
-def detect_cluster(frame_h, params: ClusterParams) -> np.recarray:
+def detect_cluster(frame_h, params: ClusterParams) -> np.ndarray:
     """Voxel connected-component detector over a leveled (H-Coor) frame.
 
     Points more than 0.2 m above `ground_z` are labelled by 26-connected
@@ -261,7 +258,7 @@ def detect_cluster(frame_h, params: ClusterParams) -> np.recarray:
     xyz = frame_h.xyz
     pts = xyz[xyz[:, 2] > params.ground_z + 0.2]
     if len(pts) == 0:
-        return np.recarray(0, DETECTION)
+        return np.empty(0, DETECTION)
     labels = _voxel_components(np.floor(pts / params.voxel).astype(np.int64))
     counts = np.bincount(labels)
     sizes = counts[counts >= params.min_points]
@@ -288,7 +285,7 @@ def detect_cluster(frame_h, params: ClusterParams) -> np.recarray:
     dets["cls"] = size_class(box)
     dets["score"] = np.minimum(1.0, sizes / 100.0)
     dets["id"] = -1
-    return dets.view(np.recarray)
+    return dets
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,7 @@ def georeference_tracks(
     Heading is re-expressed clockwise from north: 90 deg minus the box
     heading plus the transform's z-yaw, wrapped into [0, 360).
     """
-    box = np.asarray(tracks)["box"]
+    box = tracks["box"]
     out = np.empty(len(tracks), GEO_RECORD)
     out["t"] = t
     out["id"] = tracks["id"]

@@ -34,8 +34,9 @@ def normalize_angle(theta: float) -> float:
 
 
 def wrap_angles(theta: np.ndarray) -> np.ndarray:
-    """normalize_angle over an array; bit-equal to it for |theta| <= 3 pi."""
-    r = theta - TWO_PI * np.round(theta / TWO_PI)
+    """normalize_angle over an array, bit-equal to it on every finite input:
+    `fmod` is exact, and so is each 2 pi correction (Sterbenz's lemma)."""
+    r = np.fmod(theta, TWO_PI)
     r = np.where(r > math.pi, r - TWO_PI, r)
     return np.where(r <= -math.pi, r + TWO_PI, r)
 

@@ -35,9 +35,9 @@ class IconKind(enum.IntEnum):
     PEDESTRIAN = 2
 
 
-# One top-view icon per row; `id` -1 draws no label.
-ICON = np.dtype([("kind", "u1"), ("px", "<f8", (2,)), ("heading_deg", "<f8"),
-                 ("dims_m", "<f8", (2,)), ("id", "<i8")])
+# One top-view icon per row, its fields read as attributes; `id` -1 draws no label.
+ICON = np.dtype((np.record, [("kind", "u1"), ("px", "<f8", (2,)), ("heading_deg", "<f8"),
+                             ("dims_m", "<f8", (2,)), ("id", "<i8")]))
 
 
 @dataclass
@@ -61,7 +61,7 @@ class EgoState:
 
 @dataclass
 class RenderFrame:
-    icons: np.recarray  # ICON rows
+    icons: np.ndarray  # ICON rows
     size: tuple[float, float] = VIEWPORT
 
     def __post_init__(self):
@@ -138,7 +138,7 @@ def reconstruct_frame(msgs, ego: EgoState, pixel_map: PixelMap) -> RenderFrame:
     rest["heading_deg"] = shown["theta"]
     rest["dims_m"] = np.column_stack([shown["w"], shown["l"]])
     rest["id"] = shown["id"]
-    return RenderFrame(icons=icons.view(np.recarray), size=pixel_map.viewport)
+    return RenderFrame(icons=icons, size=pixel_map.viewport)
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +182,7 @@ def _rect_corners(icons: np.ndarray) -> np.ndarray:
 def render_svg(frame: RenderFrame) -> str:
     """Vector document for one frame; byte-stable for identical frames."""
     w, h = frame.size
-    icons = frame.icons.view(np.ndarray)
+    icons = frame.icons
     u, v = icons["px"].T
     radius = icons["dims_m"].max(axis=1) / 2.0 * PX_PER_M
     # Every value any template takes, per icon; `used` keeps the ones its

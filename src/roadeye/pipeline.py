@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, PipelineConfig
-from .detect import detect_cluster, detect_oracle, truth_boxes
+from .detect import detect_cluster, detect_oracle
 from .geoloc import enu_to_ecef_transform, estimate_ecef_transform, georeference_tracks, load_gcp_file
 from .geometry import RigidTransform, wrap_angles
 from .preproc import apply_transform, estimate_ground_calibration, geofence
-from .scene import PointCloudFrame
+from .scene import AGENT, PointCloudFrame
 from .track import Tracker2D, track_frame
 from .wire import PhaseStamps, encode_frame
 
@@ -148,11 +148,11 @@ class EdgePipeline:
         self.frame_index += 1
         return FrameResult(encoded=encoded, stage_seconds=seconds)
 
-    def _truth_in_h(self, gt_agents: np.ndarray) -> np.recarray:
-        """The agents' boxes in H-Coor, where the oracle's geofence and output live."""
-        truth = truth_boxes(gt_agents)
-        box = truth.view(np.ndarray)["box"]
-        xyz = self.world_to_h.apply_points(np.column_stack([box["x"], box["y"], box["z"]]))
-        box["x"], box["y"], box["z"] = xyz.T
-        box["theta"] = wrap_angles(box["theta"] + self.world_to_h.yaw)
+    def _truth_in_h(self, gt_agents: np.ndarray) -> np.ndarray:
+        """A copy of the `AGENT` rows moved into H-Coor, where the oracle's
+        geofence and output live: centres through `world_to_h`, headings by its yaw."""
+        truth = np.array(gt_agents, AGENT)
+        xyz = self.world_to_h.apply_points(np.column_stack([truth["x"], truth["y"], truth["z"]]))
+        truth["x"], truth["y"], truth["z"] = xyz.T
+        truth["heading"] = wrap_angles(truth["heading"] + self.world_to_h.yaw)
         return truth

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CLASSES, ObjectClass, OrientedBox3D, RigidTransform, normalize_angle
-from .geometry import rotation_about_z
+from .geometry import rotation_about_z, wrap_angles
 
 AREA_HALF_EXTENT = 51.2  # m, half side of the surveillance square
 
@@ -111,10 +111,12 @@ class ScenarioConfig:
     sensor_pose: RigidTransform = field(init=False)  # world -> L-Coor
 
     def __post_init__(self):
-        if self.tick <= 0:
-            raise ValueError("tick must be positive")
-        if self.duration < 0:
-            raise ValueError("duration must be nonnegative")
+        if not 0 < self.tick < math.inf:
+            raise ValueError(f"tick must be positive and finite, got {self.tick}")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(f"duration must be nonnegative and finite, got {self.duration}")
+        if not math.isfinite(self.mount_height):
+            raise ValueError(f"mount_height must be finite, got {self.mount_height}")
         pitch = math.radians(self.sensor_pitch_deg)
         cp, sp = math.cos(pitch), math.sin(pitch)
         pitch_rot = [[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]]
@@ -443,8 +445,8 @@ def checked_agents(rows) -> np.ndarray:
     position, heading and speed, and dims inside the class's ranges. The
     whole array is checked with masks; the first record that fails is run
     through the one-record rule, and the ValueError names it and the rule's
-    reason. Headings outside (-pi, pi] are normalised, in a copy, one by one
-    as `normalize_angle` does; the rest are kept bit for bit."""
+    reason. If a heading lies outside (-pi, pi], a copy's heading column goes
+    through `wrap_angles`, which keeps in-range headings bit for bit."""
     rows = np.asarray(rows, AGENT)
     code = rows["cls"]
     ok = code < len(CLASSES)
@@ -461,10 +463,9 @@ def checked_agents(rows) -> np.ndarray:
         except ValueError as e:
             raise ValueError(f"record {i}: {e}") from None
     heading = rows["heading"]
-    wrap = np.flatnonzero(~((heading > -math.pi) & (heading <= math.pi)))
-    if len(wrap):
+    if not ((heading > -math.pi) & (heading <= math.pi)).all():
         rows = rows.copy()
-        rows["heading"][wrap] = [normalize_angle(v) for v in heading[wrap].tolist()]
+        rows["heading"] = wrap_angles(heading)
     return rows
 
 

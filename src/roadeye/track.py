@@ -42,8 +42,9 @@ class TrackerConfig:
     measurement_noise: float = 0.1
 
     def __post_init__(self):
-        if self.d_o <= 0:
-            raise ValueError("d_o must be positive")
+        for name in ("d_o", "gate_assoc"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_age < 1:
             raise ValueError("max_age must be >= 1")
 
@@ -287,7 +288,7 @@ def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:
 def project_to_2d(dets: np.ndarray) -> np.ndarray:
     """(n, 4) plan-view boxes x, y, w, l of DETECTION rows; drops z, h,
     theta and class."""
-    box = np.asarray(dets)["box"]  # plain-array field access, also for a recarray
+    box = dets["box"]
     return np.column_stack([box["x"], box["y"], box["w"], box["l"]])
 
 

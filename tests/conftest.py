@@ -21,9 +21,9 @@ def random_rigid(rng: np.random.Generator, t_scale: float = 100.0) -> RigidTrans
     )
 
 
-def detections(rows) -> np.recarray:
+def detections(rows) -> np.ndarray:
     """DETECTION rows from ((x, y, z, w, l, h, theta), cls, score, id) tuples."""
-    return np.array(list(rows), dtype=DETECTION).view(np.recarray)
+    return np.array(list(rows), dtype=DETECTION)
 
 
 def agent(agent_id, cls, center, dims, heading, speed) -> AgentRow:

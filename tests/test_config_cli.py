@@ -13,7 +13,9 @@ import pytest
 
 from roadeye.cli import main
 from roadeye.config import ConfigError, DEFAULTS, load_config
+from roadeye.detect import DetectorNoise
 from roadeye.scene import read_frames, read_ground_truth
+from roadeye.track import TrackerConfig
 
 REPO_ROOT = Path(__file__).parent.parent
 
@@ -96,6 +98,35 @@ def test_number_key_takes_only_finite_numbers(tmp_path, dotted, value, key):
     path.write_text(json.dumps(_nested(dotted, value)))
     with pytest.raises(ConfigError, match=key + ": expected a finite number"):
         load_config(path)
+
+
+@pytest.mark.parametrize("dotted, value, accessor", [
+    ("tracker.gate_assoc", 0.0, "tracker_config"),
+    ("tracker.gate_assoc", -3.0, "tracker_config"),
+    ("detector.oracle.sigma_pos", -0.1, "detector_noise"),
+    ("detector.oracle.sigma_dim", -0.1, "detector_noise"),
+    ("detector.oracle.sigma_theta", -0.1, "detector_noise"),
+])
+def test_tracker_and_oracle_settings_the_chain_cannot_run_on_are_refused(
+        tmp_path, dotted, value, accessor):
+    # Accepted, gate_assoc 0 gave every detection a new track each frame,
+    # -3 aborted frame 2 in plan_pairs, and a negative sigma meant no noise.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_nested(dotted, value)))
+    cfg = load_config(path)
+    field = dotted.rsplit(".", 1)[1]
+    with pytest.raises(ValueError, match=rf"^{field} must be (positive|nonnegative), got {value}"):
+        getattr(cfg, accessor)()
+
+
+@pytest.mark.parametrize("settings, field", [
+    (TrackerConfig, "gate_assoc"), (TrackerConfig, "d_o"), (DetectorNoise, "sigma_pos"),
+    (DetectorNoise, "sigma_dim"), (DetectorNoise, "sigma_theta"), (DetectorNoise, "fp_rate"),
+])
+def test_tracker_and_oracle_settings_refuse_nan(settings, field):
+    # Built in code, not through the config, which refuses NaN itself.
+    with pytest.raises(ValueError, match=rf"^{field} must be (positive|nonnegative), got nan"):
+        settings(**{field: math.nan})
 
 
 @pytest.mark.parametrize("value", [7, 0, ["gcps.txt"]])

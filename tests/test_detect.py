@@ -52,7 +52,7 @@ def test_oracle_zero_noise_is_identity(rng):
         _agent(*rng.uniform(-40, 40, 2), heading=rng.uniform(-math.pi, math.pi))
         for _ in range(40)
     ]
-    dets = detect_oracle(truth_boxes(agents), DetectorNoise(), seed=7)
+    dets = detect_oracle(agents, DetectorNoise(), seed=7)
     assert len(dets) == len(agents)
     for det, a in zip(dets, agents):
         assert (det.box.x, det.box.y, det.box.z) == tuple(a.center)
@@ -60,8 +60,9 @@ def test_oracle_zero_noise_is_identity(rng):
         assert det.box.theta == a.heading
         assert det.cls == a.cls
         assert det.score == 1.0 and det.id == -1
-    # AGENT rows, as the simulator gives them, are boxed the same way.
-    assert detect_oracle(np.array(agents), DetectorNoise(), seed=7).tolist() == dets.tolist()
+    # The survivors are the truth boxes bit for bit, from a list or an array.
+    assert dets.tobytes() == truth_boxes(agents).tobytes()
+    assert detect_oracle(np.array(agents), DetectorNoise(), seed=7).tobytes() == dets.tobytes()
 
 
 # The DETECTION layout `truth_boxes` filled one agent at a time, before
@@ -93,15 +94,15 @@ def test_oracle_noise_statistics():
     noise = DetectorNoise(sigma_pos=0.1, p_miss=0.2, fp_rate=3.0)
     offsets, survivors, clutter = [], 0, []
     for seed in range(100):
-        dets = detect_oracle(truth_boxes(agents), noise, seed=seed)
-        kept = dets[dets.score == 1.0]
-        centers = np.column_stack([kept.box.x, kept.box.y, kept.box.z])
+        dets = detect_oracle(agents, noise, seed=seed)
+        kept = dets[dets["score"] == 1.0]["box"]
+        centers = np.column_stack([kept["x"], kept["y"], kept["z"]])
         k = np.round((centers[:, 0] + 1000.0) / 10.0).astype(int)
         assert np.all(np.diff(k) > 0)  # survivors keep the agent order
         offsets.append(centers - truth[k])
         survivors += len(kept)
         clutter.append(len(dets) - len(kept))
-        assert (kept.box.w == 2.0).all() and (kept.box.theta == 0.0).all()
+        assert (kept["w"] == 2.0).all() and (kept["theta"] == 0.0).all()
     offsets = np.concatenate(offsets)
     # Bounds at about five standard errors for these sample sizes.
     assert abs(1.0 - survivors / (100 * 200) - 0.2) <= 0.015
@@ -115,8 +116,7 @@ def test_oracle_clutter_lies_between_geofence_floor_and_ceiling():
     boxes = [
         d.box
         for seed in range(20)
-        for d in detect_oracle(truth_boxes([]), DetectorNoise(fp_rate=50.0), seed=seed,
-                               bounds=bounds)
+        for d in detect_oracle([], DetectorNoise(fp_rate=50.0), seed=seed, bounds=bounds)
     ]
     assert len(boxes) > 500
     bottoms = np.array([b.z - b.h / 2 for b in boxes])
@@ -128,7 +128,7 @@ def test_oracle_clutter_lies_between_geofence_floor_and_ceiling():
 
 def test_oracle_all_missed_returns_only_clutter():
     agents = [_agent(), _agent(5.0)]
-    dets = detect_oracle(truth_boxes(agents), DetectorNoise(p_miss=1.0, fp_rate=2.0), seed=3)
+    dets = detect_oracle(agents, DetectorNoise(p_miss=1.0, fp_rate=2.0), seed=3)
     # Survivor boxes would sit exactly on agent centers; clutter never does.
     for det in dets:
         assert all(
@@ -139,8 +139,8 @@ def test_oracle_all_missed_returns_only_clutter():
 def test_oracle_deterministic_under_seed():
     agents = [_agent(1.0, 1.0)]
     noise = DetectorNoise(sigma_pos=0.2, sigma_dim=0.1, sigma_theta=0.05, p_miss=0.3, fp_rate=1.0)
-    a = detect_oracle(truth_boxes(agents), noise, seed=11)
-    b = detect_oracle(truth_boxes(agents), noise, seed=11)
+    a = detect_oracle(agents, noise, seed=11)
+    b = detect_oracle(agents, noise, seed=11)
     assert len(a) == len(b)
     for da, db in zip(a, b):
         assert da.box == db.box and da.score == db.score
@@ -151,7 +151,7 @@ def test_oracle_position_noise_std():
     noise = DetectorNoise(sigma_pos=0.1)
     dx = []
     for seed in range(10000):
-        det = detect_oracle(truth_boxes([car]), noise, seed=seed)[0]
+        det = detect_oracle([car], noise, seed=seed)[0]
         dx.append(det.box.x - car.center[0])
     std = float(np.std(dx))
     assert abs(std - 0.1) <= 0.005  # within 5% of sigma
@@ -252,8 +252,7 @@ def test_size_class_boundary_sweep():
 
 def test_oracle_clutter_takes_the_size_class():
     dets = np.concatenate([
-        detect_oracle(truth_boxes([]), DetectorNoise(fp_rate=50.0), seed=seed).view(np.ndarray)
-        for seed in range(20)
+        detect_oracle([], DetectorNoise(fp_rate=50.0), seed=seed) for seed in range(20)
     ])
     box = dets["box"]
     pedestrian = (np.maximum(box["w"], box["l"]) < 1.2) & (box["h"] < 2.2)
@@ -344,7 +343,6 @@ BOX_TOL = 1e-9
 def _assert_matches_reference(got, ref):
     """Row count, order, class, score and id exactly; box fields within
     BOX_TOL, theta as a wrapped difference."""
-    got, ref = got.view(np.ndarray), ref.view(np.ndarray)
     assert len(got) == len(ref)
     for name in ("cls", "score", "id"):
         assert got[name].tolist() == ref[name].tolist()
@@ -397,10 +395,10 @@ def test_cluster_singletons_get_minimum_boxes():
     got = detect_cluster(frame, params)
     _assert_matches_reference(got, _detect_cluster_reference(frame, params))
     assert len(got) == 4
-    assert np.all(got.box.theta == 0.0)
+    assert np.all(got["box"]["theta"] == 0.0)
     for name in "wlh":
-        assert np.all(got.box[name] == MIN_CLUSTER_EXTENT)
-    assert sorted(got.box.x.tolist()) == sorted(xyz[:, 0].tolist())
+        assert np.all(got["box"][name] == MIN_CLUSTER_EXTENT)
+    assert sorted(got["box"]["x"].tolist()) == sorted(xyz[:, 0].tolist())
 
 
 def test_cluster_collinear_points():
@@ -412,9 +410,10 @@ def test_cluster_collinear_points():
     got = detect_cluster(frame, params)
     _assert_matches_reference(got, _detect_cluster_reference(frame, params))
     assert len(got) == 1
-    assert abs(math.remainder(got.box.theta[0] - angle, math.pi)) <= 1e-9
-    assert got.box.l[0] == pytest.approx(s[-1], abs=1e-9)
-    assert got.box.w[0] == got.box.h[0] == MIN_CLUSTER_EXTENT
+    box = got[0].box
+    assert abs(math.remainder(box.theta - angle, math.pi)) <= 1e-9
+    assert box.l == pytest.approx(s[-1], abs=1e-9)
+    assert box.w == box.h == MIN_CLUSTER_EXTENT
 
 
 def test_cluster_duplicate_points_count_toward_min_points(rng):
@@ -424,7 +423,7 @@ def test_cluster_duplicate_points_count_toward_min_points(rng):
     params = ClusterParams(voxel=0.5, min_points=12, ground_z=-4.74)
     got = detect_cluster(frame, params)
     _assert_matches_reference(got, _detect_cluster_reference(frame, params))
-    assert len(got) == 1 and got.score[0] == 0.12
+    assert len(got) == 1 and got[0].score == 0.12
     params.min_points = 13
     assert len(detect_cluster(frame, params)) == 0
 
@@ -442,8 +441,8 @@ def test_cluster_kept_interleaved_with_dropped(rng):
     got = detect_cluster(frame, params)
     _assert_matches_reference(got, _detect_cluster_reference(frame, params))
     assert len(got) == 5
-    assert np.all(np.diff(got.box.x) > 0)
-    assert np.all(got.score == 0.15)
+    assert np.all(np.diff(got["box"]["x"]) > 0)
+    assert np.all(got["score"] == 0.15)
 
 
 def test_cluster_all_ground_points_gives_nothing():

@@ -126,14 +126,20 @@ def test_rotation_aligning_degenerate_cases():
 
 
 def test_wrap_angles_matches_normalize_angle(rng):
-    # Within |theta| <= 3 pi, where the pipeline uses it: heading plus yaw plus noise.
+    # Bit for bit, signed zeros included, over the whole finite range: near
+    # zero, where the pipeline uses it (heading plus yaw plus noise), at
+    # multiples of pi and their neighbours, and far out to the largest float.
+    multiples = math.pi * np.arange(-64.0, 65.0)
     theta = np.concatenate([
         rng.uniform(-3 * math.pi, 3 * math.pi, 10000),
-        [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi, -3 * math.pi,
-         np.nextafter(math.pi, 4.0), np.nextafter(-math.pi, -4.0)],
+        np.ldexp(rng.uniform(-1.0, 1.0, 20000), rng.integers(-1074, 1024, 20000)),
+        multiples, np.nextafter(multiples, math.inf), np.nextafter(multiples, -math.inf),
+        [0.0, -0.0, 5e-324, -5e-324, -2 * math.pi, 1e6, -1e6, 1e15, -1e15, 1e300, -1e300,
+         np.finfo(float).max, -np.finfo(float).max],
     ])
     got = wrap_angles(theta)
-    assert got.tolist() == [normalize_angle(t) for t in theta.tolist()]
+    ref = np.array([normalize_angle(t) for t in theta.tolist()])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
     assert np.all((got > -math.pi) & (got <= math.pi))
 
 

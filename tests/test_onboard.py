@@ -182,7 +182,7 @@ def test_icon_kind_is_the_record_class_whatever_its_size():
         _msg(5.0, 5.0, w=0.6, l=0.6, h=1.7, cls=ObjectClass.VEHICLE),
         _msg(-5.0, 5.0, w=2.0, l=4.5, h=1.6, cls=ObjectClass.PEDESTRIAN),
     ]
-    kinds = reconstruct_frame(msgs, _ego(), _map()).icons.kind[1:]
+    kinds = reconstruct_frame(msgs, _ego(), _map()).icons["kind"][1:]
     assert kinds.tolist() == [IconKind.VEHICLE, IconKind.PEDESTRIAN]
 
 
@@ -202,7 +202,7 @@ def test_shrunken_oracle_vehicle_still_draws_a_vehicle():
             if CLASSES[a.cls] is ObjectClass.VEHICLE and max(m.w, m.l) < 1.2 and m.h < 2.2
         ]
         icons = reconstruct_frame(shrunk, ego_feed.state_at(decoded.t_frame), pixel_map).icons
-        assert (icons.kind[1:] == IconKind.VEHICLE).all()
+        assert (icons["kind"][1:] == IconKind.VEHICLE).all()
         drawn += len(icons) - 1
     assert drawn >= 5
 
@@ -210,7 +210,7 @@ def test_shrunken_oracle_vehicle_still_draws_a_vehicle():
 # --- emission ----------------------------------------------------------------
 
 def _icons(*rows):
-    return np.array(list(rows), dtype=ICON).view(np.recarray)
+    return np.array(list(rows), dtype=ICON)
 
 
 def _fixed_frame():
@@ -257,7 +257,7 @@ def _per_icon_svg(frame):
         f'viewBox="0 0 {w:.0f} {h:.0f}">',
         f'<rect x="0" y="0" width="{w:.0f}" height="{h:.0f}" fill="#1b1f23"/>',
     ]
-    icons = frame.icons.view(np.ndarray)
+    icons = frame.icons
     u, v = icons["px"].T
     radius = icons["dims_m"].max(axis=1) / 2.0 * 8.0
     rows = np.column_stack([_rect_corners(icons), u, v, radius, v - 8.0]).tolist()
@@ -305,7 +305,7 @@ def test_render_matches_per_icon_formatting_on_random_frames(rng):
         icons["heading_deg"] = rng.uniform(0.0, 360.0, n)
         icons["dims_m"] = rng.uniform(0.3, 12.0, (n, 2))
         icons["id"] = np.where(rng.random(n) < 0.3, -1, rng.integers(0, 2**31, n))
-        frame = RenderFrame(icons=icons.view(np.recarray))
+        frame = RenderFrame(icons=icons)
         assert render_svg(frame) == _per_icon_svg(frame)
 
 

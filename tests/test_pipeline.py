@@ -7,9 +7,12 @@ import pytest
 
 from roadeye import pipeline as pipeline_mod
 from roadeye.config import load_config
+from roadeye.detect import DETECTION, DetectorNoise, detect_cluster, detect_oracle
 from roadeye.geoloc import GeodeticPos, enu_to_ecef_transform, geodetic_to_ecef
+from roadeye.onboard import ICON, reconstruct_frame
 from roadeye.pipeline import EdgePipeline
-from roadeye.scene import scenario_frames
+from roadeye.scene import AGENT, scenario_frames
+from roadeye.track import TRACK, Tracker2D, track_frame
 from roadeye.wire import decode_frame
 
 STAGES = {"preprocess", "detection", "tracking", "geolocalization", "encoding"}
@@ -104,3 +107,25 @@ def test_an_id_beyond_i32_stops_the_frame_at_encoding():
         for agents, frame in scenario_frames(cfg.scenario()):
             pipeline.process(frame, agents)
     assert info.value.stage == "encoding"
+
+
+def test_rows_take_their_type_from_the_dtype():
+    # A plain array of any row type yields np.record rows, which read fields
+    # as attributes, and every stage hands on plain arrays, not recarrays.
+    for dtype in (DETECTION, ICON, AGENT, TRACK):
+        rows = np.zeros(2, dtype)
+        assert isinstance(rows[0], np.record) and isinstance(rows[:1][0], np.record)
+    cfg = load_config()
+    agents, frame = next(scenario_frames(cfg.scenario()))
+    oracle = detect_oracle(agents, DetectorNoise(sigma_pos=0.1, fp_rate=3.0), seed=0)
+    clusters = detect_cluster(frame, cfg.cluster_params())
+    tracked = track_frame(Tracker2D(), oracle, frame.t)
+    decoded = decode_frame(EdgePipeline(cfg).process(frame, agents).encoded)
+    ego = cfg.ego_simulator().state_at(decoded.t_frame)
+    icons = reconstruct_frame(decoded.messages, ego, cfg.pixel_map()).icons
+    for out, dtype in ((oracle, DETECTION), (clusters, DETECTION), (tracked, DETECTION),
+                       (icons, ICON)):
+        assert type(out) is np.ndarray and out.dtype == dtype and len(out)
+        assert isinstance(out[-1], np.record)
+    assert tracked[0].box.x == tracked["box"]["x"][0] and tracked[0].id == tracked["id"][0]
+    assert icons[1].kind == icons["kind"][1] and icons[1].px.tolist() == icons["px"][1].tolist()

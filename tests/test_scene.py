@@ -158,7 +158,8 @@ def test_step_scenario_rows_are_bit_equal_to_the_per_agent_simulator():
 
 
 def test_read_headings_are_normalised_as_the_per_agent_reader_did(tmp_path):
-    headings = [3 * math.pi / 2, -7.0, math.pi, -math.pi, 0.3, -math.pi + 1e-15, 1e6]
+    headings = [3 * math.pi / 2, -7.0, math.pi, -math.pi, 0.3, -math.pi + 1e-15, 1e6,
+                -2 * math.pi, 1e15, -1e300]
     records = np.array([(k, 0, k, 1.0, 0.8, 2.0, 4.5, 1.6, h, 3.0) for k, h in enumerate(headings)],
                        _PER_AGENT_RECORD)
     path = tmp_path / "gt.bin"
@@ -213,6 +214,17 @@ def test_non_finite_route_or_speed_rejected(route, speed, match):
     # Accepted, they made `simulate` write ground truth its own reader refuses.
     with pytest.raises(ValueError, match=match):
         AgentSpec(cls=ObjectClass.VEHICLE, route=route, speed=speed)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tick", math.nan), ("tick", math.inf), ("duration", math.nan), ("duration", math.inf),
+    ("mount_height", math.nan), ("mount_height", -math.inf),
+])
+def test_non_finite_timing_or_mount_height_rejected(field, value):
+    # Accepted, they failed later with numpy's message or the sensor pose's,
+    # and a tick of inf gave a scene of no frames.
+    with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value}"):
+        ScenarioConfig(**{field: value})
 
 
 def _surface_distance(box: OrientedBox3D, pts: np.ndarray) -> np.ndarray:

@@ -243,17 +243,17 @@ def test_covariance_stays_psd(rng):
 def test_box_gets_the_id_of_its_assigned_track_not_an_older_one():
     tracker = Tracker2D(TrackerConfig())
     first = track_frame(tracker, detections([_det(0.0, 0.0), _det(1.5, 0.0)]), 0.0)
-    assert first.id.tolist() == [0, 1]
+    assert first["id"].tolist() == [0, 1]
     # Both tracks lie inside d_o of the box; the assignment gives it track 1.
     out = track_frame(tracker, detections([_det(1.4, 0.0)]), 0.1)
-    assert out.id.tolist() == [1]
+    assert out["id"].tolist() == [1]
 
 
 def test_two_boxes_near_one_track_get_distinct_ids():
     tracker = Tracker2D(TrackerConfig())
     track_frame(tracker, detections([_det(0.0, 0.0)]), 0.0)
     out = track_frame(tracker, detections([_det(0.3, 0.0), _det(-0.3, 0.0)]), 0.1)
-    assert sorted(out.id.tolist()) == [0, 1]  # one updates track 0, one starts track 1
+    assert sorted(out["id"].tolist()) == [0, 1]  # one updates track 0, one starts track 1
 
 
 def test_matched_box_outside_the_id_gate_gets_no_id():
@@ -266,7 +266,7 @@ def test_matched_box_outside_the_id_gate_gets_no_id():
     out = track_frame(tracker, detections([_det(0.0, 0.0), _det(1.5, 0.0)]), 2.0)
     assert tracker.ids.tolist() == [0, 1] and tracker.misses.tolist() == [0, 0]  # both matched
     assert math.hypot(*(tracker.mean[1, :2] - [1.5, 0.0])) >= tracker.config.d_o
-    assert out.id.tolist() == [0, -1]
+    assert out["id"].tolist() == [0, -1]
 
 
 def test_track_frame_preserves_cardinality_and_payload(rng):
@@ -277,8 +277,8 @@ def test_track_frame_preserves_cardinality_and_payload(rng):
     tracked = track_frame(tracker, dets, 0.1)
     payload = ["box", "cls", "score"]
     assert tracked[payload].tolist() == dets[payload].tolist()
-    assert (tracked.id >= 0).all()
-    assert dets.id.tolist() == [-1] * len(dets)
+    assert (tracked["id"] >= 0).all()
+    assert dets["id"].tolist() == [-1] * len(dets)
 
 
 # --- batched filter ---------------------------------------------------------
