@@ -87,8 +87,8 @@ class ClusterParams:
     ground_z: float = -ScenarioConfig.mount_height  # m, ground height in H-Coor
 
     def __post_init__(self):
-        if self.voxel <= 0:
-            raise ValueError("voxel must be positive")
+        if not self.voxel > 0:  # NaN fails too
+            raise ValueError(f"voxel must be positive, got {self.voxel}")
         if self.min_points < 1:
             raise ValueError("min_points must be >= 1")
 

@@ -228,8 +228,10 @@ class EgoSimulator:
         noise_std: float = 0.0,
         seed: int = 0,
     ):
-        if rate_hz <= 0:
-            raise ValueError("rate_hz must be positive")
+        if not rate_hz > 0:  # NaN fails too
+            raise ValueError(f"rate_hz must be positive, got {rate_hz}")
+        if not noise_std >= 0:
+            raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
         self.start = start
         self.heading = heading % 360.0
         self.speed = speed

@@ -2,11 +2,13 @@
 
 `DETECTION` rows are flattened to plan-view boxes, associated frame to frame
 by a constant-velocity Kalman filter plus a minimum-cost assignment of
-center distances inside a gate. Each row's `id` is the id of the track the
-assignment gave it or the track it started, kept only while that track's
-updated center lies inside a Euclidean id gate. Live tracks are held as
-stacked arrays, one row per track in creation order, so each frame is a
-handful of batched array operations.
+center distances inside a gate. Components of the pair graph whose rows, or
+whose columns, each have a cheapest pair of their own take those pairs,
+found for all components in array passes; a solver runs only on the rest.
+Each row's `id` is the id of the track the assignment gave it or the track
+it started, kept only while that track's updated center lies inside a
+Euclidean id gate. Live tracks are held as stacked arrays, one row per track
+in creation order, so each frame is a handful of batched array operations.
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ class TrackerConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_age < 1:
             raise ValueError("max_age must be >= 1")
+        # The update divides by p + r * r: a zero r with a zero p is 0 / 0,
+        # and the noises enter squared, so a negative one would pass as positive.
+        if not self.measurement_noise > 0:
+            raise ValueError(f"measurement_noise must be positive, got {self.measurement_noise}")
+        if not self.process_noise >= 0:
+            raise ValueError(f"process_noise must be nonnegative, got {self.process_noise}")
 
 
 # Constant-velocity model over (x, y, w, l, vx, vy), dt one frame, with dims
@@ -164,53 +172,47 @@ class Tracker2D:
 
 def gated_assignment(n_rows: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Indices, in ascending row, of the in-gate pairs (row i[k], column j[k],
-    cost d[k]) that a minimum-cost assignment over the dense matrix holding d
-    at the pairs and GATE_COST elsewhere keeps inside the gate: the largest
-    matching of pairs, and among those the cheapest.
+    cost d[k], grouped by row) that a minimum-cost assignment over the dense
+    matrix holding d at the pairs and GATE_COST elsewhere keeps inside the
+    gate: the largest matching of pairs, and among those the cheapest.
 
-    Connected components of the pair graph are independent subproblems. One
-    whose pairs share a single row or a single column takes its cheapest
-    pair. One of two rows and two columns takes the solver's choice in closed
-    form (`_two_by_two_crossed`); any other runs the shortest-augmenting-path
-    solver on its own small dense matrix."""
+    Connected components of the pair graph are independent subproblems. A
+    component whose rows are all clean (`_clean_pairs`) takes each row's
+    cheapest pair: that matches every row at the sum of the row minima, and
+    every other assignment costs more, so it is the unique optimum and the
+    one the solver returns. A component whose columns are all clean takes
+    each column's cheapest pair, by the same argument. Every other component
+    runs the shortest-augmenting-path solver on its own small dense matrix,
+    rows and columns numbered in node order, transposed when it has more
+    rows than columns."""
     if not len(i):
         return np.empty(0, dtype=np.int64)
     n_nodes = n_rows + int(j.max()) + 1
     comp = connected_components(n_nodes, i, n_rows + j)[i]
-    order = np.lexsort((j, d, comp))  # by component, cheapest pair first
-    comp, i_s, j_s = comp[order], i[order], j[order]
-    starts = np.flatnonzero(np.diff(comp, prepend=-1))
-    single = (np.minimum.reduceat(i_s, starts) == np.maximum.reduceat(i_s, starts)) | (
-        np.minimum.reduceat(j_s, starts) == np.maximum.reduceat(j_s, starts)
-    )
-    taken = order[starts[single]].tolist()
-    if not single.all():
-        # Number each general component's rows and columns from 0, in order.
-        sizes = np.diff(starts, append=len(order))
-        keep = np.repeat(~single, sizes)
-        order, comp, i_s, j_s = order[keep], comp[keep], i_s[keep], j_s[keep]
-        sizes = sizes[~single]
-        first = np.cumsum(sizes) - sizes
+    by_col = np.argsort(j, kind="stable")
+    row_pair, by_rows = _clean_pairs(i, j, d, comp, n_nodes)
+    col_pair = np.empty_like(row_pair)
+    col_pair[by_col], by_cols = _clean_pairs(j[by_col], i[by_col], d[by_col], comp[by_col], n_nodes)
+    by_cols &= ~by_rows
+    taken = np.flatnonzero(row_pair & by_rows[comp] | col_pair & by_cols[comp]).tolist()
+    order = np.flatnonzero(~(by_rows | by_cols)[comp])
+    if len(order):
+        # Number each remaining component's rows and columns from 0, in order.
+        order = order[np.argsort(comp[order], kind="stable")]
+        comp = comp[order]
+        first = np.flatnonzero(np.diff(comp, prepend=-1))
+        sizes = np.diff(first, append=len(order))
         local = []
-        for node in (i_s, j_s):
+        for node in (i[order], j[order]):
             rank = np.unique(comp * n_nodes + node, return_inverse=True)[1]
             base = np.minimum.reduceat(rank, first)
             local.append(rank - np.repeat(base, sizes))
         n_r = np.maximum.reduceat(local[0], first) + 1
         n_c = np.maximum.reduceat(local[1], first) + 1
-        small = (n_r == 2) & (n_c == 2)
-        if small.any():
-            pick = np.repeat(small, sizes)
-            row_l, col_l, k_s = local[0][pick], local[1][pick], order[pick]
-            cost = np.full((int(small.sum()), 4), GATE_COST)
-            cost[np.repeat(np.arange(len(cost)), sizes[small]), 2 * row_l + col_l] = d[k_s]
-            crossed = np.repeat(_two_by_two_crossed(*cost.T), sizes[small])
-            taken += k_s[(row_l == col_l) != crossed].tolist()
-        rest = np.flatnonzero(~small)
         row_l, col_l = local[0].tolist(), local[1].tolist()
         d_l, k_l = d[order].tolist(), order.tolist()
-        for s, e, nr, nc in zip(first[rest].tolist(), (first + sizes)[rest].tolist(),
-                                n_r[rest].tolist(), n_c[rest].tolist()):
+        for s, e, nr, nc in zip(first.tolist(), (first + sizes).tolist(),
+                                n_r.tolist(), n_c.tolist()):
             a_l, b_l = (col_l, row_l) if nr > nc else (row_l, col_l)
             nr, nc = min(nr, nc), max(nr, nc)
             cost = [[GATE_COST] * nc for _ in range(nr)]
@@ -225,13 +227,23 @@ def gated_assignment(n_rows: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -
     return taken[np.argsort(i[taken], kind="stable")]
 
 
-def _two_by_two_crossed(a, b, c, e):
-    """Whether `_shortest_augmenting_paths` on the 2x2 matrices [[a, b], [c,
-    e]] (arrays, GATE_COST where no pair) assigns the anti-diagonal: the
-    comparisons and sums, in its order, that it makes on two rows. Row 0
-    takes its cheaper column, column 0 on a tie; row 1 then takes the other
-    column unless the path through row 0 is strictly shorter."""
-    return np.where(a <= b, (c < e) & ((c + b) - a < e), ~((c > e) & ((e + a) - b < c)))
+def _clean_pairs(node: np.ndarray, other: np.ndarray, d: np.ndarray, comp: np.ndarray,
+                 n_comp: int) -> tuple[np.ndarray, np.ndarray]:
+    """For pairs (node[k], other[k], cost d[k], component comp[k]) grouped by
+    node: per pair, whether it is its node's clean pair, the strictly
+    cheapest of its node with no other node's cheapest pair on the same
+    `other`; and per component label below `n_comp`, whether every node in it
+    has a clean pair."""
+    first = np.empty(len(node), dtype=bool)
+    first[0] = True
+    np.not_equal(node[1:], node[:-1], out=first[1:])
+    starts, group = np.flatnonzero(first), np.cumsum(first) - 1
+    cheapest = d == np.minimum.reduceat(d, starts)[group]
+    sole = (np.add.reduceat(cheapest, starts) == 1)[group]
+    clean = cheapest & sole & (np.bincount(other, cheapest)[other] == 1)
+    certified = np.ones(n_comp, dtype=bool)
+    certified[comp[starts][~np.logical_or.reduceat(clean, starts)]] = False
+    return clean, certified
 
 
 def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:

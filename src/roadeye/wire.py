@@ -9,7 +9,9 @@ decided, an index into `geometry.CLASSES`; the receiver reads it and derives
 none. Unset phase stamps travel as NaN.
 
 Message construction, `encode_frame` and `decode_frame` make `RECORD` rows
-only through `to_records`, so they refuse the same rows with one error.
+only through `to_records`, so they refuse the same rows with one error. A
+decoded frame keeps the checked rows where the bytes hold them; its messages
+are a `MessageView` over them, built one by one only as they are read.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 import struct
 import sys
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +124,10 @@ def to_records(rows, offset: int | None = None) -> np.ndarray:
     array with RECORD's field names, as RECORD rows; the only way rows become
     records. `_NUMBERS` judge the rows as given, then the cast records must
     keep `_RULES`. The WireFormatError names the first record that fails, and
-    with `offset`, where record 0 starts, the byte where that record starts."""
+    with `offset`, where record 0 starts, the byte where that record starts.
+    A `MessageView` is judged as its array of rows."""
+    if isinstance(rows, MessageView):
+        rows = np.asarray(rows, RECORD)
     for rules in (_NUMBERS, _RULES):
         ok = np.empty((len(rules), len(rows)), bool)
         for i, (rule, _) in enumerate(rules):
@@ -176,9 +182,46 @@ def encode_frame(msgs, stamps: PhaseStamps, t_frame: float = 0.0) -> bytes:
     return _HEADER.pack(WIRE_MAGIC, len(meta) + rec.nbytes) + meta + rec.tobytes()
 
 
+class MessageView(Sequence):
+    """Read-only sequence of `PerceptionMessage`s over checked `RECORD` rows.
+
+    Indexing and iteration build messages only as they are read; a slice is
+    a view over the same rows. `==` compares message by message with any
+    sequence, a list of messages included. `np.asarray(view, RECORD)`
+    returns the rows themselves, with no copy, and `to_records` judges them
+    as that array."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return MessageView(self._rows[k])
+        return PerceptionMessage._make(self._rows[k].item())
+
+    def __iter__(self):
+        return map(PerceptionMessage._make, self._rows.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"MessageView({list(self)!r})"
+
+    def __array__(self, dtype=None, copy=None):
+        return self._rows.astype(RECORD if dtype is None else dtype, copy=bool(copy))
+
+
 @dataclass
 class DecodedFrame:
-    messages: list[PerceptionMessage]
+    messages: MessageView
     stamps: PhaseStamps
     t_frame: float
 
@@ -207,11 +250,10 @@ def decode_frame(data: bytes) -> DecodedFrame:
             f"{expected} payload bytes, header says {payload_len}"
         )
     rec = to_records(np.frombuffer(data, dtype=RECORD, count=count, offset=off), off)
-    msgs = list(map(PerceptionMessage._make, rec.tolist()))
     stamps = PhaseStamps(
         *(None if math.isnan(v) else v for v in (s0, s1, s2, s3))
     )
-    return DecodedFrame(messages=msgs, stamps=stamps, t_frame=t_frame)
+    return DecodedFrame(messages=MessageView(rec), stamps=stamps, t_frame=t_frame)
 
 
 def _read_exact(read, n: int) -> bytes | None:

@@ -103,6 +103,9 @@ def test_number_key_takes_only_finite_numbers(tmp_path, dotted, value, key):
 @pytest.mark.parametrize("dotted, value, accessor", [
     ("tracker.gate_assoc", 0.0, "tracker_config"),
     ("tracker.gate_assoc", -3.0, "tracker_config"),
+    ("tracker.measurement_noise", 0.0, "tracker_config"),
+    ("tracker.measurement_noise", -0.1, "tracker_config"),
+    ("tracker.process_noise", -0.1, "tracker_config"),
     ("detector.oracle.sigma_pos", -0.1, "detector_noise"),
     ("detector.oracle.sigma_dim", -0.1, "detector_noise"),
     ("detector.oracle.sigma_theta", -0.1, "detector_noise"),
@@ -110,7 +113,8 @@ def test_number_key_takes_only_finite_numbers(tmp_path, dotted, value, key):
 def test_tracker_and_oracle_settings_the_chain_cannot_run_on_are_refused(
         tmp_path, dotted, value, accessor):
     # Accepted, gate_assoc 0 gave every detection a new track each frame,
-    # -3 aborted frame 2 in plan_pairs, and a negative sigma meant no noise.
+    # -3 aborted frame 2 in plan_pairs, a negative sigma meant no noise,
+    # and a negative tracker noise was squared into a positive one.
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_nested(dotted, value)))
     cfg = load_config(path)
@@ -120,7 +124,8 @@ def test_tracker_and_oracle_settings_the_chain_cannot_run_on_are_refused(
 
 
 @pytest.mark.parametrize("settings, field", [
-    (TrackerConfig, "gate_assoc"), (TrackerConfig, "d_o"), (DetectorNoise, "sigma_pos"),
+    (TrackerConfig, "gate_assoc"), (TrackerConfig, "d_o"), (TrackerConfig, "measurement_noise"),
+    (TrackerConfig, "process_noise"), (DetectorNoise, "sigma_pos"),
     (DetectorNoise, "sigma_dim"), (DetectorNoise, "sigma_theta"), (DetectorNoise, "fp_rate"),
 ])
 def test_tracker_and_oracle_settings_refuse_nan(settings, field):

@@ -187,6 +187,14 @@ def test_cluster_empty_frame():
     assert len(detect_cluster(frame, ClusterParams())) == 0
 
 
+@pytest.mark.parametrize("voxel", [0.0, math.nan])
+def test_cluster_voxel_must_be_positive(voxel):
+    # Accepted, a NaN voxel cast every voxel key from NaN, with only a
+    # RuntimeWarning, and a frame of scattered points came out as one cluster.
+    with pytest.raises(ValueError, match=rf"^voxel must be positive, got {voxel}"):
+        ClusterParams(voxel=voxel)
+
+
 def test_cluster_center_accuracy():
     agent = _agent(8.0, -4.0, heading=0.5)
     frame = _surface_frame([agent])

@@ -333,6 +333,18 @@ def test_ego_simulator_updates_at_rate():
     assert de1 == pytest.approx(8.0 * 0.125, abs=1e-6)
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("rate_hz", math.nan, "positive"),
+    ("noise_std", -0.5, "nonnegative"),
+    ("noise_std", math.nan, "nonnegative"),
+])
+def test_ego_simulator_refuses_settings_it_cannot_run_on(field, value, rule):
+    # Accepted, a NaN rate failed at the first query, in the tick's floor,
+    # and a negative or NaN noise meant no noise.
+    with pytest.raises(ValueError, match=rf"^{field} must be {rule}, got {value}"):
+        EgoSimulator(start=ORIGIN, **{field: value})
+
+
 def test_ego_simulator_noise_deterministic():
     a = EgoSimulator(start=ORIGIN, noise_std=0.5, seed=4).state_at(1.0)
     b = EgoSimulator(start=ORIGIN, noise_std=0.5, seed=4).state_at(1.0)

@@ -1,11 +1,14 @@
 """Source checks that need no linter: the standard library's `ast` only."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parent.parent / "src" / "roadeye"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "roadeye"
 # The package's __init__ imports names to export them, not to use them.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -41,3 +44,35 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of every absolute module that `source` imports,
+    at module level or inside a function."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_are_found():
+    source = ("import os.path\nfrom . import a\nfrom .b import c\n"
+              "def f():\n    from scipy.optimize import linear_sum_assignment\n")
+    assert imported_modules(source) == {"os", "scipy"}
+
+
+def test_the_package_imports_only_the_standard_library_and_its_dependencies():
+    # A dependency beyond pyproject's (scipy, say, for the assignment solver)
+    # would fail an install that follows it, and importing scipy.optimize
+    # adds about 0.1 s to start-up.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    allowed = set(sys.stdlib_module_names)
+    allowed |= {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+                for d in dependencies}
+    imported = {p.name: imported_modules(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: sorted(m - allowed) for name, m in imported.items() if m - allowed} == {}

@@ -1,9 +1,12 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from roadeye import track
+from roadeye.config import load_config
 from roadeye.detect import CLASSES, DetectorNoise, detect_oracle
 from roadeye.scene import AgentSpec, ScenarioConfig, step_scenario
 from roadeye.geometry import ObjectClass, plan_pairs
@@ -166,6 +169,66 @@ def test_gated_assignment_of_random_gated_matrices_matches_scipy(rng):
     # One component with every pair in the gate.
     ours, scipy_pairs = _gated_pairs(rng.uniform(0.0, 3.0, (40, 40)), 3.0)
     assert ours == scipy_pairs and len(ours) == 40
+
+
+def _crowd(rng, n, spacing=None):
+    """Plan distances from n tracks to the detections of the objects they
+    follow: σ 0.1 m on both, 5 % of the objects missed and n / 20 clutter
+    detections, shuffled. Objects lie on a grid `spacing` apart, or without
+    one, uniformly at a density that puts most near a neighbour."""
+    if spacing is None:
+        truth = rng.uniform(0.0, 5.0 * math.sqrt(n), (n, 2))
+    else:
+        side = math.ceil(math.sqrt(n))
+        truth = spacing * np.stack(np.divmod(np.arange(n), side), axis=1).astype(float)
+    tracks = truth + rng.normal(0.0, 0.1, truth.shape)
+    seen = truth[rng.random(n) >= 0.05]
+    dets = np.concatenate([seen + rng.normal(0.0, 0.1, seen.shape),
+                           rng.uniform(truth.min(), truth.max(), (n // 20, 2))])
+    dets = dets[rng.permutation(len(dets))]
+    return np.hypot(*(tracks[:, None, :] - dets[None, :, :]).transpose(2, 0, 1))
+
+
+def test_gated_assignment_of_crowd_scenes_matches_scipy(rng):
+    for _ in range(20):
+        ours, scipy_pairs = _gated_pairs(_crowd(rng, 200), 3.0)
+        assert ours == scipy_pairs
+
+
+def test_only_components_without_a_clean_side_reach_the_solver(rng, monkeypatch):
+    calls = []
+
+    def counted(cost):
+        calls.append(cost)
+        return _shortest_augmenting_paths(cost)
+
+    monkeypatch.setattr(track, "_shortest_augmenting_paths", counted)
+    dist = _crowd(rng, 100, spacing=10.0)
+    ours, scipy_pairs = _gated_pairs(dist, 3.0)
+    assert ours == scipy_pairs and calls == []
+    # Rows A and B both come cheapest to column 1, and columns 1 and 2 both
+    # to row A: neither side is clean, so the component goes to the solver.
+    conflict = np.full((dist.shape[0] + 2, dist.shape[1] + 2), np.inf)
+    conflict[:-2, :-2] = dist
+    conflict[-2:, -2:] = [[0.9, 1.0], [1.1, 3.0]]  # rows A, B; columns 1, 2
+    ours, scipy_pairs = _gated_pairs(conflict, 3.0)
+    assert ours == scipy_pairs and len(calls) == 1
+    a, b = len(conflict) - 2, len(conflict) - 1
+    assert ours[-2:] == [(a, conflict.shape[1] - 1), (b, conflict.shape[1] - 2)]
+
+
+def test_zero_noises_are_refused_before_a_steady_object_loses_its_id(tmp_path):
+    # Accepted, noises of 0 made the first update 0 / 0: the track's mean
+    # went NaN, and one steady object's ids ran 0, -1, 1, -1.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tracker": {"process_noise": 0.0, "measurement_noise": 0.0}}))
+    with pytest.raises(ValueError, match=r"^measurement_noise must be positive, got 0\.0"):
+        load_config(path).tracker_config()
+    path.write_text(json.dumps({"tracker": {"process_noise": 0.0, "measurement_noise": 0.1}}))
+    tracker = Tracker2D(load_config(path).tracker_config())
+    ids = [track_frame(tracker, detections([_det(5.0, 2.0)]), 0.1 * k)["id"].tolist()
+           for k in range(4)]
+    assert ids == [[0]] * 4
 
 
 def _two_by_two_costs(rng):

@@ -77,6 +77,21 @@ def test_roundtrip_random_batches(rng):
         assert decoded.t_frame == t_frame
 
 
+def test_decoded_messages_are_a_view_over_the_frame_bytes(rng):
+    msgs = [_msg(rng) for _ in range(5)]
+    data = encode_frame(msgs, _stamps(), 2.0)
+    view = decode_frame(data).messages
+    assert view == msgs and msgs == view and view == tuple(msgs)
+    assert view != msgs[:4] and msgs[::-1] != view
+    assert len(view) == 5 and view[-1] == msgs[-1] and view[1:3] == msgs[1:3]
+    assert [type(m) for m in [*view, view[-2]]] == [PerceptionMessage] * 6
+    assert list(view) == msgs
+    rows = np.asarray(view, RECORD)
+    assert np.shares_memory(rows, np.frombuffer(data, np.uint8))
+    assert rows.tobytes() == data[HEADER_BYTES:]
+    assert encode_frame(view, _stamps(), 2.0) == data
+
+
 def test_fixture_byte_dump():
     # Hand-assembled frame: one record, stamps (1, 2, 3, NaN), t_frame 9.
     msg = _msg(t=9.0, id=42, lat=12.5, lon=99.25, alt=88.0, w=2.0, l=4.0, h=1.5, theta=180.0,
