@@ -74,7 +74,7 @@ class DetectorNoise:
 
     def __post_init__(self):
         if not 0.0 <= self.p_miss <= 1.0:
-            raise ValueError("p_miss must be in [0, 1]")
+            raise ValueError(f"p_miss must be in [0, 1], got {self.p_miss}")
         for name in ("sigma_pos", "sigma_dim", "sigma_theta", "fp_rate"):
             if not getattr(self, name) >= 0:  # NaN fails too
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
@@ -89,8 +89,10 @@ class ClusterParams:
     def __post_init__(self):
         if not self.voxel > 0:  # NaN fails too
             raise ValueError(f"voxel must be positive, got {self.voxel}")
-        if self.min_points < 1:
-            raise ValueError("min_points must be >= 1")
+        if not self.min_points >= 1:
+            raise ValueError(f"min_points must be >= 1, got {self.min_points}")
+        if not math.isfinite(self.ground_z):
+            raise ValueError(f"ground_z must be finite, got {self.ground_z}")
 
 
 @dataclass
@@ -123,8 +125,8 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("beta_loc", "beta_cls", "beta_dir", "alpha", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
 
 def truth_boxes(agents) -> np.ndarray:

@@ -232,6 +232,9 @@ class EgoSimulator:
             raise ValueError(f"rate_hz must be positive, got {rate_hz}")
         if not noise_std >= 0:
             raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
+        for name, value in (("heading", heading), ("speed", speed)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         self.start = start
         self.heading = heading % 360.0
         self.speed = speed

@@ -58,6 +58,11 @@ class RelayServer:
         max_subscribers: int = 16,
         queue_size: int = 64,
     ):
+        # A queue of size 0 has no bound, so a slow subscriber would never be
+        # dropped; no subscriber fits a limit of 0.
+        for name, value in (("max_subscribers", max_subscribers), ("queue_size", queue_size)):
+            if not value >= 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         self.host = host
         self.port = port
         self.max_subscribers = max_subscribers

@@ -115,8 +115,12 @@ class ScenarioConfig:
             raise ValueError(f"tick must be positive and finite, got {self.tick}")
         if not 0 <= self.duration < math.inf:
             raise ValueError(f"duration must be nonnegative and finite, got {self.duration}")
-        if not math.isfinite(self.mount_height):
-            raise ValueError(f"mount_height must be finite, got {self.mount_height}")
+        for name in ("mount_height", "sensor_pitch_deg", "sensor_yaw_deg"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("points_per_agent", "ground_point_density"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
         pitch = math.radians(self.sensor_pitch_deg)
         cp, sp = math.cos(pitch), math.sin(pitch)
         pitch_rot = [[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]]

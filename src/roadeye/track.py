@@ -47,8 +47,8 @@ class TrackerConfig:
         for name in ("d_o", "gate_assoc"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.max_age < 1:
-            raise ValueError("max_age must be >= 1")
+        if not self.max_age >= 1:
+            raise ValueError(f"max_age must be >= 1, got {self.max_age}")
         # The update divides by p + r * r: a zero r with a zero p is 0 / 0,
         # and the noises enter squared, so a negative one would pass as positive.
         if not self.measurement_noise > 0:
@@ -183,8 +183,7 @@ def gated_assignment(n_rows: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -
     one the solver returns. A component whose columns are all clean takes
     each column's cheapest pair, by the same argument. Every other component
     runs the shortest-augmenting-path solver on its own small dense matrix,
-    rows and columns numbered in node order, transposed when it has more
-    rows than columns."""
+    rows and columns numbered in node order."""
     if not len(i):
         return np.empty(0, dtype=np.int64)
     n_nodes = n_rows + int(j.max()) + 1
@@ -197,32 +196,15 @@ def gated_assignment(n_rows: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -
     taken = np.flatnonzero(row_pair & by_rows[comp] | col_pair & by_cols[comp]).tolist()
     order = np.flatnonzero(~(by_rows | by_cols)[comp])
     if len(order):
-        # Number each remaining component's rows and columns from 0, in order.
+        # One dense matrix per remaining component, rows and columns in node order.
         order = order[np.argsort(comp[order], kind="stable")]
-        comp = comp[order]
-        first = np.flatnonzero(np.diff(comp, prepend=-1))
-        sizes = np.diff(first, append=len(order))
-        local = []
-        for node in (i[order], j[order]):
-            rank = np.unique(comp * n_nodes + node, return_inverse=True)[1]
-            base = np.minimum.reduceat(rank, first)
-            local.append(rank - np.repeat(base, sizes))
-        n_r = np.maximum.reduceat(local[0], first) + 1
-        n_c = np.maximum.reduceat(local[1], first) + 1
-        row_l, col_l = local[0].tolist(), local[1].tolist()
-        d_l, k_l = d[order].tolist(), order.tolist()
-        for s, e, nr, nc in zip(first.tolist(), (first + sizes).tolist(),
-                                n_r.tolist(), n_c.tolist()):
-            a_l, b_l = (col_l, row_l) if nr > nc else (row_l, col_l)
-            nr, nc = min(nr, nc), max(nr, nc)
-            cost = [[GATE_COST] * nc for _ in range(nr)]
-            pair = [[-1] * nc for _ in range(nr)]
-            for k in range(s, e):
-                cost[a_l[k]][b_l[k]] = d_l[k]
-                pair[a_l[k]][b_l[k]] = k_l[k]
-            for a, b in enumerate(_shortest_augmenting_paths(cost)):
-                if pair[a][b] >= 0:
-                    taken.append(pair[a][b])
+        for k in np.split(order, np.flatnonzero(np.diff(comp[order])) + 1):
+            row, col = (np.unique(x[k], return_inverse=True)[1] for x in (i, j))
+            cost = np.full((row.max() + 1, col.max() + 1), GATE_COST)
+            pair = np.full(cost.shape, -1)
+            cost[row, col], pair[row, col] = d[k], k
+            chosen = pair[_shortest_augmenting_paths(cost)]
+            taken.extend(chosen[chosen >= 0].tolist())
     taken = np.array(taken, dtype=np.int64)
     return taken[np.argsort(i[taken], kind="stable")]
 
@@ -246,12 +228,15 @@ def _clean_pairs(node: np.ndarray, other: np.ndarray, d: np.ndarray, comp: np.nd
     return clean, certified
 
 
-def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:
-    """Column per row minimising the summed cost of a dense matrix given as
-    rows, with no more rows than columns: the shortest-augmenting-path
-    method (Crouse 2016), in the form and with the tie rules of scipy's
-    `linear_sum_assignment`."""
-    n_rows, n_cols = len(cost), len(cost[0])
+def _shortest_augmenting_paths(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices, in ascending row, of a minimum-cost assignment
+    over a 2-D cost matrix: scipy's `linear_sum_assignment`, by the same
+    shortest-augmenting-path method (Crouse 2016) with the same tie rules.
+    A matrix with more rows than columns is solved transposed."""
+    cost = np.asarray(cost, dtype=float)
+    transpose = cost.shape[1] < cost.shape[0]
+    n_rows, n_cols = sorted(cost.shape)
+    cost = (cost.T if transpose else cost).tolist()
     u, v = [0.0] * n_rows, [0.0] * n_cols
     path, col4row, row4col = [-1] * n_cols, [-1] * n_rows, [-1] * n_cols
     for cur in range(n_rows):
@@ -294,7 +279,11 @@ def _shortest_augmenting_paths(cost: list[list[float]]) -> list[int]:
             col4row[i], j = j, col4row[i]
             if i == cur:
                 break
-    return col4row
+    col4row = np.array(col4row, dtype=np.int64)
+    if transpose:  # the transpose's rows are the matrix's columns
+        order = np.argsort(col4row)
+        return col4row[order], order
+    return np.arange(n_rows), col4row
 
 
 def project_to_2d(dets: np.ndarray) -> np.ndarray:

@@ -337,10 +337,15 @@ def test_ego_simulator_updates_at_rate():
     ("rate_hz", math.nan, "positive"),
     ("noise_std", -0.5, "nonnegative"),
     ("noise_std", math.nan, "nonnegative"),
+    ("heading", math.nan, "finite"),
+    ("heading", math.inf, "finite"),
+    ("speed", math.nan, "finite"),
+    ("speed", -math.inf, "finite"),
 ])
 def test_ego_simulator_refuses_settings_it_cannot_run_on(field, value, rule):
-    # Accepted, a NaN rate failed at the first query, in the tick's floor,
-    # and a negative or NaN noise meant no noise.
+    # Accepted, a NaN rate failed at the first query, in the tick's floor, a
+    # negative or NaN noise meant no noise, and a non-finite heading or speed
+    # failed at the first query as a NaN latitude.
     with pytest.raises(ValueError, match=rf"^{field} must be {rule}, got {value}"):
         EgoSimulator(start=ORIGIN, **{field: value})
 

@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from roadeye.relay import ROLE_SUBSCRIBER, RelayServer, connect_publisher, connect_subscriber
+from roadeye.relay import (ROLE_SUBSCRIBER, RelayServer, connect_publisher, connect_subscriber,
+                           relay_serve)
 from roadeye.wire import PerceptionMessage, PhaseStamps, encode_frame, read_frame_bytes
 
 
@@ -203,6 +204,20 @@ def test_subscriber_limit():
         extra.close()
     finally:
         server.stop()
+
+
+@pytest.mark.parametrize("field", ["max_subscribers", "queue_size"])
+@pytest.mark.parametrize("value", [0, -1])
+def test_limits_below_one_refused(field, value):
+    # A queue of size 0 has no bound: a slow subscriber was never dropped.
+    limits = {"max_subscribers": 16, "queue_size": 64, field: value}
+    server = None
+    try:
+        with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got {value}$"):
+            server = relay_serve("127.0.0.1:0", **limits)
+    finally:
+        if server is not None:
+            server.stop()
 
 
 def test_every_relay_socket_sends_without_nagle_delay():

@@ -219,10 +219,14 @@ def test_non_finite_route_or_speed_rejected(route, speed, match):
 @pytest.mark.parametrize("field, value", [
     ("tick", math.nan), ("tick", math.inf), ("duration", math.nan), ("duration", math.inf),
     ("mount_height", math.nan), ("mount_height", -math.inf),
+    ("points_per_agent", -400), ("ground_point_density", -0.1),
+    ("ground_point_density", math.nan), ("sensor_pitch_deg", math.nan),
+    ("sensor_yaw_deg", math.inf),
 ])
 def test_non_finite_timing_or_mount_height_rejected(field, value):
     # Accepted, they failed later with numpy's message or the sensor pose's,
-    # and a tick of inf gave a scene of no frames.
+    # a tick of inf gave a scene of no frames, and a negative point count
+    # gave frames of ground points only.
     with pytest.raises(ValueError, match=rf"^{field} must be .*, got {value}"):
         ScenarioConfig(**{field: value})
 

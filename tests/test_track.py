@@ -257,11 +257,28 @@ def test_two_by_two_components_take_the_solvers_pairs(rng):
         ours.setdefault(r // 2, []).append((r % 2, c % 2))
     for n, cost in enumerate(costs):
         dense = np.where(np.isnan(cost), GATE_COST, cost).reshape(2, 2)
-        solver = list(enumerate(_shortest_augmenting_paths(dense.tolist())))
+        solver = list(zip(*(x.tolist() for x in _shortest_augmenting_paths(dense))))
         scipy_pairs = list(zip(*(x.tolist() for x in linear_sum_assignment(dense))))
         expected = [(r, c) for r, c in solver if dense[r, c] < GATE_COST]
         assert ours.get(n, []) == expected, cost
         assert [(r, c) for r, c in scipy_pairs if dense[r, c] < GATE_COST] == expected, cost
+
+
+def test_solver_equals_scipy_on_rectangular_matrices(rng):
+    from scipy.optimize import linear_sum_assignment
+
+    shapes = [(1, 7), (7, 1)] + [tuple(rng.integers(1, 12, 2)) for _ in range(1500)]
+    for n, (rows, cols) in enumerate(shapes):
+        # Alternately continuous costs and costs on a 0.5 m grid, which tie;
+        # 40 % of the entries lie outside the gate.
+        if n % 2:
+            cost = rng.choice(np.arange(0.0, 3.5, 0.5), (rows, cols))
+        else:
+            cost = rng.uniform(0.0, 3.0, (rows, cols))
+        cost[rng.random((rows, cols)) < 0.4] = GATE_COST
+        for dense in (cost, cost.T):
+            ours, reference = _shortest_augmenting_paths(dense), linear_sum_assignment(dense)
+            assert all(np.array_equal(a, b) for a, b in zip(ours, reference)), dense
 
 
 def test_gated_assignment_prefers_more_matches_over_cheaper_ones():
