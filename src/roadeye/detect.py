@@ -3,12 +3,13 @@
 Two detector backends share one output type, an array of `DETECTION` rows:
 a ground-truth oracle with configurable corruption, and a voxel-clustering
 baseline. Both work in whole-frame array passes: the cluster detector builds
-its voxel graph from one sort of the voxel keys and fits every cluster's box
-in the same segment reductions. The class is decided here, once: the oracle
-keeps each true box's class, and cluster and clutter boxes take `size_class`.
-It travels on the wire to the onboard side, which derives none. The residual
-encoding and the localization / classification / direction losses are
-standalone functions usable without either backend.
+its voxel graph from one sort of the voxel keys and one sorted search of the
+neighbour rows, and fits every cluster's box in the same segment reductions.
+The class is decided here, once: the oracle keeps each true box's class, and
+cluster and clutter boxes take `size_class`. It travels on the wire to the
+onboard side, which derives none. The residual encoding and the localization /
+classification / direction losses are standalone functions usable without
+either backend.
 """
 
 from __future__ import annotations
@@ -210,11 +211,18 @@ def _voxel_components(vox: np.ndarray) -> np.ndarray:
     three x-neighbours of a (y, z) row are consecutive keys, and a key built
     with a coordinate of -1 or 2^20 matches no voxel. One sort gives the
     nodes, the sorted unique keys. A node's 13 neighbours with a larger key
-    are the +x voxel, which can only be the next node, and three consecutive
-    keys in each of the rows in `_ROW_OFFSETS`, all found from one sorted
-    search per row. Labels are numbered by each component's smallest key."""
-    # Column by column: numpy reduces a strided column far faster than axis 0.
-    x, y, z = (c - c.min() for c in vox.astype(np.int64, copy=False).T)
+    are the +x voxel, which can only be the next node, and up to three
+    consecutive keys from the dx = -1 one in each of the rows in
+    `_ROW_OFFSETS`. One sorted search of all four rows' stacked dx = -1 keys
+    finds the first node at or past each. Nodes with consecutive keys are
+    joined by their +x edges, so an edge to that first neighbour reaches
+    every neighbour in its row, unless the first is at dx = -1 and the next
+    at dx = +1: a second edge joins that one. Labels are numbered by each
+    component's smallest key."""
+    # Coordinate rows: numpy reduces a contiguous row far faster than a strided
+    # column, and `detect_cluster` passes the transpose of contiguous rows.
+    vox = vox.astype(np.int64, copy=False)
+    x, y, z = vox.T - vox.min(axis=0)[:, None]
     if max(x.max(), y.max(), z.max()) >= (1 << 20):
         raise ValueError(
             "voxel grid spans over 2^20 cells per axis; geofence the frame "
@@ -231,19 +239,16 @@ def _voxel_components(vox: np.ndarray) -> np.ndarray:
     inverse[order] = np.cumsum(first) - 1
     n = len(uniq)
     step = np.flatnonzero(uniq[1:] == uniq[:-1] + 1)
-    rows, cols = [step], [step + 1]
-    padded = np.append(uniq, -1)  # a search may return n; no wanted key is negative
-    for offset in _ROW_OFFSETS:
-        want = uniq + offset
-        pos = np.searchsorted(uniq, want)
-        for _ in range(3):  # dx = -1, 0, +1: a hit moves on to the next key
-            hit = padded[pos] == want
-            node = np.flatnonzero(hit)
-            rows.append(node)
-            cols.append(pos[node])
-            pos += hit
-            want += 1
-    return connected_components(n, np.concatenate(rows), np.concatenate(cols))[inverse]
+    want = (uniq + _ROW_OFFSETS[:, None]).ravel()  # row by row, each sorted
+    at = np.searchsorted(uniq, want)
+    padded = np.append(uniq, np.iinfo(np.int64).max)  # at may be n
+    # k: the wanted keys with a node in reach, at most 2 past them.
+    k = np.flatnonzero(padded[at] <= want + 2)
+    at, last = at[k], want[k] + 2
+    gap = np.flatnonzero((padded[at] == last - 2) & (padded[at + 1] == last))
+    rows = np.concatenate([step, k % n, k[gap] % n])
+    cols = np.concatenate([step + 1, at, at[gap] + 1])
+    return connected_components(n, rows, cols)[inverse]
 
 
 def detect_cluster(frame_h, params: ClusterParams) -> np.ndarray:
@@ -251,38 +256,46 @@ def detect_cluster(frame_h, params: ClusterParams) -> np.ndarray:
 
     Points more than 0.2 m above `ground_z` are labelled by 26-connected
     voxel components; each component of at least `min_points` points becomes
-    one box. Every box is fitted in the same array passes: a stable sort by
-    label puts each kept component's points in one contiguous segment, in
-    input order, and `reduceat` over the segments gives the centroids, the
-    plan-view covariances and the extents along the covariance's major axis
-    (theta) and across it, each at least MIN_CLUSTER_EXTENT. Rows come in
-    label order, score min(1, points / 100), class by `size_class`, id -1."""
-    xyz = frame_h.xyz
-    pts = xyz[xyz[:, 2] > params.ground_z + 0.2]
-    if len(pts) == 0:
+    one box. The work runs on coordinate rows, as a column-major frame holds
+    them: one `compress` takes the above-ground points. Every box is fitted
+    in the same array passes: a stable sort of the kept points' labels, cast
+    to the narrowest type that holds them so that numpy radix-sorts them,
+    puts each kept component's points in one contiguous segment, in input
+    order. `reduceat` over the segments gives the centroids, the plan-view
+    covariances and the extents along the covariance's major axis (theta)
+    and across it, each at least MIN_CLUSTER_EXTENT; one gather by segment
+    id brings each point its centroid and major axis. Rows come in label
+    order, score min(1, points / 100), class by `size_class`, id -1."""
+    cols = frame_h.points.T
+    pts = cols[:3].compress(cols[2] > params.ground_z + 0.2, axis=1)
+    if pts.shape[1] == 0:
         return np.empty(0, DETECTION)
-    labels = _voxel_components(np.floor(pts / params.voxel).astype(np.int64))
+    labels = _voxel_components(np.floor(pts / params.voxel).astype(np.int64).T)
     counts = np.bincount(labels)
-    sizes = counts[counts >= params.min_points]
+    kept = counts >= params.min_points
+    sizes = counts[kept]
     # reduceat needs non-empty segments: only kept points are sorted.
-    member_idx = np.flatnonzero(counts[labels] >= params.min_points)
-    member = pts[member_idx[np.argsort(labels[member_idx], kind="stable")]]
+    member_idx = np.flatnonzero(kept[labels])
+    member_labels = labels[member_idx].astype(np.min_scalar_type(len(counts)))
+    by_label = np.argsort(member_labels, kind="stable")
+    member = pts.take(member_idx[by_label], axis=1)
+    segment = (np.cumsum(kept) - 1)[member_labels[by_label]]
     starts = np.cumsum(sizes) - sizes
-    centroid = np.add.reduceat(member, starts) / sizes[:, None]
-    dx, dy = (member[:, :2] - np.repeat(centroid[:, :2], sizes, axis=0)).T
-    sxx, sxy, syy = (np.add.reduceat(np.column_stack([dx * dx, dx * dy, dy * dy]), starts)
-                     / sizes[:, None]).T
+    centroid = np.add.reduceat(member, starts, axis=1) / sizes
+    dx = member[0] - centroid[0, segment]
+    dy = member[1] - centroid[1, segment]
+    sxx, sxy, syy = np.add.reduceat(np.stack([dx * dx, dx * dy, dy * dy]), starts, axis=1) / sizes
     evals, evecs = np.linalg.eigh(np.stack([sxx, sxy, sxy, syy], axis=1).reshape(-1, 2, 2))
     major = evecs[np.arange(len(sizes)), :, np.argmax(evals, axis=1)]
-    mx, my = np.repeat(major, sizes, axis=0).T
+    mx, my = major[segment].T
     # Along the major axis, across it, and up: each one's span is an extent.
-    proj = np.column_stack([dx * mx + dy * my, dy * mx - dx * my, member[:, 2]])
-    extent = np.maximum(np.maximum.reduceat(proj, starts) - np.minimum.reduceat(proj, starts),
-                        MIN_CLUSTER_EXTENT)
+    proj = np.stack([dx * mx + dy * my, dy * mx - dx * my, member[2]])
+    extent = np.maximum(np.maximum.reduceat(proj, starts, axis=1)
+                        - np.minimum.reduceat(proj, starts, axis=1), MIN_CLUSTER_EXTENT)
     dets = np.empty(len(sizes), DETECTION)
     box = dets["box"]
-    box["x"], box["y"], box["z"] = centroid.T
-    box["l"], box["w"], box["h"] = extent.T
+    box["x"], box["y"], box["z"] = centroid
+    box["l"], box["w"], box["h"] = extent
     box["theta"] = wrap_angles(np.arctan2(major[:, 1], major[:, 0]))
     dets["cls"] = size_class(box)
     dets["score"] = np.minimum(1.0, sizes / 100.0)

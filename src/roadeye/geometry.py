@@ -67,20 +67,22 @@ def connected_components(n: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     Union-find in array passes: each edge whose ends have different roots
     hooks the larger root onto the smaller, then pointer jumping flattens
     every tree to depth one. Roots only ever point lower, so a component's
-    final root is its smallest node."""
+    final root is its smallest node. Every node starts as its own root, so
+    the first round hooks the edges' own ends."""
     parent = np.arange(n)
+    pr, pc = r, c
     while True:
-        pr, pc = parent[r], parent[c]
-        split = pr != pc
-        if not split.any():
-            break
-        r, c, pr, pc = r[split], c[split], pr[split], pc[split]
         np.minimum.at(parent, np.maximum(pr, pc), np.minimum(pr, pc))
         while True:
             grand = parent[parent]
             if np.array_equal(grand, parent):
                 break
             parent = grand
+        pr, pc = parent[r], parent[c]
+        split = np.flatnonzero(pr != pc)
+        if not len(split):
+            break
+        r, c, pr, pc = r[split], c[split], pr[split], pc[split]
     is_root = parent == np.arange(n)
     return (np.cumsum(is_root) - 1)[parent]
 

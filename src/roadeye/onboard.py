@@ -186,10 +186,9 @@ def render_svg(frame: RenderFrame) -> str:
     u, v = icons["px"].T
     radius = icons["dims_m"].max(axis=1) / 2.0 * PX_PER_M
     # Every value any template takes, per icon; `used` keeps the ones its
-    # own template takes, in its order.
-    values = np.empty((len(icons), 14), dtype=object)
-    values[:, :13] = np.column_stack([_rect_corners(icons), u, v, radius, u, v - 8.0])
-    values[:, 13] = icons["id"]
+    # own template takes, in its order. The id rides as a float, which `%d`
+    # prints as the integer: `RECORD` ids are i4, so every one is exact.
+    values = np.column_stack([_rect_corners(icons), u, v, radius, u, v - 8.0, icons["id"]])
     circle, labelled = icons["kind"] == IconKind.PEDESTRIAN, icons["id"] >= 0
     used = np.empty(values.shape, dtype=bool)
     used[:, :8], used[:, 8:11], used[:, 11:] = ~circle[:, None], circle[:, None], labelled[:, None]
@@ -201,7 +200,7 @@ def render_svg(frame: RenderFrame) -> str:
     ]
     if len(icons):
         templates = _ICON_SVG[2 * icons["kind"].astype(np.intp) + labelled]
-        lines.append("\n".join(templates) % tuple(values[used]))
+        lines.append("\n".join(templates) % tuple(values[used].tolist()))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -230,6 +229,8 @@ class EgoSimulator:
     ):
         if not rate_hz > 0:  # NaN fails too
             raise ValueError(f"rate_hz must be positive, got {rate_hz}")
+        if rate_hz == math.inf:  # no tick count is that large
+            raise ValueError(f"rate_hz must be finite, got {rate_hz}")
         if not noise_std >= 0:
             raise ValueError(f"noise_std must be nonnegative, got {noise_std}")
         for name, value in (("heading", heading), ("speed", speed)):

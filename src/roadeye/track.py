@@ -47,8 +47,9 @@ class TrackerConfig:
         for name in ("d_o", "gate_assoc"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not self.max_age >= 1:
-            raise ValueError(f"max_age must be >= 1, got {self.max_age}")
+        # An infinite max_age would keep every track forever.
+        if not 1 <= self.max_age < math.inf:
+            raise ValueError(f"max_age must be finite and >= 1, got {self.max_age}")
         # The update divides by p + r * r: a zero r with a zero p is 0 / 0,
         # and the noises enter squared, so a negative one would pass as positive.
         if not self.measurement_noise > 0:
@@ -183,26 +184,35 @@ def gated_assignment(n_rows: int, i: np.ndarray, j: np.ndarray, d: np.ndarray) -
     one the solver returns. A component whose columns are all clean takes
     each column's cheapest pair, by the same argument. Every other component
     runs the shortest-augmenting-path solver on its own small dense matrix,
-    rows and columns numbered in node order."""
+    rows and columns numbered in node order, all of them at once by one
+    stable sort of the node labels."""
     if not len(i):
         return np.empty(0, dtype=np.int64)
     n_nodes = n_rows + int(j.max()) + 1
-    comp = connected_components(n_nodes, i, n_rows + j)[i]
+    label = connected_components(n_nodes, i, n_rows + j)
+    comp = label[i]
     by_col = np.argsort(j, kind="stable")
     row_pair, by_rows = _clean_pairs(i, j, d, comp, n_nodes)
     col_pair = np.empty_like(row_pair)
     col_pair[by_col], by_cols = _clean_pairs(j[by_col], i[by_col], d[by_col], comp[by_col], n_nodes)
     by_cols &= ~by_rows
     taken = np.flatnonzero(row_pair & by_rows[comp] | col_pair & by_cols[comp]).tolist()
-    order = np.flatnonzero(~(by_rows | by_cols)[comp])
-    if len(order):
-        # One dense matrix per remaining component, rows and columns in node order.
-        order = order[np.argsort(comp[order], kind="stable")]
-        for k in np.split(order, np.flatnonzero(np.diff(comp[order])) + 1):
-            row, col = (np.unique(x[k], return_inverse=True)[1] for x in (i, j))
-            cost = np.full((row.max() + 1, col.max() + 1), GATE_COST)
+    leftover = np.flatnonzero(~(by_rows | by_cols))
+    if len(leftover):
+        # Every component's rows, then its columns, numbered in node order at
+        # once: a stable sort by label puts each component's nodes together,
+        # rows ahead of columns, each side ascending.
+        nodes = np.bincount(label)
+        rank = np.empty(n_nodes, dtype=np.int64)
+        rank[np.argsort(label, kind="stable")] = (
+            np.arange(n_nodes) - np.repeat(np.cumsum(nodes) - nodes, nodes))
+        n_row = np.bincount(label[:n_rows], minlength=len(nodes))
+        row, col = rank[i], rank[n_rows + j] - n_row[comp]
+        for c in leftover.tolist():  # one dense matrix per component
+            k = np.flatnonzero(comp == c)
+            cost = np.full((n_row[c], nodes[c] - n_row[c]), GATE_COST)
             pair = np.full(cost.shape, -1)
-            cost[row, col], pair[row, col] = d[k], k
+            cost[row[k], col[k]], pair[row[k], col[k]] = d[k], k
             chosen = pair[_shortest_augmenting_paths(cost)]
             taken.extend(chosen[chosen >= 0].tolist())
     taken = np.array(taken, dtype=np.int64)

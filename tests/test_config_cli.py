@@ -133,12 +133,18 @@ _NAN_CASES = [
 ]
 
 
-@pytest.mark.parametrize("settings, field", _NAN_CASES)
-def test_tracker_and_oracle_settings_refuse_nan(settings, field):
+@pytest.mark.parametrize("settings, field, value", [
+    pytest.param(settings, field, math.nan, id=f"{settings.__name__}-{field}")
+    for settings, field in _NAN_CASES
+] + [
+    # `max_age >= 1` passes infinity, which kept every track forever.
+    pytest.param(TrackerConfig, "max_age", math.inf, id="TrackerConfig-max_age-inf"),
+])
+def test_tracker_and_oracle_settings_refuse_nan(settings, field, value):
     # Built in code, not through the config, which refuses NaN itself. Every
     # numeric field is a case, so a check that NaN passes (`x < 0`) fails here.
-    with pytest.raises(ValueError, match=rf"\b{field}\b.*\bnan\b"):
-        settings(**{field: math.nan})
+    with pytest.raises(ValueError, match=rf"\b{field}\b.*\b{value}\b"):
+        settings(**{field: value})
 
 
 @pytest.mark.parametrize("value", [7, 0, ["gcps.txt"]])

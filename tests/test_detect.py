@@ -30,9 +30,10 @@ from roadeye.detect import (
     truth_boxes,
     _voxel_components,
 )
+from roadeye.config import load_config
 from roadeye.geometry import ObjectClass, OrientedBox3D, normalize_angle, wrap_angles
-from roadeye.preproc import GeofenceBounds
-from roadeye.scene import PointCloudFrame, ScenarioConfig, sample_box_surface
+from roadeye.preproc import GeofenceBounds, apply_transform, estimate_ground_calibration, geofence
+from roadeye.scene import PointCloudFrame, ScenarioConfig, sample_box_surface, scenario_frames
 
 from conftest import agent, detections
 
@@ -290,6 +291,49 @@ def test_voxel_components_match_ndimage_label(rng, fill):
     keys = vox[:, 0] + (vox[:, 1] << 21) + (vox[:, 2] << 42)
     smallest = [keys[got == lbl].min() for lbl in range(got.max() + 1)]
     assert smallest == sorted(smallest)
+
+
+def _crowd_voxels(seed: int) -> list[np.ndarray]:
+    """The above-ground voxels `detect_cluster` labels, for both frames of a
+    seeded 100-agent crowd leveled by its first frame's calibration: a few
+    thousand voxels in about two thousand components, most of them small."""
+    side = 10
+    agents = []
+    for k in range(side * side):
+        row, col = divmod(k, side)
+        x, y = -42.0 + 8.4 * (col + 0.5), -42.0 + 8.4 * (row + 0.5)
+        route = [[x - 3.0, y], [x + 3.0, y]] if k % 2 else [[x, y - 3.0], [x, y + 3.0]]
+        agents.append({"class": "pedestrian" if k % 5 == 4 else "vehicle",
+                       "route": route, "speed": 2.0})
+    cfg = load_config(overrides={"seed": seed, "scene": {"duration": 0.2, "agents": agents},
+                                 "detector": {"backend": "cluster"}})
+    scenario, params = cfg.scenario(), cfg.cluster_params()
+    voxels, p_cali = [], None
+    for _, frame in scenario_frames(scenario):
+        if p_cali is None:
+            p_cali = estimate_ground_calibration(frame, scenario.mount_height, cfg.seed)
+        xyz = geofence(apply_transform(frame, p_cali), cfg.geofence_bounds()).xyz
+        pts = xyz[xyz[:, 2] > params.ground_z + 0.2]
+        voxels.append(np.floor(pts / params.voxel).astype(np.int64))
+    return voxels
+
+
+@pytest.mark.parametrize("seed", [801, 802])
+def test_voxel_components_match_ndimage_label_on_crowd_frames(seed):
+    # Real frames are sparse where the random fills above are dense: most
+    # components are a voxel or two, and most neighbour rows are empty.
+    for vox in _crowd_voxels(seed):
+        cells = vox - vox.min(axis=0)
+        grid = np.zeros(cells.max(axis=0) + 1, bool)
+        grid[tuple(cells.T)] = True
+        ref, n_ref = ndimage.label(grid, structure=np.ones((3, 3, 3)))
+        got = _voxel_components(vox)
+        assert n_ref > 1000 and got.max() + 1 == n_ref
+        assert _same_partition(got, ref[tuple(cells.T)])
+        keys = cells[:, 0] + (cells[:, 1] << 21) + (cells[:, 2] << 42)
+        smallest = np.full(n_ref, np.iinfo(np.int64).max)
+        np.minimum.at(smallest, got, keys)
+        assert np.all(np.diff(smallest) > 0)
 
 
 @pytest.mark.parametrize("shift", [0, -(1 << 19)])

@@ -335,6 +335,7 @@ def test_ego_simulator_updates_at_rate():
 
 @pytest.mark.parametrize("field, value, rule", [
     ("rate_hz", math.nan, "positive"),
+    ("rate_hz", math.inf, "finite"),
     ("noise_std", -0.5, "nonnegative"),
     ("noise_std", math.nan, "nonnegative"),
     ("heading", math.nan, "finite"),
@@ -343,9 +344,9 @@ def test_ego_simulator_updates_at_rate():
     ("speed", -math.inf, "finite"),
 ])
 def test_ego_simulator_refuses_settings_it_cannot_run_on(field, value, rule):
-    # Accepted, a NaN rate failed at the first query, in the tick's floor, a
-    # negative or NaN noise meant no noise, and a non-finite heading or speed
-    # failed at the first query as a NaN latitude.
+    # Accepted, a NaN or infinite rate failed at the first query, in the
+    # tick's floor, a negative or NaN noise meant no noise, and a non-finite
+    # heading or speed failed at the first query as a NaN latitude.
     with pytest.raises(ValueError, match=rf"^{field} must be {rule}, got {value}"):
         EgoSimulator(start=ORIGIN, **{field: value})
 

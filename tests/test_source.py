@@ -76,3 +76,72 @@ def test_the_package_imports_only_the_standard_library_and_its_dependencies():
                 for d in dependencies}
     imported = {p.name: imported_modules(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: sorted(m - allowed) for name, m in imported.items() if m - allowed} == {}
+
+
+# Names numpy gained after 1.24, the floor pyproject declares, that today's
+# numpy has: top-level and `numpy.linalg` ones from the 1.25 to 2.2 release
+# notes. A kernel that reads one would raise the floor without saying so.
+NUMPY_FLOOR = "numpy>=1.24"
+NUMPY_AFTER_FLOOR = {f"numpy.{name}" for name in (
+    "exceptions", "dtypes",  # 1.25
+    "bitwise_count", "strings", "long", "ulong", "trapezoid", "astype", "isdtype", "concat",
+    "pow", "permute_dims", "matrix_transpose", "vecdot", "acos", "acosh", "asin", "asinh",
+    "atan", "atan2", "atanh", "bitwise_invert", "bitwise_left_shift", "bitwise_right_shift",
+    "unique_all", "unique_counts", "unique_inverse", "unique_values",  # 2.0
+    "cumulative_sum", "cumulative_prod", "unstack",  # 2.1
+    "matvec", "vecmat",  # 2.2
+)} | {f"numpy.linalg.{name}" for name in (
+    "matrix_norm", "vector_norm", "vecdot", "svdvals", "diagonal", "trace", "outer", "cross",
+    "matrix_transpose", "matmul", "tensordot",  # 2.0
+)}
+
+
+def numpy_names(source: str) -> set[str]:
+    """Dotted names `source` reads from numpy, `numpy.` spelled out: each
+    attribute chain on a name bound to numpy or a submodule (`np.linalg.eigh`
+    gives numpy.linalg and numpy.linalg.eigh), and each `from numpy... import`."""
+    tree = ast.parse(source)
+    alias = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "numpy":
+                    alias[a.asname or "numpy"] = a.name if a.asname else "numpy"
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module.split(".")[0] == "numpy"):
+            names.add(node.module)
+            names |= {f"{node.module}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Attribute):  # the walk visits each prefix too
+            parts = [node.attr]
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                parts.append(base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in alias:
+                names.add(".".join([alias[base.id], *reversed(parts)]))
+    return names
+
+
+def test_numpy_names_are_found():
+    source = ("import numpy as np\nimport numpy.linalg as la\nfrom numpy import strings\n"
+              "from numpy.linalg import vector_norm\n"
+              "np.bitwise_count(np.linalg.eigh(x)[0]).sum()\nla.svdvals(x)\n")
+    found = numpy_names(source)
+    assert {"numpy.bitwise_count", "numpy.linalg.eigh", "numpy.linalg.svdvals", "numpy.strings",
+            "numpy.linalg.vector_norm"} <= found
+    assert sorted(found & NUMPY_AFTER_FLOOR) == [
+        "numpy.bitwise_count", "numpy.linalg.svdvals", "numpy.linalg.vector_norm",
+        "numpy.strings"]
+
+
+def test_the_package_reads_no_numpy_name_newer_than_its_floor():
+    # The list above holds for this floor only: raise both together.
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    assert NUMPY_FLOOR in dependencies
+    newer = {p.name: sorted(numpy_names(p.read_text()) & NUMPY_AFTER_FLOOR)
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in newer.items() if found} == {}
